@@ -23,37 +23,37 @@ namespace coredis::core::detail {
 
 struct EngineState;
 
-/// Pinned-column candidate prober: computes the tE of moving a task from
-/// sigma_init to `target` at time t, paying the redistribution and the
-/// initial checkpoint on the new allocation (Alg. 3 line 12 / Alg. 4
-/// line 16 / Alg. 5 line 17):
+/// The column-free part of a candidate probe: the cost of moving a task
+/// from its committed sigma_init to `target` at time t, paying the
+/// redistribution and the initial checkpoint on the new allocation,
 ///
-///   tE(target) = t + RC^{sigma_init -> target}_i + C_{i,target}
-///                + Tr(i, target, alpha)
+///   base(target) = t + RC^{sigma_init -> target}_i + C_{i,target}.
 ///
-/// One prober serves every probe of a (task, alpha) scan: it caches the
-/// redistribution-cost constants (sigma_init, m_i / sigma_init) and binds
-/// the TrEvaluator column once, so a warm probe is pure flops plus one
-/// dense array read — Eq. 9 and C_{i,j} = C_i / j are inlined term for
-/// term (the same arithmetic as redistrib::cost and the coefficient
-/// table's cost field, so results are bit-identical), with no coefficient
-/// record fetched.
-class CandidateProber {
+/// Eq. 9 and C_{i,j} = C_i / j are inlined term for term (the same
+/// arithmetic as redistrib::cost and the coefficient table's cost field,
+/// so results are bit-identical), with no coefficient record fetched.
+class ProbeBase {
  public:
-  CandidateProber(EngineState& s, double t, int i, double alpha);
+  ProbeBase(const EngineState& s, double t, int i);
+
+  /// RC^{sigma_init -> target}_i (Eq. 9).
+  [[nodiscard]] double rc(int target) const {
+    if (target == from_ || zero_rc_) return 0.0;
+    // rounds * (1 / target) * (m / from), the exact operation order of
+    // redistrib::cost (m / from is cached; same bits).
+    const int delta = target > from_ ? target - from_ : from_ - target;
+    const double r = static_cast<double>(std::max(std::min(from_, target),
+                                                  delta));
+    return r * (1.0 / static_cast<double>(target)) * m_over_from_;
+  }
+
+  /// C_{i,target} (0 in the fault-free context).
+  [[nodiscard]] double checkpoint(int target) const {
+    return seq_ckpt_ / static_cast<double>(target);
+  }
 
   [[nodiscard]] double operator()(int target) const {
-    double rc = 0.0;
-    if (target != from_ && !zero_rc_) {
-      // Eq. 9: rounds * (1 / target) * (m / from), the exact operation
-      // order of redistrib::cost (m / from is cached; same bits).
-      const int delta = target > from_ ? target - from_ : from_ - target;
-      const double r = static_cast<double>(std::max(std::min(from_, target),
-                                                    delta));
-      rc = r * (1.0 / static_cast<double>(target)) * m_over_from_;
-    }
-    return t_ + rc + seq_ckpt_ / static_cast<double>(target) +
-           column_(target);
+    return t_ + rc(target) + checkpoint(target);
   }
 
  private:
@@ -62,7 +62,28 @@ class CandidateProber {
   double m_over_from_;  ///< data_size / sigma_init, Eq. 9's cached factor
   double seq_ckpt_;     ///< C_i (0 in the fault-free context: C_{i,j} = 0)
   bool zero_rc_;
-  int task_;
+};
+
+/// Pinned-column candidate prober: computes the tE of moving a task to
+/// `target` at time t (Alg. 3 line 12 / Alg. 4 line 16 / Alg. 5 line 17):
+///
+///   tE(target) = base(target) + Tr(i, target, alpha)
+///
+/// One prober serves every probe of a (task, alpha) scan: it caches the
+/// redistribution-cost constants and binds the TrEvaluator column once,
+/// so a warm probe is pure flops plus one dense array read.
+class CandidateProber {
+ public:
+  CandidateProber(EngineState& s, double t, int i, double alpha);
+
+  [[nodiscard]] double operator()(int target) const {
+    return base_(target) + column_(target);
+  }
+
+  [[nodiscard]] const ProbeBase& base() const noexcept { return base_; }
+
+ private:
+  ProbeBase base_;
   TrEvaluator::Column column_;
 };
 
@@ -89,7 +110,8 @@ struct EngineState {
   std::vector<TaskRuntime> tasks;
 
   /// --profile sink (engine-owned, null when profiling is off):
-  /// commit_changes adds its wall time and batch count.
+  /// commit_changes adds its wall time and batch count, EndLocal its
+  /// scan, verdict and widening counters.
   EngineProfile* profile = nullptr;
 
   // Counters surfaced in RunResult.
@@ -123,12 +145,16 @@ struct EngineState {
   // failed improvability scans across events: while the task's version is
   // unchanged, the pool no larger and the time before the conservative
   // horizon, the task is provably still unimprovable and is dropped in
-  // O(1) without probing anything.
+  // O(1) without probing anything. A larger pool only has to clear its
+  // new targets, against the floor the covered columns keep (widening).
   std::vector<std::uint32_t> version;
   struct ScanCache {
     std::uint32_t version = 0;
     int k = -1;  ///< pool size the failed scan covered; -1 = no verdict
     double horizon = -std::numeric_limits<double>::infinity();
+    /// Every covered Eq. 4 column (j <= sigma + k) provably stays >= floor
+    /// until the horizon; -infinity when nothing is proven beyond now.
+    double floor = -std::numeric_limits<double>::infinity();
   };
   std::vector<ScanCache> scan_cache;
   /// IteratedGreedy's per-task committed-state constants — the free-return
@@ -170,6 +196,8 @@ struct EngineState {
     std::vector<RegrowRow> rows;
     std::vector<int> tourney;  ///< winner tree over included tasks
     std::vector<int> leaf_of;  ///< task -> tournament leaf slot
+    /// EndLocal widening: running minimum of the new columns' Eq. 4 values
+    std::vector<double> widened;
   };
   Scratch scratch;
 
@@ -275,8 +303,7 @@ bool shortest_tasks_first(EngineState& state, double t, int faulty);
 /// Algorithm 5 (IteratedGreedy) at a failure of task `faulty`.
 bool iterated_greedy(EngineState& state, double t, int faulty);
 
-inline CandidateProber::CandidateProber(EngineState& s, double t, int i,
-                                        double alpha)
+inline ProbeBase::ProbeBase(const EngineState& s, double t, int i)
     : t_(t),
       from_(s.task(i).sigma),
       m_over_from_(s.model->pack().task(i).data_size /
@@ -284,8 +311,10 @@ inline CandidateProber::CandidateProber(EngineState& s, double t, int i,
       seq_ckpt_(s.model->resilience().fault_free()
                     ? 0.0
                     : s.model->sequential_checkpoint(i)),
-      zero_rc_(s.zero_redistribution_cost),
-      task_(i),
-      column_(s.tr->column(i, alpha)) {}
+      zero_rc_(s.zero_redistribution_cost) {}
+
+inline CandidateProber::CandidateProber(EngineState& s, double t, int i,
+                                        double alpha)
+    : base_(s, t, i), column_(s.tr->column(i, alpha)) {}
 
 }  // namespace coredis::core::detail

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -120,6 +121,7 @@ RunResult Engine::run(fault::Generator& faults) {
   EngineProfile profile;
   const bool profiling = config_.profile;
   if (profiling) state.profile = &profile;
+  const std::uint64_t fills_before = evaluator.fills();
   double mark = profiling ? profile_now() : 0.0;
   const auto phase = [&](double& sink) {
     if (!profiling) return;
@@ -320,6 +322,10 @@ RunResult Engine::run(fault::Generator& faults) {
     // The heuristics' commit share was accumulated inside scan time;
     // carve it out so probe scans and commits read as disjoint phases.
     profile.scan_seconds -= profile.commit_seconds;
+    // Evaluator fills this run paid for, beside EndLocal's widening
+    // probes (already counted, they bypass the evaluator).
+    profile.column_fills +=
+        static_cast<long long>(evaluator.fills() - fills_before);
     result.profile = profile;
   }
   result.makespan = *std::max_element(result.completion_times.begin(),

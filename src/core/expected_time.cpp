@@ -143,10 +143,8 @@ void ExpectedTimeModel::fill_coeffs(int task, int j, Coeffs& c) const {
 void ExpectedTimeModel::grow_even_row(int task, std::size_t h_count) const {
   const auto ti = static_cast<std::size_t>(task);
   auto& row = table_even_[ti];
-  if (row.size() <= h_count) {
-    row.reserve(std::max(h_count + 1, 2 * row.size()));
-    row.resize(h_count + 1);
-  }
+  // Geometric growth comes from resize itself (see coeffs()).
+  if (row.size() <= h_count) row.resize(h_count + 1);
   // The SoA mirror grows in lockstep with the dense prefix; reserve all
   // five lanes up front so the per-entry appends never reallocate.
   const bool mirror = !resilience_->fault_free();
@@ -310,8 +308,8 @@ TrEvaluator::TrEvaluator(const ExpectedTimeModel& model, int max_processors)
 void TrEvaluator::Column::extend(std::size_t want) const {
   auto& pm = slot_->prefix_min;
   const std::size_t have = pm.size();
-  pm.reserve(std::max(want, 2 * have));  // columns deepen one probe at a time
-  pm.resize(want);
+  pm.resize(want);  // geometric capacity growth: columns deepen in steps
+  *fills_ += want - have;
   // Batch fill straight into the column: probe_many streams the raw Eq. 4
   // values (independent expm1 calls overlap in the pipeline), then the
   // in-place sweep applies the exact Eq. 6 prefix-min — the same std::min
@@ -360,7 +358,7 @@ TrEvaluator::Column TrEvaluator::column(int task, double alpha) {
   }
   slot->last_used = ++clock_;
   slot->epoch = epoch_;
-  return Column(model_, slot, task, alpha);
+  return Column(model_, slot, &fills_, task, alpha);
 }
 
 void TrEvaluator::invalidate(int task) {

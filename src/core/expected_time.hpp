@@ -251,22 +251,20 @@ class ExpectedTimeModel {
   /// Row lookup, filling the slot on first access. Every hot-path probe
   /// uses an even j (allocations are processor pairs), so even columns
   /// live in a dense row indexed by j / 2 — half the footprint of a
-  /// j-indexed row, and rows grow to the deepest probed j, which
-  /// Algorithm 1's full-pool lookahead pushes to ~p for every task. Odd
-  /// j (sequential baselines, tests) goes to a separate table that stays
-  /// empty during simulations.
+  /// j-indexed row. Rows grow to the deepest allocation any scan probed
+  /// (DESIGN.md section 6.2), a few entries at a time. Odd j (sequential
+  /// baselines, tests) goes to a separate table that stays empty during
+  /// simulations.
   const Coeffs& coeffs(int task, int j) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     COREDIS_EXPECTS(j >= 1);
     auto& row = (j % 2 == 0 ? table_even_ : table_odd_)[
         static_cast<std::size_t>(task)];
     const auto slot = static_cast<std::size_t>(j) / 2;  // odd j=1 -> 0
-    if (row.size() <= slot) [[unlikely]] {
-      // Geometric growth: columns deepen one probe at a time, and
-      // exact-size resizes would copy the row on every step.
-      row.reserve(std::max(slot + 1, 2 * row.size()));
-      row.resize(slot + 1);
-    }
+    // resize grows the capacity geometrically on its own; a reserve(2 *
+    // size()) here would always fall short of the next step's request
+    // and copy the whole row on every deepening.
+    if (row.size() <= slot) [[unlikely]] row.resize(slot + 1);
     Coeffs& c = row[slot];
     if (c.t_ij < 0.0) [[unlikely]]
       fill_coeffs(task, j, c);
@@ -326,10 +324,11 @@ class ExpectedTimeModel {
 /// j at a fixed alpha (the greedy loops probe ascending j at the alpha they
 /// froze for the current event, so the prefix fills once and every further
 /// probe is O(1)). Three alpha slots are kept per task: slot 0 is pinned
-/// to alpha = 1.0 — the full-work column that Algorithm 1 probes deeply at
-/// the start of *every* run, so it survives the whole simulation and every
-/// subsequent run of the same engine — and the other two hold the
-/// committed alpha_i and the tentative alpha^t_i that IteratedGreedy
+/// to alpha = 1.0 — the full-work column that Algorithm 1 reads at the
+/// start of *every* run (to one entry past the task's allocation, deeper
+/// only on a plateau of the clamp), so it survives the whole simulation
+/// and every subsequent run of the same engine — and the other two hold
+/// the committed alpha_i and the tentative alpha^t_i that IteratedGreedy
 /// evaluates for the same task within one event (Alg. 5 lines 16-17).
 ///
 /// The engine brackets each simulation event with begin_event(), which
@@ -379,6 +378,7 @@ class TrEvaluator {
             const double raw =
                 model_->expected_time_raw(task_, next_j, alpha_);
             pm.push_back(pm.empty() ? raw : std::min(pm.back(), raw));
+            ++*fills_;
           }
         }
       }
@@ -395,14 +395,17 @@ class TrEvaluator {
 
    private:
     friend class TrEvaluator;
-    Column(const ExpectedTimeModel* model, Slot* slot, int task, double alpha)
-        : model_(model), slot_(slot), task_(task), alpha_(alpha) {}
+    Column(const ExpectedTimeModel* model, Slot* slot, std::uint64_t* fills,
+           int task, double alpha)
+        : model_(model), slot_(slot), fills_(fills), task_(task),
+          alpha_(alpha) {}
 
     /// Batched fill of the missing prefix entries via probe_many.
     void extend(std::size_t want) const;
 
     const ExpectedTimeModel* model_;
     Slot* slot_;
+    std::uint64_t* fills_;  ///< the evaluator's fills() tally
     int task_;
     double alpha_;
   };
@@ -426,6 +429,11 @@ class TrEvaluator {
   /// slots cannot capture; cheap, slots rebuild lazily).
   void invalidate(int task);
 
+  /// Prefix-min entries filled over the evaluator's lifetime, one raw
+  /// Eq. 4 evaluation each: the engine reports a run's share as
+  /// EngineProfile::column_fills.
+  [[nodiscard]] std::uint64_t fills() const noexcept { return fills_; }
+
  private:
   /// Slot 0 is the pinned alpha = 1.0 column; eviction only ever
   /// considers the remaining slots.
@@ -435,6 +443,7 @@ class TrEvaluator {
   int max_j_;
   std::uint64_t clock_ = 0;
   std::uint64_t epoch_ = 0;
+  std::uint64_t fills_ = 0;
   std::vector<std::array<Slot, kSlotsPerTask>> slots_;
 };
 

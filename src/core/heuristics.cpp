@@ -23,9 +23,12 @@
 /// the scan's exact margins (how fast they can decay, and how soon a
 /// checkpoint-count boundary of Eq. 2 could discontinuously improve a
 /// candidate), and until that horizon — same committed state, no larger
-/// pool — the task is dropped in O(1) without probing anything. Probes
-/// themselves are never approximated: any scan that actually runs is the
-/// from-scratch exact scan, which also survives unconditionally behind
+/// pool — the task is dropped in O(1) without probing anything. A larger
+/// pool (the idle pool grows at every completion) widens the verdict by
+/// clearing only the new targets, O(delta k) probes, against a floor the
+/// covered columns provably keep. Probes themselves are never
+/// approximated: any scan that actually runs is the from-scratch exact
+/// scan, which also survives unconditionally behind
 /// EngineConfig::eager_scans for the equivalence tests.
 
 #include <algorithm>
@@ -243,25 +246,44 @@ void heap_drop_top(std::vector<HeapEntry>& heap) {
   heap.pop_back();
 }
 
+/// min over the even targets sigma + q, q in [q_lo, q_hi], of RC_q +
+/// C_{i,sigma+q}: flops only (Eq. 9 and C_i / j need no Eq. 4
+/// evaluation), on the prober's own arithmetic. Any consistent evaluation
+/// of the same math makes a valid bound, and this is the exact one.
+double min_rc_c(const ProbeBase& base, int sigma, int q_lo, int q_hi) {
+  double best = std::numeric_limits<double>::infinity();
+  for (int q = q_lo; q <= q_hi; q += 2)
+    best = std::min(best, base.rc(sigma + q) + base.checkpoint(sigma + q));
+  return best;
+}
+
+/// What a failed EndLocal scan carries to later events: until `horizon`,
+/// every column it covered stays >= `floor` (DESIGN.md section 6.5).
+struct Carry {
+  double horizon;
+  double floor;
+};
+
 /// Conservative validity horizon of a failed EndLocal improvability scan
-/// (DESIGN.md section 6.5). The scan just proved, with exact probes, that
-/// every even target sigma + q, q in [2, k], satisfies
+/// over the Eq. 4 columns [h_lo, h_hi) of task i at alpha_t (DESIGN.md
+/// section 6.5). The scan just proved, with exact probes, that its even
+/// targets sigma + q satisfy
 ///
 ///   t + RC_q + C_{i,sigma+q} + Tr(i, sigma+q, alpha_t) >= tU.
 ///
 /// Until when does that provably keep holding (same committed state, pool
-/// <= k)? Tr(sigma + q, .) is the Eq. 6 prefix-min over the raw Eq. 4
-/// columns, so target q breaks only once some column h <= (sigma + q)/2
-/// falls below its threat level tU - t' - RC_q - C_q; with t' only
+/// no larger)? Tr(sigma + q, .) is the Eq. 6 prefix-min over the raw
+/// Eq. 4 columns, so target q breaks only once some column h <= (sigma +
+/// q)/2 falls below its threat level tU - t' - RC_q - C_q; with t' only
 /// growing past t, every threat level is bounded by
 ///
-///   L = tU - t - min_q (RC_q + C_q)
+///   L = tU - t - min_q (RC_q + C_q)   (the caller's `threat`).
 ///
-/// (flops: Eq. 9 and C_i/j need no Eq. 4 evaluation). Column h therefore
-/// has to burn the budget pm[h] - L first, where pm is the scan's freshly
-/// filled prefix-min (raw_h >= pm[h]). It burns alpha at rate at most
-/// g_h = t_{i,j} factor lambda_j (expm1_tau + 1) — Eq. 4's slope bound,
-/// e^{lambda tau_last} <= e^{lambda tau}; exactly t_{i,j} in the
+/// Column h therefore has to burn the budget value[h] - L first, where
+/// value[h - h_lo] <= raw_h (the scan's freshly filled prefix-min, or a
+/// widening's running minimum of its new columns). It burns alpha at rate
+/// at most g_h = t_{i,j} factor lambda_j (expm1_tau + 1) — Eq. 4's slope
+/// bound, e^{lambda tau_last} <= e^{lambda tau}; exactly t_{i,j} in the
 /// fault-free context — plus one exact Eq. 4 drop of factor * expm1_tau
 /// each time the remaining work crosses an Eq. 2 completed-checkpoint
 /// boundary (every tau - C of work on that column; the first crossing
@@ -269,43 +291,25 @@ void heap_drop_top(std::vector<HeapEntry>& heap) {
 /// period *before* it falls due only shortens the horizon, so the
 /// per-column alpha span solves
 ///
-///   span_h * g_h + drops(span_h) * factor * expm1_tau <= pm[h] - L,
+///   span_h * g_h + drops(span_h) * factor * expm1_tau <= value[h] - L,
 ///
 /// and since the tentative alpha falls at most 1 / t_{i,sigma} per
-/// wall-clock second, the verdict holds until t + min_h span_h *
+/// wall-clock second, every column stays >= L until t + min_h span_h *
 /// t_{i,sigma}, shaved by 1e-9 to cover this computation's own rounding.
-double drop_horizon(const EngineState& s, int i, double t, double alpha_t,
-                    int sigma, int k, double threshold,
-                    const std::vector<double>& pm) {
-  const auto slots = static_cast<std::size_t>(sigma + k) / 2;
-  COREDIS_ASSERT(pm.size() >= slots);
-  const ExpectedTimeModel::Coeffs* recs = s.model->row_records(i, slots);
+/// A column already at or below L proves nothing beyond t: the verdict
+/// then holds at t only, with no floor.
+Carry carry_columns(const EngineState& s, int i, double t, double alpha_t,
+                    int sigma, std::size_t h_lo, std::size_t h_hi,
+                    double threat, const double* value) {
+  const ExpectedTimeModel::Coeffs* recs = s.model->row_records(i, h_hi);
   const bool fault_free = s.model->resilience().fault_free();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
 
-  // min over targets of RC + C (same inline Eq. 9 / C_i over j arithmetic
-  // as CandidateProber; any consistent evaluation of the same math makes
-  // a valid bound, and this is the exact one).
-  const double seq =
-      fault_free ? 0.0 : s.model->sequential_checkpoint(i);
-  const double m_over_from =
-      s.model->pack().task(i).data_size / static_cast<double>(sigma);
-  double min_rc_c = std::numeric_limits<double>::infinity();
-  for (int q = 2; q <= k; q += 2) {
-    const int target = sigma + q;
-    const double rc =
-        s.zero_redistribution_cost
-            ? 0.0
-            : static_cast<double>(std::max(std::min(sigma, target), q)) *
-                  (1.0 / static_cast<double>(target)) * m_over_from;
-    min_rc_c = std::min(min_rc_c, rc + seq / static_cast<double>(target));
-  }
-  const double threat = threshold - t - min_rc_c;
-
-  double span_alpha = std::numeric_limits<double>::infinity();
-  for (std::size_t h = 0; h < slots; ++h) {
+  double span_alpha = kInf;
+  for (std::size_t h = h_lo; h < h_hi; ++h) {
     const ExpectedTimeModel::Coeffs& c = recs[h];
-    const double budget = pm[h] - threat;
-    if (budget <= 0.0) return t;  // no provable carry
+    const double budget = value[h - h_lo] - threat;
+    if (budget <= 0.0) return {t, -kInf};  // no provable carry
     if (fault_free) {
       span_alpha = std::min(span_alpha, budget / c.t_ij);
       continue;
@@ -330,8 +334,62 @@ double drop_horizon(const EngineState& s, int i, double t, double alpha_t,
   }
   const double w_sigma = s.model->fault_free_time(i, sigma);
   const double span = span_alpha * w_sigma;
-  if (!std::isfinite(span)) return std::numeric_limits<double>::infinity();
-  return t + span * (1.0 - 1e-9);
+  if (!std::isfinite(span)) return {kInf, threat};
+  return {t + span * (1.0 - 1e-9), threat};
+}
+
+/// Widen task i's carried verdict from its covered pool cache.k to the
+/// larger pool k by clearing only the new targets q in (cache.k, k]
+/// (DESIGN.md section 6.5). For such a q the eager scan computes
+///
+///   tE(q) = fl(base_q + min(A, M_q)) = min(fl(base_q + A), fl(base_q + M_q))
+///
+/// (IEEE addition is monotone), where base_q = t + RC_q + C_q is the
+/// prober's, A the covered columns' minimum at alpha_t and M_q the new
+/// columns' running minimum. A >= cache.floor until the horizon, so
+/// (a) fl(base_q + floor) >= tU and (b) fl(base_q + M_q) >= tU prove that
+/// no new target improves. On success the verdict covers k, priced from t
+/// over the new columns; on any failed check nothing changes and the
+/// caller runs the exact scan, which decides. No decision is ever taken
+/// here.
+bool widen_verdict(EngineState& s, int i, double t, double alpha_t,
+                   double tU, int k, EngineState::ScanCache& cache) {
+  const int sigma = s.task(i).sigma;
+  const ProbeBase base(s, t, i);
+  const int q_first = cache.k / 2 * 2 + 2;
+  const auto refuse = [&s](bool on_floor) {
+    if (s.profile != nullptr) {
+      ++s.profile->widen_fallbacks;
+      if (on_floor) ++s.profile->floor_fallbacks;
+    }
+    return false;
+  };
+  // (a) against the covered columns' floor: flops only, so first.
+  for (int q = q_first; q <= k; q += 2)
+    if (!(base(sigma + q) + cache.floor >= tU)) return refuse(true);
+  // (b) against the new columns alone, one probe_many batch.
+  const auto lo = static_cast<std::size_t>(sigma + cache.k) / 2;
+  const auto hi = static_cast<std::size_t>(sigma + k) / 2;
+  std::vector<double>& m = s.scratch.widened;
+  m.resize(hi - lo);
+  s.model->probe_many(i, static_cast<int>(lo), static_cast<int>(hi), alpha_t,
+                      m.data());
+  double running = std::numeric_limits<double>::infinity();
+  for (double& v : m) v = running = std::min(running, v);
+  if (s.profile != nullptr)
+    s.profile->column_fills += static_cast<long long>(hi - lo);
+  for (int q = q_first; q <= k; q += 2) {
+    const double new_min = m[static_cast<std::size_t>(sigma + q) / 2 - 1 - lo];
+    if (!(base(sigma + q) + new_min >= tU)) return refuse(false);
+  }
+  const Carry carry =
+      carry_columns(s, i, t, alpha_t, sigma, lo, hi,
+                    tU - t - min_rc_c(base, sigma, q_first, k), m.data());
+  cache.k = k;
+  cache.horizon = std::min(cache.horizon, carry.horizon);
+  cache.floor = std::min(cache.floor, carry.floor);
+  if (s.profile != nullptr) ++s.profile->verdict_widenings;
+  return true;
 }
 
 }  // namespace
@@ -364,8 +422,10 @@ bool end_local(EngineState& s, double t) {
       const EngineState::ScanCache& cache =
           s.scan_cache[static_cast<std::size_t>(i)];
       if (cache.k >= k && cache.version == s.version[static_cast<std::size_t>(i)] &&
-          t <= cache.horizon)
+          t <= cache.horizon) {
+        if (s.profile != nullptr) ++s.profile->verdict_drops;
         continue;
+      }
     }
     tU[static_cast<std::size_t>(i)] = s.task(i).tU;
     heap.emplace_back(s.task(i).tU, i);
@@ -377,23 +437,29 @@ bool end_local(EngineState& s, double t) {
     const int i = heap.front().second;  // peek; the entry stays in place
     const auto idx = static_cast<std::size_t>(i);
     const bool at_committed = new_sigma[idx] == s.task(i).sigma;
+    // A verdict carried at the same committed state, before its horizon.
+    EngineState::ScanCache& cache = s.scan_cache[idx];
+    const bool carried = !s.eager_scans && at_committed &&
+                         cache.version == s.version[idx] &&
+                         t <= cache.horizon;
 
-    if (!s.eager_scans && at_committed) {
-      // A task that failed a scan at least as wide, at the same committed
-      // state, before its horizon: provably still unimprovable (see
-      // drop_horizon above), dropped without probing anything.
-      const EngineState::ScanCache& cache = s.scan_cache[idx];
-      if (cache.k >= k && cache.version == s.version[idx] &&
-          t <= cache.horizon) {
-        heap_drop_top(heap);
-        continue;
-      }
+    if (carried && cache.k >= k) {
+      // It covers a scan at least as wide: provably still unimprovable
+      // (see carry_columns above), dropped without probing anything.
+      if (s.profile != nullptr) ++s.profile->verdict_drops;
+      heap_drop_top(heap);
+      continue;
     }
 
     // Alg. 3 line 8, computed on first actual scan of the task: with the
     // carried verdicts most pops never probe, so the per-event
     // all-included tentative-alpha sweep would be mostly dead work.
     alpha_t[idx] = s.alpha_tentative(i, t);
+    if (carried && widen_verdict(s, i, t, alpha_t[idx], tU[idx], k, cache)) {
+      heap_drop_top(heap);  // the pool grew, yet no new target helps
+      continue;
+    }
+    if (s.profile != nullptr) ++s.profile->full_scans;
     // Prefill the whole scan range in one probe_many batch (lazy path):
     // the surviving scans are overwhelmingly full-width failures, and a
     // batched fill streams independent expm1 calls at several times the
@@ -416,12 +482,14 @@ bool end_local(EngineState& s, double t) {
       if (!s.eager_scans && at_committed) {
         // The scan filled this (task, alpha_t) column to (sigma + k) / 2;
         // its prefix-min and the coefficient records price the horizon.
-        EngineState::ScanCache& cache = s.scan_cache[idx];
-        cache.version = s.version[idx];
-        cache.k = k;
-        cache.horizon =
-            drop_horizon(s, i, t, alpha_t[idx], new_sigma[idx], k, tU[idx],
-                         s.tr->column(i, alpha_t[idx]).prefix());
+        const int sigma = new_sigma[idx];
+        const auto slots = static_cast<std::size_t>(sigma + k) / 2;
+        const std::vector<double>& pm = s.tr->column(i, alpha_t[idx]).prefix();
+        COREDIS_ASSERT(pm.size() >= slots);
+        const Carry carry = carry_columns(
+            s, i, t, alpha_t[idx], sigma, 0, slots,
+            tU[idx] - t - min_rc_c(probe.base(), sigma, 2, k), pm.data());
+        cache = {s.version[idx], k, carry.horizon, carry.floor};
       }
       heap_drop_top(heap);
       continue;

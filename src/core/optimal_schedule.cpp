@@ -58,9 +58,14 @@ std::vector<int> optimal_schedule(const ExpectedTimeModel& model,
       const int current = sigma[static_cast<std::size_t>(i)];
       const int pmax = current + available - available % 2;  // even allocations
       // Line 9 lookahead: can this task be improved at all with everything
-      // still in the pool? (Eq. 6 clamping makes the evaluator monotone, so
-      // equality means no allocation in (current, pmax] helps.)
-      if (!(tr(current) > tr(pmax))) {
+      // still in the pool, tr(current) > tr(pmax)? Eq. 6 columns are
+      // prefix minima (non-increasing in j) and pmax >= current + 2, so a
+      // strict drop at current + 2 already proves it; only a plateau,
+      // tr(current + 2) == tr(current), needs the deep probe at pmax.
+      // Exact, and it keeps the column one entry past the allocation
+      // instead of filling it out to pmax for every task.
+      const double next = tr(current + 2);
+      if (!(next < tr(current)) && !(tr(current) > tr(pmax))) {
         // Keep the remaining processors for future redistributions.
         if (!granted) return sigma;  // the longest task is stuck: stop
         break;
@@ -68,7 +73,7 @@ std::vector<int> optimal_schedule(const ExpectedTimeModel& model,
       sigma[static_cast<std::size_t>(i)] = current + 2;
       available -= 2;
       granted = true;
-      const HeapEntry rescored(tr(current + 2), i);
+      const HeapEntry rescored(next, i);
       if (stays_top(heap, rescored)) {
         heap.front() = rescored;  // keeps the lead: grant again
       } else {

@@ -84,6 +84,12 @@ struct HeuristicCombo {
 /// dispatch (queue peeks, fault attribution, rollbacks, completion
 /// bookkeeping), the heuristics' probe scans and heap traffic, and the
 /// allocation commits. Counters give the per-phase denominators.
+///
+/// The work counters below are exact functions of the run's inputs and
+/// of the engine's cache state (a fresh engine, or the same sequence of
+/// earlier runs), so tests can pin them: they move only when the work
+/// does, however noisy the machine. The EndLocal ones follow DESIGN.md
+/// section 6.5.
 struct EngineProfile {
   double algorithm1_seconds = 0.0;  ///< initial Algorithm 1 build
   double dispatch_seconds = 0.0;    ///< event selection + rollbacks
@@ -92,6 +98,12 @@ struct EngineProfile {
   long long events = 0;             ///< dispatched events (faults + ends)
   long long heuristic_calls = 0;    ///< end/failure policy invocations
   long long commits = 0;            ///< commit batches applied
+  long long full_scans = 0;         ///< EndLocal exact O(sigma+k) scans
+  long long verdict_drops = 0;      ///< EndLocal tasks skipped on a carried verdict
+  long long verdict_widenings = 0;  ///< carried verdicts widened to a larger pool
+  long long widen_fallbacks = 0;    ///< widenings refused (a full scan follows)
+  long long floor_fallbacks = 0;    ///< ... of which on the floor check
+  long long column_fills = 0;       ///< Eq. 4 column elements filled
 };
 
 /// Per-fault instrumentation record (Figure 9).

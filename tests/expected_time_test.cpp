@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <gtest/gtest.h>
 #include <limits>
 #include <memory>
@@ -236,6 +237,44 @@ TEST(TrEvaluator, ColumnMatchesOperatorAndSurvivesSecondBind) {
   // columns (the at-most-two-live-columns contract).
   EXPECT_DOUBLE_EQ(evaluator(0, 64, 0.9), committed(64));
   EXPECT_DOUBLE_EQ(tentative(64), model.expected_time(0, 64, 0.6));
+}
+
+TEST(ExpectedTime, RowsAndColumnsGrowGeometrically) {
+  // Scans deepen rows and columns a few entries at a time. Each growth
+  // that copies the whole array shows as a fresh data pointer; geometric
+  // growth to 4096 entries needs about a dozen, not one per step.
+  constexpr int kDepth = 4096;
+  constexpr std::size_t kMaxMoves = 16;
+  const Pack pack = make_pack({2.0e6, 1.7e6});
+  const checkpoint::Model resilience = faulty_model();
+  const ExpectedTimeModel model(pack, resilience);
+  const auto distinct = [](std::vector<const void*> seen) {
+    std::sort(seen.begin(), seen.end());
+    return static_cast<std::size_t>(
+        std::unique(seen.begin(), seen.end()) - seen.begin());
+  };
+
+  std::vector<const void*> dense_row, probed_row;
+  for (int h = 1; h <= kDepth; ++h) {
+    dense_row.push_back(model.row_records(0, static_cast<std::size_t>(h)));
+    (void)model.record(1, 2 * h);  // the single-record path, coeffs()
+    probed_row.push_back(&model.record(1, 2));
+  }
+  EXPECT_LE(distinct(dense_row), kMaxMoves);
+  EXPECT_LE(distinct(probed_row), kMaxMoves);
+
+  // Columns: 3-entry steps take the batched extend, 1-entry steps the
+  // inline fill.
+  TrEvaluator evaluator(model, 2 * kDepth + 8);
+  for (const int step : {3, 1}) {
+    const TrEvaluator::Column col = evaluator.column(0, step == 3 ? 0.5 : 0.25);
+    std::vector<const void*> column;
+    for (int h = step; h <= kDepth; h += step) {
+      (void)col(2 * h);
+      column.push_back(col.prefix().data());
+    }
+    EXPECT_LE(distinct(column), kMaxMoves) << "step=" << step;
+  }
 }
 
 // --- Coefficient-table kernel equivalence (property test) ----------------

@@ -7,7 +7,8 @@
 ///
 ///  * whole-run engine equivalence over randomized grids, both fault
 ///    laws, every policy pair — lazy (default) vs EngineConfig::
-///    eager_scans in the same test run;
+///    eager_scans in the same test run — plus a battery over large idle
+///    pools for the widened verdicts, whose work counters are pinned;
 ///  * online delta-replan vs full-replan (OnlineOptions::eager_replan)
 ///    over both generated arrival laws, plus the shared-workspace
 ///    overload vs the self-contained one;
@@ -28,6 +29,7 @@
 #include "core/engine.hpp"
 #include "extensions/online.hpp"
 #include "fault/exponential.hpp"
+#include "fault/generator.hpp"
 #include "fault/weibull.hpp"
 #include "speedup/amdahl.hpp"
 #include "speedup/synthetic.hpp"
@@ -106,6 +108,129 @@ TEST(LazyEquivalence, EngineMatchesEagerScansOnRandomizedGrids) {
       }
     }
   }
+}
+
+TEST(LazyEquivalence, WidenedVerdictsMatchEagerScans) {
+  // Widened EndLocal verdicts (DESIGN.md section 6.5) only matter once
+  // the idle pool outgrows the allocations: large platforms (p up to
+  // 20n), the fault-free context with RC (no faults drawn, EndLocal at
+  // every completion, the pool growing each time), and checkpoint costs
+  // on both sides of c = 1. With c > 1, RC + C falls with the target, so
+  // new targets can sit below the covered columns' floor: the floor
+  // check must fail over to the exact scan. Lazy and eager must replay
+  // the same simulation double for double, and the counters prove every
+  // widening branch ran.
+  enum class Faults { None, Exponential, Weibull };
+  struct Case {
+    core::FailurePolicy fail;
+    Faults faults;
+  };
+  const Case cases[] = {
+      {core::FailurePolicy::None, Faults::None},
+      {core::FailurePolicy::ShortestTasksFirst, Faults::Exponential},
+      {core::FailurePolicy::ShortestTasksFirst, Faults::Weibull},
+      {core::FailurePolicy::IteratedGreedy, Faults::Exponential},
+      {core::FailurePolicy::IteratedGreedy, Faults::Weibull},
+  };
+  core::EngineProfile work;
+  Rng rng(0x00DE1F00ULL);
+  for (int trial = 0; trial < 8; ++trial) {
+    const int n = 10 + static_cast<int>(rng.uniform01() * 191);
+    const int p = 2 * n * (1 + static_cast<int>(rng.uniform01() * 10));
+    const auto seed = static_cast<std::uint64_t>(rng.uniform01() * 1e9);
+    Rng pack_rng(seed);
+    const core::Pack pack = core::Pack::uniform_random(
+        n, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+        pack_rng);
+    for (const double c : {0.3, 1.0, 3.0}) {
+      for (const double mtbf_years : {10.0, 100.0}) {
+        const double mtbf = units::years(mtbf_years);
+        const checkpoint::Model resilience(
+            {mtbf, 60.0, c, checkpoint::PeriodRule::Young, 0.0});
+        for (const Case& cs : cases) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " p=" << p << " c=" << c
+                       << " mtbf=" << mtbf_years
+                       << " fail=" << to_string(cs.fail)
+                       << " faults=" << static_cast<int>(cs.faults)
+                       << " seed=" << seed);
+          const auto run = [&](bool eager) {
+            core::EngineConfig config;
+            config.end_policy = core::EndPolicy::Local;
+            config.failure_policy = cs.fail;
+            config.eager_scans = eager;
+            config.profile = !eager;
+            core::Engine engine(pack, resilience, p, config);
+            if (cs.faults == Faults::None) {
+              fault::NullGenerator gen(p);
+              return engine.run(gen);
+            }
+            if (cs.faults == Faults::Weibull) {
+              fault::WeibullGenerator gen(p, mtbf, 0.7, seed ^ 0x3A1DULL);
+              return engine.run(gen);
+            }
+            fault::ExponentialGenerator gen(p, 1.0 / mtbf,
+                                            Rng(seed ^ 0x3A1DULL));
+            return engine.run(gen);
+          };
+          const core::RunResult lazy = run(false);
+          expect_identical(lazy, run(true));
+          work.verdict_widenings += lazy.profile.verdict_widenings;
+          work.widen_fallbacks += lazy.profile.widen_fallbacks;
+          work.floor_fallbacks += lazy.profile.floor_fallbacks;
+        }
+      }
+    }
+  }
+  EXPECT_GT(work.verdict_widenings, 0);
+  EXPECT_GT(work.floor_fallbacks, 0);
+  EXPECT_GT(work.widen_fallbacks - work.floor_fallbacks, 0)
+      << "no widening failed on its new columns";
+}
+
+TEST(EngineProfile, WorkCountersArePinned) {
+  // The work counters are exact functions of the input, so they are
+  // pinned here: a change that does more (or less) work fails this test
+  // however noisy the machine. Paper scenario defaults at n = 200,
+  // p = 10n on a fresh engine: the fault-free context with RC, and
+  // IteratedGreedy-EndLocal under exponential faults.
+  constexpr int n = 200;
+  constexpr int p = 10 * n;
+  Rng pack_rng(42);
+  const core::Pack pack = core::Pack::uniform_random(
+      n, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+      pack_rng);
+  const double mtbf = units::years(100.0);
+  const checkpoint::Model resilience(
+      {mtbf, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
+  const auto counters = [](const core::EngineProfile& w) {
+    return std::vector<long long>{w.events,         w.heuristic_calls,
+                                  w.commits,        w.full_scans,
+                                  w.verdict_drops,  w.verdict_widenings,
+                                  w.widen_fallbacks, w.floor_fallbacks,
+                                  w.column_fills};
+  };
+  core::EngineConfig config;
+  config.end_policy = core::EndPolicy::Local;
+  config.profile = true;
+
+  config.failure_policy = core::FailurePolicy::None;
+  fault::NullGenerator none(p);
+  const core::RunResult rc_ff =
+      core::Engine(pack, resilience, p, config).run(none);
+  EXPECT_EQ(counters(rc_ff.profile),
+            (std::vector<long long>{200, 199, 128, 1772, 816, 2189, 259, 236,
+                                    100464}))
+      << "fault-free context with RC";
+
+  config.failure_policy = core::FailurePolicy::IteratedGreedy;
+  fault::ExponentialGenerator faults(p, 1.0 / mtbf, Rng(7));
+  const core::RunResult ig_local =
+      core::Engine(pack, resilience, p, config).run(faults);
+  EXPECT_EQ(counters(ig_local.profile),
+            (std::vector<long long>{210, 196, 34, 1997, 10688, 3286, 234, 231,
+                                    114693}))
+      << "IteratedGreedy-EndLocal";
 }
 
 TEST(LazyEquivalence, ZeroRcAblationMatchesEagerScans) {
