@@ -111,7 +111,8 @@ struct EngineState {
 
   /// --profile sink (engine-owned, null when profiling is off):
   /// commit_changes adds its wall time and batch count, EndLocal its
-  /// scan, verdict and widening counters.
+  /// scan, verdict and widening counters, the Algorithm 5 regrow its
+  /// rebuild, replay and warm-start counters.
   EngineProfile* profile = nullptr;
 
   // Counters surfaced in RunResult.
@@ -189,7 +190,8 @@ struct EngineState {
       const double* pm = nullptr;  ///< tentative column prefix-min data
       double m_over = 0.0;         ///< m_i / sigma_init (Eq. 9 factor)
       double seq = 0.0;            ///< C_i (0 in the fault-free context)
-      double free_tE = 0.0;        ///< Alg. 5 line 16 free return
+      double free_tE = 0.0;        ///< key at sigma_init: the free return
+                                   ///< (Alg. 5 line 16), or tU at 2
       int pm_len = 0;              ///< filled prefix-min depth
       int sigma_init = 0;          ///< committed allocation
     };

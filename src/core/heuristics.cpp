@@ -392,6 +392,24 @@ bool widen_verdict(EngineState& s, int i, double t, double alpha_t,
   return true;
 }
 
+/// The incremental regrow's key for moving the task of `row` to `target`
+/// != sigma_init at time t: t + Eq. 9 + C_i / target + Tr, the
+/// CandidateProber's arithmetic term for term (same bits). The row's
+/// column must cover target.
+inline double regrow_key(const EngineState::Scratch::RegrowRow& row,
+                         double t, bool zero_rc, int target) {
+  double rc = 0.0;
+  if (!zero_rc) {
+    const int sigma_init = row.sigma_init;
+    const int d =
+        target > sigma_init ? target - sigma_init : sigma_init - target;
+    rc = static_cast<double>(std::max(std::min(sigma_init, target), d)) *
+         (1.0 / static_cast<double>(target)) * row.m_over;
+  }
+  return t + rc + row.seq / static_cast<double>(target) +
+         row.pm[target / 2 - 1];
+}
+
 }  // namespace
 
 bool end_local(EngineState& s, double t) {
@@ -542,6 +560,7 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
   }
   if (n_included == 0) return false;
   COREDIS_ASSERT(pool >= 2 * n_included);
+  if (s.profile != nullptr) ++s.profile->regrows;
 
   std::vector<HeapEntry>& heap = scr.heap;
   heap.clear();
@@ -609,35 +628,42 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
         heap_replace_top(heap, rescored);
     }
   } else {
-    // Incremental regrow (DESIGN.md section 6.5): the rebuild re-derives
-    // ~98% of the committed allocation unchanged, so its cost is pure
-    // replanning overhead — dominated by scattered pointer chasing and
-    // one latency-bound Eq. 4 fill per heap pop. Three changes, all
-    // value-neutral: each task's tentative column is prefilled to its
-    // committed depth in one probe_many batch (the exact values the
-    // grant scans will read, streamed back to back), the scan state is
-    // packed into one RegrowRow cache line per task (column pointer,
-    // Eq. 9 constants, precomputed free-return tE), and a tournament
-    // tree replaces the binary heap — the regrow only ever takes the
-    // maximum by (key, task) and re-keys it, and any structure returning
-    // that exact maximum yields the identical grant sequence, while a
-    // re-key replays one fixed leaf-to-root path instead of a
-    // data-dependent sift. The probe arithmetic is the CandidateProber's,
-    // term for term, so decisions are identical (locked by the
+    // Warm-started incremental regrow (DESIGN.md section 6.5). Most
+    // rebuilds end on the committed allocation, so the climb from one
+    // pair per task is not replayed pop by pop up to the state it
+    // provably reaches without contention:
+    //
+    //  * Threshold. F_i is the key task i holds at its committed
+    //    allocation (its free return, or its committed tU when that is
+    //    one pair), and T the largest (F_i, i) in pair order.
+    //  * Phase A, no tournament. Until some task passes its committed
+    //    allocation, every scan reaches the free return to sigma_init,
+    //    priced F_i below any key above T. So every key above T pops
+    //    before any key at or below it, each such pop is improvable and
+    //    grants one pair, and no task passes sigma_init meanwhile: each
+    //    task climbs on its own to its first key at or below T (at the
+    //    latest sigma_init), whatever the interleaving. A lower bound on
+    //    those keys sends most tasks there without computing them.
+    //  * Phase B. The tournament grant loop runs from that state and
+    //    replays the identical remaining grant sequence.
+    //
+    // Every walk key lies inside the committed-depth prefill, so the
+    // column fills are those of the cold climb. The rest is mechanics:
+    // each task's tentative column is prefilled to its committed depth in
+    // one probe_many batch, the scan state is packed into one RegrowRow
+    // cache line per task, and a tournament tree replaces the binary heap
+    // (the regrow only ever takes the maximum by (key, task) and re-keys
+    // it, so any structure returning that exact maximum yields the
+    // identical grant sequence, and a re-key replays one fixed
+    // leaf-to-root path). Keys are the CandidateProber's arithmetic term
+    // for term (regrow_key), so decisions are identical (locked by the
     // equivalence tests driving both paths).
     std::vector<EngineState::Scratch::RegrowRow>& rows = scr.rows;
     rows.resize(static_cast<std::size_t>(n));
     const bool fault_free = s.model->resilience().fault_free();
     const bool zero_rc = s.zero_redistribution_cost;
 
-    std::vector<int>& tree = scr.tourney;
-    std::vector<int>& leaf_of = scr.leaf_of;
-    std::size_t P = 1;
-    while (P < static_cast<std::size_t>(n_included)) P <<= 1;
-    tree.assign(2 * P, -1);
-    leaf_of.resize(static_cast<std::size_t>(n));
-
-    std::size_t slot = 0;
+    HeapEntry threshold(-std::numeric_limits<double>::infinity(), -1);
     for (int i = 0; i < n; ++i) {
       const auto idx = static_cast<std::size_t>(i);
       if (!in[idx]) continue;
@@ -648,7 +674,7 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
       // Committed-state constants, memoized against the task version:
       // the Eq. 9 factor and the free return to the committed allocation
       // (Alg. 5 line 16; never read when sigma_init == 2 — targets start
-      // at 4 — and the regrow crosses sigma_init for almost every task).
+      // at 4).
       EngineState::FreeReturnCache& fc = s.free_return[idx];
       if (fc.version != s.version[idx]) {
         fc.version = s.version[idx];
@@ -660,30 +686,71 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
                     : 0.0;
       }
       row.m_over = fc.m_over;
-      row.free_tE = fc.tE;
+      row.free_tE = sigma_init > 2 ? fc.tE : s.task(i).tU;  // F_i
       // Batched prefill to the committed depth + flat column view.
       const TrEvaluator::Column col = s.tr->column(i, alpha_t[idx]);
       (void)col(sigma_init);
       row.pm = col.prefix().data();
       row.pm_len = static_cast<int>(col.prefix().size());
-      // Reset to one pair (Alg. 5 lines 3-8); a task whose committed
-      // allocation was already 2 keeps its committed tU (no cost). The
-      // reset key is the probe of target 2 (prober arithmetic inlined).
-      new_sigma[idx] = 2;
-      if (sigma_init == 2) {
-        tU[idx] = s.task(i).tU;
-      } else {
-        const double rc =
-            zero_rc ? 0.0
-                    : static_cast<double>(
-                          std::max(std::min(sigma_init, 2), sigma_init - 2)) *
-                          (1.0 / 2.0) * row.m_over;
-        tU[idx] = t + rc + row.seq / 2.0 + row.pm[0];
+      threshold = std::max(threshold, HeapEntry(row.free_tE, i));
+    }
+
+    // Phase A: each task's own climb from one pair (Alg. 5 lines 3-8) to
+    // its first key at or below the threshold.
+    std::vector<int>& tree = scr.tourney;
+    std::vector<int>& leaf_of = scr.leaf_of;
+    std::size_t P = 1;
+    while (P < static_cast<std::size_t>(n_included)) P <<= 1;
+    tree.assign(2 * P, -1);
+    leaf_of.resize(static_cast<std::size_t>(n));
+    int available = available0;
+    long long walk_skips = 0;
+    long long walk_steps = 0;
+    std::size_t slot = 0;
+    for (int i = 0; i < n; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      if (!in[idx]) continue;
+      const EngineState::Scratch::RegrowRow& row = rows[idx];
+      const int sigma_init = row.sigma_init;
+      int sigma = sigma_init;
+      double key = row.free_tE;
+      if (sigma_init > 2) {
+        COREDIS_ASSERT(row.pm_len >= sigma_init / 2);
+        // Lower bound on every walk key (targets j <= sigma_init - 2),
+        // term by term in the key's own order (IEEE addition is
+        // monotone): shrinking to j, Eq. 9 charges at least j rounds of
+        // m / (sigma_init j) (0.999999 absorbs the rounding of its three
+        // products), C_i / j >= C_i / (sigma_init - 2), and the prefix
+        // minimum only falls with j.
+        const double rc_floor = zero_rc ? 0.0 : 0.999999 * row.m_over;
+        const double bound =
+            t + rc_floor + row.seq / static_cast<double>(sigma_init - 2) +
+            row.pm[sigma_init / 2 - 2];
+        if (bound > threshold.first) {
+          ++walk_skips;
+        } else {
+          sigma = 2;
+          key = regrow_key(row, t, zero_rc, sigma);
+          ++walk_steps;
+          while (HeapEntry(key, i) > threshold) {
+            sigma += 2;
+            if (sigma == sigma_init) {
+              key = row.free_tE;
+              break;
+            }
+            key = regrow_key(row, t, zero_rc, sigma);
+            ++walk_steps;
+          }
+        }
       }
+      new_sigma[idx] = sigma;
+      tU[idx] = key;
+      available -= sigma - 2;
       leaf_of[idx] = static_cast<int>(slot);
       tree[P + slot] = i;
       ++slot;
     }
+    COREDIS_ASSERT(available >= 0);
     // Max by the HeapEntry pair order (tU, task): ties go to the larger
     // task index, exactly like std::pair's operator<.
     const auto better = [&tU](int a, int b) {
@@ -699,7 +766,8 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     for (std::size_t x = P - 1; x >= 1; --x)
       tree[x] = better(tree[2 * x], tree[2 * x + 1]);
 
-    int available = available0;
+    // Phase B: the grant loop (Alg. 5 lines 9-30) from the warm state.
+    long long replays = 0;
     while (available >= 2) {
       const int i = tree[1];  // the winner; its leaf stays in place
       const auto idx = static_cast<std::size_t>(i);
@@ -714,14 +782,6 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
         if (target == sigma_init) {
           tE = row.free_tE;
         } else {
-          double rc = 0.0;
-          if (!zero_rc) {
-            const int d = target > sigma_init ? target - sigma_init
-                                              : sigma_init - target;
-            rc = static_cast<double>(
-                     std::max(std::min(sigma_init, target), d)) *
-                 (1.0 / static_cast<double>(target)) * row.m_over;
-          }
           if (target / 2 > row.pm_len) [[unlikely]] {
             // Scan overshot the prefill: extend the column by a chunk
             // (consecutive overshoot probes then stay on the fast path)
@@ -732,8 +792,7 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
             row.pm = col.prefix().data();
             row.pm_len = static_cast<int>(col.prefix().size());
           }
-          tE = t + rc + row.seq / static_cast<double>(target) +
-               row.pm[target / 2 - 1];
+          tE = regrow_key(row, t, zero_rc, target);
         }
         if (target == new_sigma[idx] + 2) first_tE = tE;
         if (tE < tU[idx]) {
@@ -751,6 +810,12 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
       for (std::size_t x = (P + static_cast<std::size_t>(leaf_of[idx])) >> 1;
            x >= 1; x >>= 1)
         tree[x] = better(tree[2 * x], tree[2 * x + 1]);
+      ++replays;
+    }
+    if (s.profile != nullptr) {
+      s.profile->tournament_replays += replays;
+      s.profile->walk_skips += walk_skips;
+      s.profile->walk_steps += walk_steps;
     }
   }
 

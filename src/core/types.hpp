@@ -88,8 +88,8 @@ struct HeuristicCombo {
 /// The work counters below are exact functions of the run's inputs and
 /// of the engine's cache state (a fresh engine, or the same sequence of
 /// earlier runs), so tests can pin them: they move only when the work
-/// does, however noisy the machine. The EndLocal ones follow DESIGN.md
-/// section 6.5.
+/// does, however noisy the machine. The EndLocal and Algorithm 5 ones
+/// follow DESIGN.md section 6.5.
 struct EngineProfile {
   double algorithm1_seconds = 0.0;  ///< initial Algorithm 1 build
   double dispatch_seconds = 0.0;    ///< event selection + rollbacks
@@ -104,6 +104,10 @@ struct EngineProfile {
   long long widen_fallbacks = 0;    ///< widenings refused (a full scan follows)
   long long floor_fallbacks = 0;    ///< ... of which on the floor check
   long long column_fills = 0;       ///< Eq. 4 column elements filled
+  long long regrows = 0;            ///< Algorithm 5 rebuilds (EndGreedy, IG)
+  long long tournament_replays = 0; ///< regrow grants past the warm start
+  long long walk_skips = 0;         ///< tasks the bound sent to sigma_init
+  long long walk_steps = 0;         ///< keys the warm-start walks computed
 };
 
 /// Per-fault instrumentation record (Figure 9).

@@ -305,15 +305,19 @@ OnlineResult run_online(const core::Pack& pack,
         while (available >= 2) {
           const int current = target[k];
           const int pmax = current + available - available % 2;
-          if (!(tr(current) > tr(pmax))) {
+          // Line 9 lookahead, short-circuited as in Algorithm 1
+          // (optimal_schedule.cpp): pmax >= current + 2 and columns are
+          // prefix minima, so a strict drop at current + 2 proves
+          // tr(current) > tr(pmax); only a plateau probes pmax.
+          const double next = tr(current + 2);
+          if (!(next < tr(current)) && !(tr(current) > tr(pmax))) {
             stuck = !granted;
             break;
           }
           target[k] = current + 2;
           available -= 2;
           granted = true;
-          const HeapEntry rescored{tr(current + 2),
-                                   static_cast<int>(k)};
+          const HeapEntry rescored{next, static_cast<int>(k)};
           if (stays_top(heap, rescored)) {
             heap.front() = rescored;  // keeps the lead: grant again
           } else {

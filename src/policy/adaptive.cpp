@@ -72,9 +72,13 @@ void greedy_targets(core::TrEvaluator& evaluator, const std::vector<int>& live,
         std::min(current + available - available % 2, caps[k]);
     const core::TrEvaluator::Column tr =
         evaluator.column(live[k], alpha_now[k]);
-    if (tr(current) > tr(pmax)) {
+    // pmax >= current + 2 (capped-out jobs were skipped above) and columns
+    // are prefix minima, so a strict drop at current + 2 proves the line 9
+    // lookahead tr(current) > tr(pmax); only a plateau probes pmax.
+    const double next = tr(current + 2);
+    if (next < tr(current) || tr(current) > tr(pmax)) {
       target[k] = current + 2;
-      queue.push({tr(current + 2), head.job});
+      queue.push({next, head.job});
       available -= 2;
     } else {
       break;  // the longest improvable job cannot improve: stop granting

@@ -1,10 +1,12 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace coredis {
 
@@ -18,19 +20,26 @@ CliParser::CliParser(int argc, const char* const* argv) {
                                   std::string(arg));
     }
     arg.remove_prefix(2);
+    Option option;
     const auto eq = arg.find('=');
     if (eq != std::string_view::npos) {
-      options_.push_back({std::string(arg.substr(0, eq)),
-                          std::string(arg.substr(eq + 1))});
-      continue;
-    }
-    // `--name value` unless the next token is another flag (then boolean).
-    if (i + 1 < argc && !std::string_view(argv[i + 1]).starts_with("--")) {
-      options_.push_back({std::string(arg), argv[i + 1]});
+      option = {std::string(arg.substr(0, eq)),
+                std::string(arg.substr(eq + 1))};
+    } else if (i + 1 < argc &&
+               !std::string_view(argv[i + 1]).starts_with("--")) {
+      // `--name value` unless the next token is another flag (then boolean).
+      option = {std::string(arg), argv[i + 1]};
       ++i;
     } else {
-      options_.push_back({std::string(arg), "true"});
+      option = {std::string(arg), "true"};
     }
+    // A repeated flag would silently keep one of its values.
+    for (const Option& seen : options_)
+      if (seen.name == option.name)
+        throw std::invalid_argument("--" + option.name +
+                                    " given more than once ('" + seen.value +
+                                    "', then '" + option.value + "')");
+    options_.push_back(std::move(option));
   }
 }
 
@@ -59,11 +68,13 @@ std::string CliParser::get_string(std::string_view name,
 long CliParser::get_int(std::string_view name, long fallback) const {
   if (auto v = get(name)) {
     try {
-      return std::stol(*v);
+      std::size_t used = 0;
+      const long value = std::stol(*v, &used);
+      if (used == v->size()) return value;  // `6x` is not 6
     } catch (const std::exception&) {
-      throw std::invalid_argument("--" + std::string(name) +
-                                  " expects an integer, got '" + *v + "'");
     }
+    throw std::invalid_argument("--" + std::string(name) +
+                                " expects an integer, got '" + *v + "'");
   }
   return fallback;
 }
@@ -71,11 +82,13 @@ long CliParser::get_int(std::string_view name, long fallback) const {
 double CliParser::get_double(std::string_view name, double fallback) const {
   if (auto v = get(name)) {
     try {
-      return std::stod(*v);
+      std::size_t used = 0;
+      const double value = std::stod(*v, &used);
+      if (used == v->size()) return value;  // `5years` is not 5
     } catch (const std::exception&) {
-      throw std::invalid_argument("--" + std::string(name) +
-                                  " expects a number, got '" + *v + "'");
     }
+    throw std::invalid_argument("--" + std::string(name) +
+                                " expects a number, got '" + *v + "'");
   }
   return fallback;
 }

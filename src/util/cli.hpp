@@ -5,8 +5,9 @@
 ///
 /// Every figure-reproduction binary accepts `--runs`, `--seed`, `--csv`,
 /// etc.; this parser keeps them uniform. Flags are `--name value` or
-/// `--name=value`; bare `--name` reads as boolean true. Unknown flags are
-/// an error so typos do not silently fall back to defaults.
+/// `--name=value`; bare `--name` reads as boolean true. Unknown flags,
+/// repeated flags and numbers with trailing characters are errors, so
+/// typos do not silently fall back to defaults or to one of two values.
 
 #include <optional>
 #include <string>
@@ -17,7 +18,8 @@ namespace coredis {
 
 class CliParser {
  public:
-  /// Parse argv. Throws std::invalid_argument on malformed input.
+  /// Parse argv. Throws std::invalid_argument on malformed input,
+  /// naming the flag (a flag given twice names both values).
   CliParser(int argc, const char* const* argv);
 
   /// Declare an option so --help can document it and unknown-flag checking

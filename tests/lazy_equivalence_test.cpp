@@ -1,14 +1,15 @@
 /// \file lazy_equivalence_test.cpp
 /// The incremental-replanning equivalence battery (DESIGN.md sections 6.5
 /// and 8.2): the lazy scan machinery (carried EndLocal verdicts, the
-/// prefilled flat IteratedGreedy regrow, the tournament tree) and the
+/// warm-started flat IteratedGreedy regrow, the tournament tree) and the
 /// online scheduler's incremental repair must reproduce the from-scratch
 /// decision sequences byte for byte. Three layers:
 ///
 ///  * whole-run engine equivalence over randomized grids, both fault
 ///    laws, every policy pair — lazy (default) vs EngineConfig::
 ///    eager_scans in the same test run — plus a battery over large idle
-///    pools for the widened verdicts, whose work counters are pinned;
+///    pools for the widened verdicts and one over large EndGreedy packs
+///    for the warm-started regrow, whose work counters are pinned;
 ///  * online delta-replan vs full-replan (OnlineOptions::eager_replan)
 ///    over both generated arrival laws, plus the shared-workspace
 ///    overload vs the self-contained one;
@@ -188,12 +189,106 @@ TEST(LazyEquivalence, WidenedVerdictsMatchEagerScans) {
       << "no widening failed on its new columns";
 }
 
+TEST(LazyEquivalence, WarmRegrowMatchesEagerRebuild) {
+  // The warm-started Algorithm 5 regrow (DESIGN.md section 6.5) skips
+  // the cold climb up to a threshold T and bounds most walks away; the
+  // eager reference climbs pair by pair from one pair per task. EndGreedy
+  // rebuilds at every completion, so large packs (n up to 300, p up to
+  // 20n) give thousands of warm starts per run: with and without faults
+  // (STF or IteratedGreedy at faults, both laws), checkpoint costs on
+  // both sides of c = 1, the zero-RC ablation on some packs, and every
+  // third pack of identical tasks, whose keys tie and exercise the
+  // task-index order against T. Lazy and eager must replay the same
+  // simulation double for double, and the counters prove that bound
+  // skips, walks and phase-B replays all ran.
+  enum class Faults { None, Exponential, Weibull };
+  struct Case {
+    core::FailurePolicy fail;
+    Faults faults;
+  };
+  const Case cases[] = {
+      {core::FailurePolicy::None, Faults::Exponential},
+      {core::FailurePolicy::None, Faults::Weibull},
+      {core::FailurePolicy::ShortestTasksFirst, Faults::Exponential},
+      {core::FailurePolicy::ShortestTasksFirst, Faults::Weibull},
+      {core::FailurePolicy::IteratedGreedy, Faults::Exponential},
+      {core::FailurePolicy::IteratedGreedy, Faults::Weibull},
+  };
+  core::EngineProfile work;
+  Rng rng(0x3A2B5EA4ULL);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = 10 + static_cast<int>(rng.uniform01() * 291);
+    const int p = 2 * n * (1 + static_cast<int>(rng.uniform01() * 10));
+    const auto seed = static_cast<std::uint64_t>(rng.uniform01() * 1e9);
+    const bool identical = trial % 3 == 2;
+    const bool zero_rc = trial % 2 == 1;
+    Rng pack_rng(seed);
+    const core::Pack pack = core::Pack::uniform_random(
+        n, identical ? 2.0e6 : 1.5e6, identical ? 2.0e6 : 2.5e6,
+        std::make_shared<speedup::SyntheticModel>(0.08), pack_rng);
+    for (const double c : {0.3, 1.0, 3.0}) {
+      const auto run = [&](const checkpoint::Model& resilience, double mtbf,
+                           const Case& cs, bool eager) {
+        core::EngineConfig config;
+        config.end_policy = core::EndPolicy::Greedy;
+        config.failure_policy = cs.fail;
+        config.zero_redistribution_cost = zero_rc;
+        config.eager_scans = eager;
+        config.profile = !eager;
+        core::Engine engine(pack, resilience, p, config);
+        if (cs.faults == Faults::None) {
+          fault::NullGenerator gen(p);
+          return engine.run(gen);
+        }
+        if (cs.faults == Faults::Weibull) {
+          fault::WeibullGenerator gen(p, mtbf, 0.7, seed ^ 0x5EA7ULL);
+          return engine.run(gen);
+        }
+        fault::ExponentialGenerator gen(p, 1.0 / mtbf, Rng(seed ^ 0x5EA7ULL));
+        return engine.run(gen);
+      };
+      const auto check = [&](const checkpoint::Model& resilience, double mtbf,
+                             const Case& cs) {
+        SCOPED_TRACE(::testing::Message()
+                     << "n=" << n << " p=" << p << " c=" << c
+                     << " mtbf=" << mtbf << " fail=" << to_string(cs.fail)
+                     << " faults=" << static_cast<int>(cs.faults)
+                     << " identical=" << identical << " zero_rc=" << zero_rc
+                     << " seed=" << seed);
+        const core::RunResult lazy = run(resilience, mtbf, cs, false);
+        expect_identical(lazy, run(resilience, mtbf, cs, true));
+        work.regrows += lazy.profile.regrows;
+        work.tournament_replays += lazy.profile.tournament_replays;
+        work.walk_skips += lazy.profile.walk_skips;
+        work.walk_steps += lazy.profile.walk_steps;
+      };
+      // The fault-free context: no faults drawn, EndGreedy at every
+      // completion on a model with no checkpoints.
+      const checkpoint::Model fault_free(
+          {0.0, 60.0, c, checkpoint::PeriodRule::Young, 0.0});
+      check(fault_free, 0.0, {core::FailurePolicy::None, Faults::None});
+      for (const double mtbf_years : {10.0, 100.0}) {
+        const double mtbf = units::years(mtbf_years);
+        const checkpoint::Model resilience(
+            {mtbf, 60.0, c, checkpoint::PeriodRule::Young, 0.0});
+        for (const Case& cs : cases) check(resilience, mtbf, cs);
+      }
+    }
+  }
+  EXPECT_GT(work.regrows, 0);
+  EXPECT_GT(work.walk_skips, 0) << "no task was bounded to its allocation";
+  EXPECT_GT(work.walk_steps, 0) << "no warm-start walk ran";
+  EXPECT_GT(work.tournament_replays, 0) << "no grant past the warm start";
+}
+
 TEST(EngineProfile, WorkCountersArePinned) {
   // The work counters are exact functions of the input, so they are
   // pinned here: a change that does more (or less) work fails this test
   // however noisy the machine. Paper scenario defaults at n = 200,
   // p = 10n on a fresh engine: the fault-free context with RC, and
-  // IteratedGreedy-EndLocal under exponential faults.
+  // IteratedGreedy under exponential faults with EndLocal and with
+  // EndGreedy. The cold Algorithm 5 climb replayed 158,545 tournament
+  // re-keys in the EndGreedy run; the warm start leaves 3,499.
   constexpr int n = 200;
   constexpr int p = 10 * n;
   Rng pack_rng(42);
@@ -208,7 +303,9 @@ TEST(EngineProfile, WorkCountersArePinned) {
                                   w.commits,        w.full_scans,
                                   w.verdict_drops,  w.verdict_widenings,
                                   w.widen_fallbacks, w.floor_fallbacks,
-                                  w.column_fills};
+                                  w.column_fills,   w.regrows,
+                                  w.tournament_replays, w.walk_skips,
+                                  w.walk_steps};
   };
   core::EngineConfig config;
   config.end_policy = core::EndPolicy::Local;
@@ -220,7 +317,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(none);
   EXPECT_EQ(counters(rc_ff.profile),
             (std::vector<long long>{200, 199, 128, 1772, 816, 2189, 259, 236,
-                                    100464}))
+                                    100464, 0, 0, 0, 0}))
       << "fault-free context with RC";
 
   config.failure_policy = core::FailurePolicy::IteratedGreedy;
@@ -229,8 +326,17 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(faults);
   EXPECT_EQ(counters(ig_local.profile),
             (std::vector<long long>{210, 196, 34, 1997, 10688, 3286, 234, 231,
-                                    114693}))
+                                    114693, 8, 2511, 316, 3130}))
       << "IteratedGreedy-EndLocal";
+
+  config.end_policy = core::EndPolicy::Greedy;
+  fault::ExponentialGenerator greedy_faults(p, 1.0 / mtbf, Rng(7));
+  const core::RunResult ig_greedy =
+      core::Engine(pack, resilience, p, config).run(greedy_faults);
+  EXPECT_EQ(counters(ig_greedy.profile),
+            (std::vector<long long>{210, 196, 17, 0, 0, 0, 0, 0, 188551, 196,
+                                    3499, 16666, 3506}))
+      << "IteratedGreedy-EndGreedy";
 }
 
 TEST(LazyEquivalence, ZeroRcAblationMatchesEagerScans) {

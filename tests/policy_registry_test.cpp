@@ -14,6 +14,7 @@
 ///    thread counts (GridRunOptions::threads and COREDIS_THREADS), and
 ///    across the shard+merge fabric.
 
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -70,6 +71,36 @@ arrival_law = poisson
 load_factor = 1
 policy = "bandit(window=10, explore=0.25), reshape(gain=0.5), malleable"
 )";
+
+/// Adaptive-policy golden grid: bandit and reshape next to the malleable
+/// scheduler on packs big enough for deep regrows (p up to 30n), both
+/// arrival laws below and above saturation, both fault laws. Its bytes
+/// are pinned below (kAdaptiveGoldenDigest).
+const char* const kAdaptiveGoldenCampaign = R"(
+n = 20, 60
+p = 200, 600
+runs = 1
+seed = 20261017
+mtbf_years = 2
+fault_law = exponential, weibull
+arrival_law = poisson, bulk
+load_factor = 0.5, 2
+policy = "bandit(window=10, explore=0.25), reshape(gain=0.5), malleable"
+)";
+
+/// FNV-1a of the golden grid's JSONL bytes, captured from the
+/// implementation that probed tr(pmax) on every pop of the admission
+/// greedy; the tr(current + 2) short-circuit must not move a byte.
+constexpr std::uint64_t kAdaptiveGoldenDigest = 0xee41e65281a106caULL;
+
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
 
 std::string read_file(const std::filesystem::path& path) {
   std::ifstream file(path, std::ios::binary);
@@ -281,6 +312,16 @@ TEST(PolicyAdaptiveDeterminism, ShardMergeMatchesSingleRun) {
   for (std::size_t worker = 0; worker < 2; ++worker)
     std::filesystem::remove(shard_path(merged.string(), {worker, 2}));
   EXPECT_EQ(single, bytes);
+}
+
+TEST(PolicyAdaptiveGolden, CampaignBytesMatchPinnedDigest) {
+  const Campaign campaign = parse_campaign(kAdaptiveGoldenCampaign);
+  const std::string bytes =
+      campaign_bytes(campaign, DispatchPath::Registry, "adaptive_golden");
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(fnv1a(bytes), kAdaptiveGoldenDigest)
+      << std::hex << "digest 0x" << fnv1a(bytes) << " over " << std::dec
+      << bytes.size() << " bytes";
 }
 
 TEST(PolicyAdaptiveDeterminism, OfflineWorkloadsRunToo) {

@@ -354,6 +354,58 @@ TEST(Cli, RejectsMalformedValues) {
   EXPECT_THROW((void)cli.get_int("runs", 0), std::invalid_argument);
 }
 
+TEST(Cli, RejectsTrailingCharactersNamingFlagAndValue) {
+  const char* argv[] = {"prog", "--n", "6x", "--mtbf", "5years",
+                        "--p=24", "--mtbf-scale", "2.5e1"};
+  CliParser cli(8, argv);
+  const auto message = [&cli](auto get) {
+    try {
+      (void)get(cli);
+    } catch (const std::invalid_argument& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  const std::string n =
+      message([](const CliParser& c) { return c.get_int("n", 0); });
+  EXPECT_NE(n.find("--n"), std::string::npos) << n;
+  EXPECT_NE(n.find("'6x'"), std::string::npos) << n;
+  const std::string mtbf =
+      message([](const CliParser& c) { return c.get_double("mtbf", 0.0); });
+  EXPECT_NE(mtbf.find("--mtbf"), std::string::npos) << mtbf;
+  EXPECT_NE(mtbf.find("'5years'"), std::string::npos) << mtbf;
+  // Whole numbers still parse, in every spelling std::stol/stod accept.
+  EXPECT_EQ(cli.get_int("p", 0), 24);
+  EXPECT_DOUBLE_EQ(cli.get_double("mtbf-scale", 0.0), 25.0);
+  const char* empty[] = {"prog", "--runs="};
+  EXPECT_THROW((void)CliParser(2, empty).get_int("runs", 0),
+               std::invalid_argument);
+  const char* integer_as_double[] = {"prog", "--runs", "2.5"};
+  EXPECT_THROW((void)CliParser(3, integer_as_double).get_int("runs", 0),
+               std::invalid_argument);
+}
+
+TEST(Cli, RejectsRepeatedFlagsNamingBothValues) {
+  const char* argv[] = {"prog", "--mtbf", "5", "--mtbf", "0"};
+  try {
+    CliParser cli(5, argv);
+    FAIL() << "a repeated flag was accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--mtbf"), std::string::npos) << what;
+    EXPECT_NE(what.find("'5'"), std::string::npos) << what;
+    EXPECT_NE(what.find("'0'"), std::string::npos) << what;
+  }
+  // Every spelling counts: `=`, separate value, bare boolean.
+  const char* mixed[] = {"prog", "--seed=1", "--seed", "1"};
+  EXPECT_THROW(CliParser(4, mixed), std::invalid_argument);
+  const char* booleans[] = {"prog", "--gantt", "--gantt"};
+  EXPECT_THROW(CliParser(3, booleans), std::invalid_argument);
+  // Distinct flags sharing a prefix are not repeats.
+  const char* distinct[] = {"prog", "--mtbf", "5", "--mtbf-scale", "2"};
+  EXPECT_NO_THROW(CliParser(5, distinct));
+}
+
 TEST(Cli, RejectsUnknownWhenAsked) {
   const char* argv[] = {"prog", "--tpyo", "1"};
   CliParser cli(3, argv);

@@ -177,7 +177,10 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
               << " verdict drops, " << prof.verdict_widenings
               << " widenings, " << prof.widen_fallbacks
               << " widen fallbacks (" << prof.floor_fallbacks
-              << " on the floor)\n";
+              << " on the floor); Algorithm 5 " << prof.regrows
+              << " regrows, " << prof.tournament_replays
+              << " tournament replays, " << prof.walk_skips
+              << " walk skips, " << prof.walk_steps << " walk steps\n";
   }
 
   if (cli.get_bool("gantt"))
