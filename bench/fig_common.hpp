@@ -38,8 +38,6 @@ struct FigureOptions {
   std::string scenario_file;  ///< optional scenario overrides (see apply())
   std::string jsonl;          ///< stream per-cell results here (campaign format)
   bool resume = false;        ///< continue an interrupted --jsonl file
-  std::string storage = "ram";  ///< sweep storage backend (ram|file)
-  std::string spill_dir;      ///< scratch directory for --storage file
   std::string checks;         ///< append ShapeCheck verdicts here (JSONL)
   std::string figure;         ///< binary basename (stable figure id)
   std::string command;        ///< reconstructed command line, minus --checks
@@ -78,8 +76,6 @@ struct FigureOptions {
                                : jsonl + "." + tag;
     }
     options.resume = resume;
-    options.storage = exp::parse_storage_kind(storage);
-    options.storage_dir = spill_dir;
     return options;
   }
 };
@@ -106,12 +102,7 @@ inline FigureOptions parse_options(int argc, const char* const* argv,
     cli.describe("jsonl",
                  "stream per-cell results to this JSONL file "
                  "(campaign format, see src/exp/campaign.hpp)")
-        .describe("resume", "skip cells already present in the --jsonl file")
-        .describe("storage",
-                  "sweep storage backend, ram|file — file bounds RAM for "
-                  "huge grids (see src/exp/storage.hpp)")
-        .describe("spill-dir",
-                  "scratch directory for --storage file (default: temp dir)");
+        .describe("resume", "skip cells already present in the --jsonl file");
   }
   if (cli.wants_help()) {
     std::cout << cli.usage(summary);
@@ -131,9 +122,6 @@ inline FigureOptions parse_options(int argc, const char* const* argv,
     if (options.resume && options.jsonl.empty())
       throw std::invalid_argument(
           "--resume requires --jsonl (there is no file to resume from)");
-    options.storage = cli.get_string("storage", "ram");
-    (void)exp::parse_storage_kind(options.storage);  // reject typos up front
-    options.spill_dir = cli.get_string("spill-dir", "");
   }
   // Identity for check records: the binary basename plus the command
   // line that produced the verdicts — minus the --checks sink itself, so

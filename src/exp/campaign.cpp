@@ -21,7 +21,6 @@
 #include "exp/cost_model.hpp"
 #include "exp/detail/jsonl.hpp"
 #include "exp/scenario_file.hpp"
-#include "exp/storage.hpp"
 #include "util/atomic_file.hpp"
 #include "util/contracts.hpp"
 #include "util/parallel.hpp"
@@ -36,7 +35,6 @@ namespace {
 
 using detail::expect_token;
 using detail::json_escape;
-using detail::lower;
 using detail::scan_double;
 using detail::scan_quoted;
 using detail::scan_size;
@@ -211,28 +209,10 @@ std::string header_line(const std::vector<Scenario>& points,
   return out.str();
 }
 
-/// A shard file opens with its own header — deliberately a different
-/// record shape, so shard files and final artifacts can never be taken
-/// for one another — carrying the same grid fingerprint plus the shard's
-/// identity and global cell range.
-std::string shard_header_line(const std::vector<Scenario>& points,
-                              const std::vector<ConfigSpec>& configs,
-                              const ShardSpec& shard, std::size_t begin,
-                              std::size_t end) {
-  std::ostringstream out;
-  out << "{\"coredis_campaign_shard\":1,\"fingerprint\":\""
-      << fingerprint_hex(points, configs) << "\",\"shard\":" << shard.index
-      << ",\"workers\":" << shard.count << ",\"begin\":" << begin
-      << ",\"end\":" << end << ",\"cells\":" << total_cells(points) << ",";
-  append_config_names(out, configs);
-  return out.str();
-}
-
-/// A dynamically-dealt shard file's header: a third record shape (so
-/// deal shards, static shards and final artifacts can never be taken
-/// for one another), carrying the grid fingerprint and the worker's
-/// identity but — unlike the static shard header — no cell range: the
-/// worker's cells are whatever blocks the coordinator dealt it.
+/// A worker file's header: deliberately a different record shape from
+/// the final artifact's, so the two can never be taken for one another.
+/// It carries the grid fingerprint and the worker's identity but no cell
+/// range: the worker's cells are whatever blocks it was handed.
 std::string deal_header_line(const std::vector<Scenario>& points,
                              const std::vector<ConfigSpec>& configs,
                              std::size_t worker, std::size_t workers) {
@@ -328,28 +308,32 @@ bool parse_cell_line(const std::string& line,
   return pos == line.size();
 }
 
-// --- the in-order committer and the resume scan ---------------------------
+// --- the in-order committer and the resume scans ---------------------------
 
 /// Serializes out-of-order cell completions into in-cell-order
 /// retirement: append the record to the JSONL sink (when streaming) and
-/// fold the cell into the per-point aggregates. A cell that arrives
+/// fold the cell into the per-point aggregates. Cells marked in `done`
+/// (already in the sink's file) are stepped over. A cell that arrives
 /// early is handed to the ResultSpill as its *serialized record*, not
-/// kept as a live CellResult — the backlog costs its bytes (or, with the
-/// file backend, at most the spill's RAM budget). Retiring a spilled
-/// cell re-parses the record, which reproduces the simulated bits
-/// exactly ("%.17g" round-trip), so the fold is bit-identical whichever
-/// path a cell took.
+/// kept as a live CellResult — the backlog costs its bytes, and at most
+/// the spill's RAM budget of them. Retiring a spilled cell re-parses the
+/// record, which reproduces the simulated bits exactly ("%.17g"
+/// round-trip), so the fold is bit-identical whichever path a cell took.
 class OrderedCommitter {
  public:
   using Fold = std::function<void(std::size_t, const CellResult&)>;
 
-  OrderedCommitter(std::ofstream* sink, std::size_t next, ResultSpill& spill,
+  OrderedCommitter(std::ofstream* sink, std::size_t next,
+                   const std::vector<bool>* done,
                    const std::vector<ConfigSpec>& configs, Fold fold)
       : sink_(sink),
         next_(next),
-        spill_(spill),
+        done_(done),
+        spill_(kSpillRamBudgetBytes),
         configs_(configs),
-        fold_(std::move(fold)) {}
+        fold_(std::move(fold)) {
+    skip_done();
+  }
 
   void commit(std::size_t index, const CellResult& result,
               const std::string& line) {
@@ -379,11 +363,18 @@ class OrderedCommitter {
     }
     if (fold_) fold_(next_, result);
     ++next_;
+    skip_done();
+  }
+
+  void skip_done() {
+    if (done_ == nullptr) return;
+    while (next_ < done_->size() && (*done_)[next_]) ++next_;
   }
 
   std::ofstream* sink_;
   std::size_t next_;
-  ResultSpill& spill_;
+  const std::vector<bool>* done_;
+  ResultSpill spill_;
   const std::vector<ConfigSpec>& configs_;
   Fold fold_;
   std::mutex mutex_;
@@ -397,60 +388,56 @@ std::vector<std::size_t> runs_per_point(const std::vector<Scenario>& points) {
   return runs;
 }
 
-std::vector<PointResult> point_frames(const std::vector<Scenario>& points,
-                                      const std::vector<ConfigSpec>& configs) {
-  std::vector<PointResult> frames;
-  frames.reserve(points.size());
-  for (std::size_t i = 0; i < points.size(); ++i)
-    frames.push_back(make_point_frame(configs));
-  return frames;
-}
-
 struct JsonlScan {
-  std::size_t cells_present = 0;   ///< valid records (always a prefix)
+  std::size_t cells_present = 0;   ///< valid records
   std::uintmax_t valid_bytes = 0;  ///< header + accepted records, with '\n'
   bool dropped_tail = false;       ///< a torn/corrupt trailing record existed
 };
 
-/// Called once per valid record, in cell order, with the global cell
-/// index, the raw line (without '\n') and the parsed cell.
-using CellScanSink =
-    std::function<void(std::size_t, const std::string&, ParsedCell&&)>;
+/// Check that `file` (opened on `path`) starts with `header`. False when
+/// the file holds no complete header — empty (a fresh start) or torn
+/// mid-header (flagged as a dropped tail; the writer rewrites it). After
+/// a successful getline, eof() set means the line had no trailing '\n':
+/// a line torn mid-write.
+bool open_scan(std::ifstream& file, const std::string& path,
+               const std::string& header, const char* what, JsonlScan& scan) {
+  if (!file) throw std::runtime_error(std::string("cannot open ") + what +
+                                      ": " + path);
+  std::string line;
+  if (!std::getline(file, line)) return false;
+  if (file.eof()) {
+    scan.dropped_tail = true;
+    return false;
+  }
+  if (line != header)
+    throw std::runtime_error(std::string(what) +
+                             " does not match this campaign "
+                             "(header/fingerprint mismatch): " +
+                             path);
+  scan.valid_bytes = line.size() + 1;
+  return true;
+}
 
-/// Scan the `count` records of global cells [first, first + count) that
-/// `path` should hold under `header`. Streamed line by line: the scan
-/// holds one line at a time and hands each valid record to `on_cell`, so
-/// resume/summarize/merge run in O(1) memory per record.
+/// Called once per valid record, in cell order, with the parsed cell.
+using CellScanSink = std::function<void(ParsedCell&&)>;
+
+/// Scan a final artifact: `header`, then the records of cells 0, 1, ...
+/// in order. Streamed line by line: the scan holds one line at a time and
+/// hands each valid record to `on_cell`, so resume and summarize run in
+/// O(1) memory per record.
 JsonlScan scan_jsonl(const std::string& path, const std::string& header,
-                     const CellQueue& layout, std::size_t first,
-                     std::size_t count,
+                     const CellQueue& layout,
                      const std::vector<ConfigSpec>& configs,
                      const CellScanSink& on_cell) {
-  // After a successful getline, eof() set means the line had no trailing
-  // '\n' — a record torn mid-write.
   std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::runtime_error("cannot open campaign results: " + path);
+  JsonlScan scan;
+  if (!open_scan(file, path, header, "campaign results file", scan))
+    return scan;
   const auto more_content = [&file] {
     return file.peek() != std::ifstream::traits_type::eof();
   };
-
-  JsonlScan scan;
   std::string line;
-  if (!std::getline(file, line)) return scan;  // empty file: fresh start
-  if (file.eof()) {                            // torn header: rewrite it
-    scan.dropped_tail = true;
-    return scan;
-  }
-  if (line != header)
-    throw std::runtime_error(
-        "campaign results file does not match this campaign "
-        "(header/fingerprint mismatch): " +
-        path);
-  scan.valid_bytes = line.size() + 1;
-
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::size_t k = first + i;
+  for (std::size_t k = 0; k < layout.size(); ++k) {
     if (!std::getline(file, line)) break;
     if (file.eof()) {
       scan.dropped_tail = true;
@@ -470,52 +457,38 @@ JsonlScan scan_jsonl(const std::string& path, const std::string& header,
       scan.dropped_tail = true;
       break;
     }
-    if (on_cell) on_cell(k, line, std::move(cell));
+    if (on_cell) on_cell(std::move(cell));
     ++scan.cells_present;
     scan.valid_bytes += line.size() + 1;
   }
-  if (scan.cells_present == count && more_content())
+  if (scan.cells_present == layout.size() && more_content())
     throw std::runtime_error("trailing data beyond the campaign grid: " +
                              path);
   return scan;
 }
 
-/// Called per valid deal-shard record with the global cell index, the
+/// Called per valid worker-file record with the global cell index, the
 /// byte offset of the line in the file and its length (without '\n').
 using DealScanSink =
     std::function<void(std::size_t, std::uintmax_t, std::size_t)>;
 
-/// Scan a deal-mode shard file: records carry global cell indices in
-/// *completion* order — any cells, any order, duplicates allowed (a
-/// re-dealt block) — so unlike scan_jsonl there is no expected span,
-/// only per-record validation against the grid layout. A torn or
-/// corrupt line is tolerated as the very last line (the write the
-/// crash cut short); anywhere else it is a hard error.
+/// Scan a worker file: records carry global cell indices in *completion*
+/// order — any cells, any order, duplicates allowed (a re-dealt block) —
+/// so unlike scan_jsonl there is no expected sequence, only per-record
+/// validation against the grid layout. A torn or corrupt line is
+/// tolerated as the very last line (the write the crash cut short);
+/// anywhere else it is a hard error.
 JsonlScan scan_deal_jsonl(const std::string& path, const std::string& header,
                           const CellQueue& layout,
                           const std::vector<ConfigSpec>& configs,
                           const DealScanSink& on_record) {
   std::ifstream file(path, std::ios::binary);
-  if (!file)
-    throw std::runtime_error("cannot open deal shard: " + path);
+  JsonlScan scan;
+  if (!open_scan(file, path, header, "worker file", scan)) return scan;
   const auto more_content = [&file] {
     return file.peek() != std::ifstream::traits_type::eof();
   };
-
-  JsonlScan scan;
   std::string line;
-  if (!std::getline(file, line)) return scan;  // empty file: fresh start
-  if (file.eof()) {                            // torn header: rewrite it
-    scan.dropped_tail = true;
-    return scan;
-  }
-  if (line != header)
-    throw std::runtime_error(
-        "deal shard file does not match this campaign "
-        "(header/fingerprint mismatch): " +
-        path);
-  scan.valid_bytes = line.size() + 1;
-
   while (std::getline(file, line)) {
     if (file.eof()) {
       scan.dropped_tail = true;
@@ -528,7 +501,7 @@ JsonlScan scan_deal_jsonl(const std::string& path, const std::string& header,
                        cell.rep == layout.at(cell.cell).rep;
     if (!valid) {
       if (more_content())
-        throw std::runtime_error("corrupt deal shard record mid-file: " +
+        throw std::runtime_error("corrupt worker file record mid-file: " +
                                  path);
       scan.dropped_tail = true;
       break;
@@ -540,117 +513,78 @@ JsonlScan scan_deal_jsonl(const std::string& path, const std::string& header,
   return scan;
 }
 
-/// Execution core shared by run_grid, run_shard and DealWorker: compute
-/// global cells [first, first + count), appending each record to `sink`
-/// (null: in-memory only) and retiring cells in index order through
-/// `fold`. Cost-guided LPT feed (DESIGN.md section 12.1): with
-/// CellOrder::CostLpt the worker pool receives the predicted-longest
-/// remaining cells first and every completed cell's wall-clock is timed
-/// back into the model. The permutation only decides who computes what
-/// when — the committer still retires cells in index order, so the
-/// ordering cannot reach one output byte. LPT does grow the committer's
-/// out-of-order backlog (cheap cells finish long before the expensive
-/// low-index ones retire); that backlog is exactly what the spill
-/// backend bounds.
+/// Open `path` for appending records under `header`. With resume and an
+/// existing file, `adopt` scans the file and returns its valid byte
+/// prefix; the torn tail beyond it is cut so appends continue a clean
+/// prefix. Otherwise the file starts over with the header.
+std::ofstream open_sink(const std::string& path, const std::string& header,
+                        bool resume,
+                        const std::function<std::uintmax_t()>& adopt) {
+  namespace fs = std::filesystem;
+  std::uintmax_t valid_bytes = 0;
+  const bool append = resume && fs::exists(path);
+  if (append) {
+    valid_bytes = adopt();
+    if (fs::file_size(path) > valid_bytes) fs::resize_file(path, valid_bytes);
+  }
+  std::ofstream sink(path, std::ios::binary |
+                               (append ? std::ios::app : std::ios::trunc));
+  if (!sink) throw std::runtime_error("cannot write " + path);
+  if (valid_bytes == 0) {
+    sink << header << '\n';
+    sink.flush();
+  }
+  return sink;
+}
+
+/// Execution core shared by run_grid and DealWorker: compute the global
+/// cells of [first, first + count) that `done` does not mark (null: all
+/// of them), appending each record to `sink` (null: in-memory only) and
+/// retiring cells in index order through `fold`. Cost-guided LPT feed
+/// (DESIGN.md section 12.1): the worker pool receives the
+/// predicted-longest remaining cells first and every completed cell's
+/// wall-clock is timed back into the model. The permutation only decides
+/// who computes what when — the committer still retires cells in index
+/// order, so the ordering cannot reach one output byte. LPT does grow the
+/// committer's out-of-order backlog (cheap cells finish long before the
+/// expensive low-index ones retire); that backlog is exactly what the
+/// spill's budget bounds.
 void execute_span(const std::vector<Scenario>& points,
                   const std::vector<ConfigSpec>& configs,
                   const CellQueue& queue, std::size_t first, std::size_t count,
-                  std::ofstream* sink, const GridRunOptions& options,
+                  const std::vector<bool>* done, std::ofstream* sink,
+                  const GridRunOptions& options,
                   const OrderedCommitter::Fold& fold) {
-  const std::unique_ptr<ResultSpill> spill = make_result_spill(
-      options.storage, options.storage_dir, options.spill_ram_budget_bytes);
-  OrderedCommitter committer(sink, first, *spill, configs, fold);
-  if (count > 0) {
-    const bool lpt = options.order == CellOrder::CostLpt;
-    std::unique_ptr<CostModel> own_model;
-    CostModel* model = options.cost_model;
-    if (lpt && model == nullptr) {
-      own_model = std::make_unique<CostModel>(points, configs);
-      model = own_model.get();
-    }
-    std::vector<std::size_t> order;
-    if (lpt) order = lpt_cell_order(*model, queue, first, count);
-    ParallelOptions parallel;
-    parallel.threads = options.threads;
-    parallel.schedule = options.schedule;
-    parallel_for(
-        count,
-        [&](std::size_t index) {
-          const std::size_t k = first + (lpt ? order[index] : index);
-          const CellRef ref = queue.at(k);
-          const auto start = std::chrono::steady_clock::now();
-          const CellResult result =
-              run_cell(points[ref.point], configs, ref.rep, options.dispatch);
-          if (model != nullptr)
-            model->observe(
-                ref.point,
-                std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              start)
-                    .count());
-          // Per-worker reusable line buffer (the committer copies only
-          // what it must spill).
-          thread_local std::string line;
-          cell_line(k, ref.point, ref.rep, result, configs, line);
-          committer.commit(k, result, line);
-        },
-        parallel);
+  OrderedCommitter committer(sink, first, done, configs, fold);
+  std::unique_ptr<CostModel> own_model;
+  CostModel* model = options.cost_model;
+  if (model == nullptr) {
+    own_model = std::make_unique<CostModel>(points, configs);
+    model = own_model.get();
   }
+  std::vector<std::size_t> order = lpt_cell_order(*model, queue, first, count);
+  if (done != nullptr)
+    std::erase_if(order, [&](std::size_t i) { return (*done)[first + i]; });
+  parallel_for(
+      order.size(),
+      [&](std::size_t index) {
+        const std::size_t k = first + order[index];
+        const CellRef ref = queue.at(k);
+        const auto start = std::chrono::steady_clock::now();
+        const CellResult result =
+            run_cell(points[ref.point], configs, ref.rep, options.dispatch);
+        model->observe(ref.point,
+                       std::chrono::duration<double>(
+                           std::chrono::steady_clock::now() - start)
+                           .count());
+        // Per-worker reusable line buffer (the committer copies only
+        // what it must spill).
+        thread_local std::string line;
+        cell_line(k, ref.point, ref.rep, result, configs, line);
+        committer.commit(k, result, line);
+      },
+      options.threads);
   COREDIS_EXPECTS(committer.drained());
-}
-
-/// Shared core of run_grid and run_shard: execute global cells
-/// [first, first + count) of the flattened grid, streaming records to
-/// `path` (under `header`; empty path keeps results in memory) and
-/// retiring each cell in order through `fold`. With resume, the file's
-/// valid prefix is adopted (folded, not recomputed) and the torn tail
-/// dropped, exactly as before the storage layer existed.
-void run_cell_span(const std::vector<Scenario>& points,
-                   const std::vector<ConfigSpec>& configs,
-                   const CellQueue& queue, std::size_t first,
-                   std::size_t count, const std::string& header,
-                   const std::string& path, const GridRunOptions& options,
-                   const OrderedCommitter::Fold& fold) {
-  std::size_t done = 0;
-  std::ofstream sink;
-  if (!path.empty()) {
-    namespace fs = std::filesystem;
-    if (options.resume && fs::exists(path)) {
-      const JsonlScan scan = scan_jsonl(
-          path, header, queue, first, count, configs,
-          [&fold](std::size_t k, const std::string&, ParsedCell&& cell) {
-            if (fold) fold(k, cell.result);
-          });
-      done = scan.cells_present;
-      // Drop the torn tail so the append below continues a clean prefix.
-      if (fs::file_size(path) > scan.valid_bytes)
-        fs::resize_file(path, scan.valid_bytes);
-      sink.open(path, std::ios::binary | std::ios::app);
-      if (!sink) throw std::runtime_error("cannot write " + path);
-      if (scan.valid_bytes == 0) {
-        sink << header << '\n';
-        sink.flush();
-      }
-    } else {
-      sink.open(path, std::ios::binary | std::ios::trunc);
-      if (!sink) throw std::runtime_error("cannot write " + path);
-      sink << header << '\n';
-      sink.flush();
-    }
-  }
-
-  execute_span(points, configs, queue, first + done, count - done,
-               sink.is_open() ? &sink : nullptr, options, fold);
-  if (sink.is_open() && !sink)
-    throw std::runtime_error("failed writing " + path);
-}
-
-std::vector<Scenario> materialize(const Campaign& campaign) {
-  std::vector<Scenario> points;
-  const std::size_t total = campaign.grid.points();
-  points.reserve(total);
-  for (std::size_t i = 0; i < total; ++i)
-    points.push_back(campaign.grid.point(i));
-  return points;
 }
 
 }  // namespace
@@ -800,51 +734,45 @@ Campaign load_campaign(const std::string& path, Scenario base) {
 
 // --- orchestration --------------------------------------------------------
 
-CellOrder parse_cell_order(const std::string& text) {
-  const std::string value = lower(trim(text));
-  if (value == "index") return CellOrder::Index;
-  if (value == "lpt") return CellOrder::CostLpt;
-  throw std::runtime_error("cell order must be index or lpt (got '" + text +
-                           "')");
-}
-
-Schedule grid_default_schedule() {
-  return affinity_sharding_default() ? Schedule::Static : Schedule::Stealing;
-}
-
-Schedule parse_schedule(const std::string& text) {
-  const std::string value = lower(trim(text));
-  if (value == "dynamic") return Schedule::Dynamic;
-  if (value == "static") return Schedule::Static;
-  if (value == "stealing") return Schedule::Stealing;
-  throw std::runtime_error(
-      "schedule must be dynamic, static or stealing (got '" + text + "')");
-}
-
 std::vector<PointResult> run_grid(const std::vector<Scenario>& points,
                                   const std::vector<ConfigSpec>& configs,
                                   const GridRunOptions& options) {
-  const std::unique_ptr<CellQueue> queue = make_cell_queue(
-      options.storage, runs_per_point(points), options.storage_dir);
+  const CellQueue queue(runs_per_point(points));
   // Aggregates build incrementally as the committer retires cells in
   // order — the run holds O(points) statistics, never O(cells) results.
-  std::vector<PointResult> aggregated = point_frames(points, configs);
+  std::vector<PointResult> aggregated(points.size(), make_point_frame(configs));
   const OrderedCommitter::Fold fold =
       [&aggregated, &queue](std::size_t k, const CellResult& result) {
-        fold_cell(aggregated[queue->at(k).point], result);
+        fold_cell(aggregated[queue.at(k).point], result);
       };
-  run_cell_span(points, configs, *queue, 0, queue->size(),
-                header_line(points, configs), options.jsonl_path, options,
-                fold);
+  // With resume, the file's valid prefix is adopted (folded, not
+  // recomputed) and the torn tail dropped.
+  std::size_t done = 0;
+  std::ofstream sink;
+  const std::string& path = options.jsonl_path;
+  if (!path.empty()) {
+    const std::string header = header_line(points, configs);
+    sink = open_sink(path, header, options.resume, [&] {
+      const JsonlScan scan =
+          scan_jsonl(path, header, queue, configs,
+                     [&](ParsedCell&& cell) { fold(cell.cell, cell.result); });
+      done = scan.cells_present;
+      return scan.valid_bytes;
+    });
+  }
+  execute_span(points, configs, queue, done, queue.size() - done, nullptr,
+               sink.is_open() ? &sink : nullptr, options, fold);
+  if (sink.is_open() && !sink)
+    throw std::runtime_error("failed writing " + path);
   return aggregated;
 }
 
 std::vector<PointResult> run_campaign(const Campaign& campaign,
                                       const GridRunOptions& options) {
-  return run_grid(materialize(campaign), campaign.configs, options);
+  return run_grid(campaign_points(campaign), campaign.configs, options);
 }
 
-// --- the shard fabric -----------------------------------------------------
+// --- distributed campaigns -----------------------------------------------
 
 ShardSpec parse_shard_spec(const std::string& text) {
   ShardSpec shard;
@@ -880,103 +808,14 @@ std::string shard_path(const std::string& jsonl_path, const ShardSpec& shard) {
   return path.string();
 }
 
-void run_shard(const std::vector<Scenario>& points,
-               const std::vector<ConfigSpec>& configs, const ShardSpec& shard,
-               const GridRunOptions& options) {
-  if (options.jsonl_path.empty())
-    throw std::runtime_error(
-        "shard runs need a JSONL output path to derive their shard file");
-  const std::unique_ptr<CellQueue> queue = make_cell_queue(
-      options.storage, runs_per_point(points), options.storage_dir);
-  const auto [begin, end] = shard_range(queue->size(), shard);
-  run_cell_span(points, configs, *queue, begin, end - begin,
-                shard_header_line(points, configs, shard, begin, end),
-                shard_path(options.jsonl_path, shard), options, {});
-}
-
-void merge_shards(const std::vector<Scenario>& points,
-                  const std::vector<ConfigSpec>& configs, std::size_t workers,
-                  const std::string& jsonl_path) {
-  namespace fs = std::filesystem;
-  if (workers == 0)
-    throw std::runtime_error("merge needs at least one shard");
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
-  // Crash-atomic publication (DESIGN.md section 7.4): the merged artifact
-  // is final — unlike shard files it has no resume story — so it is
-  // assembled in a temp sibling and renamed over jsonl_path only after a
-  // flush + fsync. A crash (even kill -9) mid-merge leaves the final
-  // name untouched: either absent or carrying the previous complete
-  // bytes, never a truncated file that would trip the overwrite-refusal
-  // path on retry. The fixed temp name is self-cleaning — the next merge
-  // truncates the same sibling.
-  const std::string temp_path = atomic_temp_path(jsonl_path);
-  std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("cannot write " + temp_path);
-  try {
-    // The single-process header, then every shard's record lines verbatim
-    // in global cell order: the merged bytes are the uninterrupted
-    // single-process artifact by construction.
-    out << header_line(points, configs) << '\n';
-    for (std::size_t k = 0; k < workers; ++k) {
-      const ShardSpec shard{k, workers};
-      const auto [begin, end] = shard_range(queue->size(), shard);
-      const std::string path = shard_path(jsonl_path, shard);
-      const std::string spec =
-          std::to_string(k) + "/" + std::to_string(workers);
-      if (!fs::exists(path))
-        throw std::runtime_error("missing shard file " + path +
-                                 ": run shard " + spec + " with --worker " +
-                                 spec + " before merging");
-      if (detect_shard_mode(path) == ShardMode::Deal)
-        throw std::runtime_error(
-            "shard file " + path +
-            " carries a deal-mode header (dynamic dealing), not a static "
-            "contiguous shard: merge it with the deal merge (the CLI "
-            "auto-detects the mode from shard 0)");
-      const JsonlScan scan = scan_jsonl(
-          path, shard_header_line(points, configs, shard, begin, end), *queue,
-          begin, end - begin, configs,
-          [&out](std::size_t, const std::string& line, ParsedCell&&) {
-            out << line << '\n';
-          });
-      if (scan.cells_present != end - begin)
-        throw std::runtime_error(
-            "shard file " + path + " is incomplete (" +
-            std::to_string(scan.cells_present) + " of " +
-            std::to_string(end - begin) + " cells" +
-            (scan.dropped_tail ? ", torn tail" : "") +
-            "): resume it with --worker " + spec + " --resume, then merge");
-    }
-    out.flush();
-    if (!out) throw std::runtime_error("failed writing " + temp_path);
-    out.close();
-    commit_file(temp_path, jsonl_path);
-  } catch (...) {
-    // Never leave a half-merged temp behind a loud refusal; the final
-    // path was not touched.
-    out.close();
-    std::error_code ignored;
-    fs::remove(temp_path, ignored);
-    throw;
-  }
-}
-
-void run_campaign_shard(const Campaign& campaign, const ShardSpec& shard,
-                        const GridRunOptions& options) {
-  run_shard(materialize(campaign), campaign.configs, shard, options);
-}
-
-void merge_campaign_shards(const Campaign& campaign, std::size_t workers,
-                           const std::string& jsonl_path) {
-  merge_shards(materialize(campaign), campaign.configs, workers, jsonl_path);
-}
-
 std::vector<Scenario> campaign_points(const Campaign& campaign) {
-  return materialize(campaign);
+  std::vector<Scenario> points;
+  const std::size_t total = campaign.grid.points();
+  points.reserve(total);
+  for (std::size_t i = 0; i < total; ++i)
+    points.push_back(campaign.grid.point(i));
+  return points;
 }
-
-// --- dynamic dealing ------------------------------------------------------
 
 std::vector<DealBlock> plan_deal_blocks(const CostModel& model,
                                         const CellQueue& queue,
@@ -1024,37 +863,19 @@ std::vector<DealBlock> plan_deal_blocks(const CostModel& model,
   return lpt;
 }
 
-const char* to_string(ShardMode mode) {
-  return mode == ShardMode::Deal ? "deal" : "static";
-}
-
-ShardMode detect_shard_mode(const std::string& path) {
-  std::ifstream file(path, std::ios::binary);
-  if (!file) throw std::runtime_error("cannot open shard file: " + path);
-  std::string line;
-  std::getline(file, line);
-  if (line.rfind("{\"coredis_campaign_shard\":", 0) == 0)
-    return ShardMode::Static;
-  if (line.rfind("{\"coredis_campaign_deal\":", 0) == 0)
-    return ShardMode::Deal;
-  throw std::runtime_error(
-      "not a campaign shard file (neither a static-shard nor a deal-mode "
-      "header): " +
-      path);
-}
-
 DealWorker::DealWorker(std::vector<Scenario> points,
                        std::vector<ConfigSpec> configs, std::size_t worker,
                        std::size_t workers, const GridRunOptions& options)
     : points_(std::move(points)),
       configs_(std::move(configs)),
-      options_(options) {
+      options_(options),
+      queue_(runs_per_point(points_)),
+      present_(queue_.size(), false) {
   COREDIS_EXPECTS(workers > 0 && worker < workers);
   if (options_.jsonl_path.empty())
     throw std::runtime_error(
-        "deal workers need a JSONL output path to derive their shard file");
-  queue_ = make_cell_queue(options_.storage, runs_per_point(points_),
-                           options_.storage_dir);
+        "distributed workers need a JSONL output path to derive their "
+        "worker file");
   if (options_.cost_model == nullptr) {
     model_ = std::make_unique<CostModel>(points_, configs_);
     options_.cost_model = model_.get();
@@ -1062,26 +883,15 @@ DealWorker::DealWorker(std::vector<Scenario> points,
   path_ = shard_path(options_.jsonl_path, {worker, workers});
   const std::string header =
       deal_header_line(points_, configs_, worker, workers);
-  namespace fs = std::filesystem;
-  if (options_.resume && fs::exists(path_)) {
-    const JsonlScan scan =
-        scan_deal_jsonl(path_, header, *queue_, configs_, {});
+  sink_ = open_sink(path_, header, options_.resume, [&] {
+    const JsonlScan scan = scan_deal_jsonl(
+        path_, header, queue_, configs_,
+        [this](std::size_t cell, std::uintmax_t, std::size_t) {
+          present_[cell] = true;
+        });
     resumed_records_ = scan.cells_present;
-    // Drop the torn tail so appended blocks continue a clean prefix.
-    if (fs::file_size(path_) > scan.valid_bytes)
-      fs::resize_file(path_, scan.valid_bytes);
-    sink_.open(path_, std::ios::binary | std::ios::app);
-    if (!sink_) throw std::runtime_error("cannot write " + path_);
-    if (scan.valid_bytes == 0) {
-      sink_ << header << '\n';
-      sink_.flush();
-    }
-  } else {
-    sink_.open(path_, std::ios::binary | std::ios::trunc);
-    if (!sink_) throw std::runtime_error("cannot write " + path_);
-    sink_ << header << '\n';
-    sink_.flush();
-  }
+    return scan.valid_bytes;
+  });
 }
 
 DealWorker::~DealWorker() = default;
@@ -1091,10 +901,42 @@ std::size_t DealWorker::resumed_records() const noexcept {
 }
 
 void DealWorker::run_block(std::size_t begin, std::size_t end) {
-  COREDIS_EXPECTS(begin <= end && end <= queue_->size());
-  execute_span(points_, configs_, *queue_, begin, end - begin, &sink_,
-               options_, {});
+  COREDIS_EXPECTS(begin <= end && end <= queue_.size());
+  execute_span(points_, configs_, queue_, begin, end - begin, &present_,
+               &sink_, options_, {});
   if (!sink_) throw std::runtime_error("failed writing " + path_);
+  std::fill(present_.begin() + static_cast<std::ptrdiff_t>(begin),
+            present_.begin() + static_cast<std::ptrdiff_t>(end), true);
+}
+
+void run_campaign_shard(const Campaign& campaign, const ShardSpec& shard,
+                        const GridRunOptions& options) {
+  DealWorker worker(campaign_points(campaign), campaign.configs, shard.index,
+                    shard.count, options);
+  const auto [begin, end] = shard_range(campaign.cells(), shard);
+  worker.run_block(begin, end);
+}
+
+std::vector<DealRecord> index_deal_shards(
+    const std::vector<Scenario>& points, const std::vector<ConfigSpec>& configs,
+    std::size_t workers, const std::string& jsonl_path) {
+  // Re-dealt blocks appear in more than one file (or twice in a resumed
+  // one); cells are deterministic in (point seed, rep), so every
+  // duplicate is byte-identical and keeping the first is safe.
+  const CellQueue queue(runs_per_point(points));
+  std::vector<DealRecord> index(queue.size());
+  for (std::size_t k = 0; k < workers; ++k) {
+    const std::string path = shard_path(jsonl_path, {k, workers});
+    if (!std::filesystem::exists(path)) continue;
+    scan_deal_jsonl(path, deal_header_line(points, configs, k, workers), queue,
+                    configs,
+                    [&index, k](std::size_t cell, std::uintmax_t offset,
+                                std::size_t length) {
+                      DealRecord& slot = index[cell];
+                      if (!slot.present) slot = {k, offset, length, true};
+                    });
+  }
+  return index;
 }
 
 void merge_deal_shards(const std::vector<Scenario>& points,
@@ -1102,67 +944,54 @@ void merge_deal_shards(const std::vector<Scenario>& points,
                        std::size_t workers, const std::string& jsonl_path) {
   namespace fs = std::filesystem;
   if (workers == 0)
-    throw std::runtime_error("merge needs at least one shard");
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
-
-  // Pass 1: index every cell's first occurrence — (shard, offset,
-  // length) — across all worker files. Re-dealt blocks appear in more
-  // than one file (or twice in a resumed one); cells are deterministic
-  // in (point seed, rep), so every duplicate is byte-identical and
-  // keeping the first is safe.
-  struct Location {
-    std::size_t shard = 0;
-    std::uintmax_t offset = 0;
-    std::size_t length = 0;
-    bool present = false;
-  };
-  std::vector<Location> index(queue->size());
-  std::size_t missing = queue->size();
+    throw std::runtime_error("merge needs at least one worker file");
   for (std::size_t k = 0; k < workers; ++k) {
     const std::string path = shard_path(jsonl_path, {k, workers});
-    const std::string spec = std::to_string(k) + "/" + std::to_string(workers);
     if (!fs::exists(path))
-      throw std::runtime_error("missing deal shard file " + path +
-                               ": every worker of a dealt campaign writes "
-                               "one, even if it computed nothing");
-    if (detect_shard_mode(path) == ShardMode::Static)
-      throw std::runtime_error(
-          "shard file " + path +
-          " carries a static-shard header, not mode deal: it was produced "
-          "by --worker " +
-          spec + " (fixed ranges); merge those with the static merge");
-    scan_deal_jsonl(path, deal_header_line(points, configs, k, workers),
-                    *queue, configs,
-                    [&index, &missing, k](std::size_t cell,
-                                          std::uintmax_t offset,
-                                          std::size_t length) {
-                      Location& slot = index[cell];
-                      if (slot.present) return;  // duplicate: keep the first
-                      slot = {k, offset, length, true};
-                      --missing;
-                    });
+      throw std::runtime_error("missing worker file " + path +
+                               ": every worker of a distributed campaign "
+                               "writes one, even if it computed nothing");
   }
+
+  // Pass 1: where every cell's first record is.
+  const std::vector<DealRecord> index =
+      index_deal_shards(points, configs, workers, jsonl_path);
+  const auto missing = static_cast<std::size_t>(std::count_if(
+      index.begin(), index.end(),
+      [](const DealRecord& slot) { return !slot.present; }));
   if (missing != 0) {
-    std::size_t first_missing = 0;
-    while (first_missing < index.size() && index[first_missing].present)
-      ++first_missing;
+    const std::size_t first = static_cast<std::size_t>(
+        std::find_if(index.begin(), index.end(),
+                     [](const DealRecord& slot) { return !slot.present; }) -
+        index.begin());
+    // Name the --worker whose fixed block holds the cell: the remedy for
+    // an external launcher's campaign.
+    std::size_t owner = 0;
+    while (shard_range(index.size(), {owner, workers}).second <= first)
+      ++owner;
+    const std::string spec =
+        std::to_string(owner) + "/" + std::to_string(workers);
     throw std::runtime_error(
-        "dealt campaign is incomplete: " + std::to_string(missing) + " of " +
-        std::to_string(queue->size()) + " cells missing (first: cell " +
-        std::to_string(first_missing) +
-        "); rerun the coordinator with --resume to deal the missing blocks");
+        "distributed campaign is incomplete: " + std::to_string(missing) +
+        " of " + std::to_string(index.size()) + " cells missing (first: cell " +
+        std::to_string(first) + ", in the fixed block of --worker " + spec +
+        ", file " + shard_path(jsonl_path, {owner, workers}) +
+        "); resume it with --worker " + spec +
+        " --resume, or rerun the --workers coordinator with --resume");
   }
 
   // Pass 2: emit the single-process artifact — header, then every
-  // cell's record bytes in global cell order — crash-atomically, like
-  // the static merge.
+  // cell's record bytes in global cell order — crash-atomically
+  // (DESIGN.md section 7.4): it is assembled in a temp sibling and
+  // renamed over jsonl_path only after a flush + fsync, so a crash (even
+  // kill -9) mid-merge leaves the final name absent or complete. The
+  // fixed temp name is self-cleaning — the next merge truncates it.
   std::vector<std::ifstream> shards(workers);
   for (std::size_t k = 0; k < workers; ++k) {
     const std::string path = shard_path(jsonl_path, {k, workers});
     shards[k].open(path, std::ios::binary);
     if (!shards[k])
-      throw std::runtime_error("cannot reopen deal shard file " + path);
+      throw std::runtime_error("cannot reopen worker file " + path);
   }
   const std::string temp_path = atomic_temp_path(jsonl_path);
   std::ofstream out(temp_path, std::ios::binary | std::ios::trunc);
@@ -1170,15 +999,14 @@ void merge_deal_shards(const std::vector<Scenario>& points,
   try {
     out << header_line(points, configs) << '\n';
     std::string record;
-    for (const Location& slot : index) {
+    for (const DealRecord& slot : index) {
       record.resize(slot.length);
-      std::ifstream& shard = shards[slot.shard];
+      std::ifstream& shard = shards[slot.worker];
       shard.seekg(static_cast<std::streamoff>(slot.offset));
       shard.read(record.data(), static_cast<std::streamsize>(slot.length));
       if (!shard)
-        throw std::runtime_error(
-            "deal shard file changed under the merge: " +
-            shard_path(jsonl_path, {slot.shard, workers}));
+        throw std::runtime_error("worker file changed under the merge: " +
+                                 shard_path(jsonl_path, {slot.worker, workers}));
       out << record << '\n';
     }
     out.flush();
@@ -1186,6 +1014,8 @@ void merge_deal_shards(const std::vector<Scenario>& points,
     out.close();
     commit_file(temp_path, jsonl_path);
   } catch (...) {
+    // Never leave a half-merged temp behind a loud refusal; the final
+    // path was not touched.
     out.close();
     std::error_code ignored;
     fs::remove(temp_path, ignored);
@@ -1195,26 +1025,25 @@ void merge_deal_shards(const std::vector<Scenario>& points,
 
 void merge_campaign_deal_shards(const Campaign& campaign, std::size_t workers,
                                 const std::string& jsonl_path) {
-  merge_deal_shards(materialize(campaign), campaign.configs, workers,
+  merge_deal_shards(campaign_points(campaign), campaign.configs, workers,
                     jsonl_path);
 }
 
 std::vector<PointResult> summarize_jsonl(const Campaign& campaign,
                                          const std::string& path,
                                          JsonlCoverage* coverage) {
-  const std::vector<Scenario> points = materialize(campaign);
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, runs_per_point(points));
-  std::vector<PointResult> aggregated = point_frames(points, campaign.configs);
+  const std::vector<Scenario> points = campaign_points(campaign);
+  const CellQueue queue(runs_per_point(points));
+  std::vector<PointResult> aggregated(points.size(),
+                                      make_point_frame(campaign.configs));
   const JsonlScan scan = scan_jsonl(
-      path, header_line(points, campaign.configs), *queue, 0, queue->size(),
-      campaign.configs,
-      [&aggregated](std::size_t, const std::string&, ParsedCell&& cell) {
+      path, header_line(points, campaign.configs), queue, campaign.configs,
+      [&aggregated](ParsedCell&& cell) {
         fold_cell(aggregated[cell.point], cell.result);
       });
   if (coverage != nullptr) {
     coverage->cells_present = scan.cells_present;
-    coverage->cells_total = queue->size();
+    coverage->cells_total = queue.size();
     coverage->dropped_corrupt_tail = scan.dropped_tail;
   }
   return aggregated;

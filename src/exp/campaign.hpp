@@ -48,6 +48,7 @@
 /// parentheses do not split; surrounding quotes optional).
 
 #include <cstddef>
+#include <cstdint>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -57,7 +58,6 @@
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/storage.hpp"
-#include "util/parallel.hpp"
 
 namespace coredis::exp {
 
@@ -112,32 +112,6 @@ struct Campaign {
 [[nodiscard]] Campaign load_campaign(const std::string& path,
                                      Scenario base = {});
 
-/// Execution order of a grid's remaining cells. Pure scheduling: the
-/// committer retires cells in index order whatever runs first, so the
-/// choice cannot reach one output byte (the battery cmp-locks this).
-enum class CellOrder {
-  /// Flat ascending cell index — the frozen pre-cost-model behavior.
-  Index,
-  /// Longest-predicted-first from an exp::CostModel (cost_model.hpp):
-  /// the most expensive cells start first, so with any balancing
-  /// schedule the makespan tail is one cell, not one unlucky point.
-  /// A homogeneous grid degenerates to Index order exactly.
-  CostLpt,
-};
-
-/// Parse "index" | "lpt" (case-insensitive); throws std::runtime_error
-/// naming the value otherwise.
-[[nodiscard]] CellOrder parse_cell_order(const std::string& text);
-
-/// The campaign cell loop's default parallel_for schedule: Stealing,
-/// unless COREDIS_AFFINITY=1 opted into the pinned Static schedule
-/// (an explicit operator request outranks the balancing default).
-[[nodiscard]] Schedule grid_default_schedule();
-
-/// Parse "dynamic" | "static" | "stealing" (case-insensitive); throws
-/// std::runtime_error naming the value otherwise.
-[[nodiscard]] Schedule parse_schedule(const std::string& text);
-
 struct GridRunOptions {
   /// Stream each completed cell as one JSON record to this file (plus a
   /// leading header record); empty keeps results in memory only.
@@ -147,28 +121,16 @@ struct GridRunOptions {
   bool resume = false;
   /// Worker override for the global queue (0 = default_thread_count()).
   std::size_t threads = 0;
-  /// Storage backend for the cell queue and the out-of-order result spill
-  /// (DESIGN.md section 7.5). `ram` is the historical behavior; `file`
-  /// bounds RAM at O(points) + spill_ram_budget_bytes however large the
-  /// grid is. The choice cannot reach the output bytes or aggregates.
-  StorageKind storage = StorageKind::Ram;
-  /// Scratch directory for the file backend (empty: system temp dir).
-  std::string storage_dir;
-  /// Result payload the file-backed spill keeps resident in RAM.
-  std::size_t spill_ram_budget_bytes = std::size_t{16} << 20;
   /// Which dispatch executes each configuration (exp/runner.hpp): the
   /// policy registry (production) or the frozen pre-registry switch.
   /// The differential battery cmp-locks the two paths' artifacts.
   DispatchPath dispatch = DispatchPath::Registry;
-  /// Cell execution order (scheduling only — invisible in all outputs).
-  CellOrder order = CellOrder::CostLpt;
-  /// parallel_for schedule for the cell loop (util/parallel.hpp).
-  Schedule schedule = grid_default_schedule();
-  /// Cost model to steer CostLpt and refine from completed-cell
-  /// timings. Null builds a fresh per-run model; a caller-owned model
-  /// (must outlive the run and cover the same grid points) accumulates
-  /// refinement across runs — the cross-process dealer threads one
-  /// model through every block it hands out.
+  /// Cost model that orders cells longest-predicted-first (DESIGN.md
+  /// section 12.1) and is refined from completed-cell timings. Null
+  /// builds a fresh per-run model; a caller-owned model (must outlive
+  /// the run and cover the same grid points) accumulates refinement
+  /// across runs — a DealWorker threads one model through every block
+  /// it computes.
   CostModel* cost_model = nullptr;
 };
 
@@ -184,18 +146,22 @@ struct GridRunOptions {
 [[nodiscard]] std::vector<PointResult> run_campaign(
     const Campaign& campaign, const GridRunOptions& options = {});
 
-// --- distributed shard fabric (DESIGN.md section 7.4) ---------------------
+// --- distributed campaigns (DESIGN.md sections 7.4 and 12.3) -------------
 //
-// A distributed campaign partitions the flattened cell space [0, cells)
-// into `count` contiguous ranges; worker k computes global cells
-// [shard_range(total, {k, count})) and streams them — with their *global*
-// cell indices and the exact single-process record bytes — to its own
-// shard file under a shard header. merge_shards then validates every
-// shard and concatenates the record lines under the single-process
-// campaign header, so the merged artifact is byte-identical (cmp) to the
-// file one uninterrupted run_grid would have produced.
+// Every multi-process run is a deal. Worker k of W owns one worker file,
+// shard_path(out, {k, W}), under a worker header carrying the grid
+// fingerprint and its identity. It appends one record per computed cell
+// — global cell index, exact single-process bytes — for every block of
+// cells it is handed: cost-balanced blocks dealt longest-predicted-first
+// by the --workers coordinator, or one fixed block, shard_range(cells,
+// {k, W}), for an external launcher's --worker k/W. Blocks land in
+// completion order and a re-dealt block may appear in two files, so
+// merge_deal_shards indexes records by cell, dedupes (duplicates are
+// byte-identical: cells are deterministic in (point seed, rep)), and
+// emits in global cell order — cmp-identical to the single-process
+// artifact.
 
-/// One shard of a distributed campaign: worker `index` of `count`.
+/// One worker of a distributed campaign: worker `index` of `count`.
 struct ShardSpec {
   std::size_t index = 0;
   std::size_t count = 1;
@@ -205,59 +171,20 @@ struct ShardSpec {
 /// malformed specs and on index >= count.
 [[nodiscard]] ShardSpec parse_shard_spec(const std::string& text);
 
-/// Contiguous global cell range [begin, end) of the shard: balanced
-/// (sizes differ by at most one) and tiling [0, total_cells) exactly.
+/// The fixed block of worker `shard` under --worker: a contiguous global
+/// cell range [begin, end), balanced (sizes differ by at most one) and
+/// tiling [0, total_cells) exactly.
 [[nodiscard]] std::pair<std::size_t, std::size_t> shard_range(
     std::size_t total_cells, const ShardSpec& shard);
 
-/// The shard's own JSONL file, derived from the final artifact path:
+/// The worker's own JSONL file, derived from the final artifact path:
 /// "out.jsonl" -> "out.shard1of4.jsonl".
 [[nodiscard]] std::string shard_path(const std::string& jsonl_path,
                                      const ShardSpec& shard);
 
-/// Run one shard's cells into shard_path(options.jsonl_path, shard).
-/// Same committer, storage and resume semantics as run_grid — a killed
-/// worker rerun with resume=true adopts its shard file's valid prefix.
-/// Throws std::runtime_error when options.jsonl_path is empty.
-void run_shard(const std::vector<Scenario>& points,
-               const std::vector<ConfigSpec>& configs, const ShardSpec& shard,
-               const GridRunOptions& options);
-
-/// Reassemble `workers` completed shard files into the single-process
-/// artifact at jsonl_path (overwritten). Refuses loudly — naming the
-/// offending shard file — when a shard is missing, incomplete, torn at
-/// the tail, corrupt, or from a different grid; on failure the partial
-/// output is removed.
-void merge_shards(const std::vector<Scenario>& points,
-                  const std::vector<ConfigSpec>& configs, std::size_t workers,
-                  const std::string& jsonl_path);
-
-/// run_shard / merge_shards over the campaign's materialized grid.
-void run_campaign_shard(const Campaign& campaign, const ShardSpec& shard,
-                        const GridRunOptions& options);
-void merge_campaign_shards(const Campaign& campaign, std::size_t workers,
-                           const std::string& jsonl_path);
-
 /// The campaign's materialized grid points (grid.point(i) for every i) —
-/// the form the cost model and cell queue constructors take.
+/// the form the cost model and DealWorker constructors take.
 [[nodiscard]] std::vector<Scenario> campaign_points(const Campaign& campaign);
-
-// --- dynamic dealing (DESIGN.md section 12.3) -----------------------------
-//
-// The static fabric above carves [0, cells) into one fixed contiguous
-// range per worker, so campaign wall-clock is the unluckiest range, not
-// total work / workers. Dynamic dealing keeps the same files and the
-// same byte-identical merge contract but hands out *blocks*: the
-// coordinator cuts the cell space into cost-balanced contiguous blocks,
-// deals them longest-predicted-first to whichever worker is idle, and
-// re-deals a lost worker's un-acked block. A worker streams each dealt
-// block's records — global cell indices, exact single-process bytes —
-// into its one shard file under a deal-mode header; blocks land in
-// completion order and a re-dealt block may appear in two files, so
-// merge_deal_shards indexes records by cell, dedupes (duplicates are
-// byte-identical: cells are deterministic in (point seed, rep)), and
-// emits in global cell order — cmp-identical to the single-process
-// artifact.
 
 /// One contiguous block of global cells handed to a worker.
 struct DealBlock {
@@ -273,24 +200,14 @@ struct DealBlock {
                                                       const CellQueue& queue,
                                                       std::size_t workers);
 
-/// How a shard file on disk was produced, detected from its header
-/// record shape. Throws std::runtime_error naming the path when the
-/// file opens on neither header (not a shard file at all).
-enum class ShardMode {
-  Static,  ///< fixed contiguous range (run_shard)
-  Deal,    ///< dynamically dealt blocks (DealWorker)
-};
-[[nodiscard]] ShardMode detect_shard_mode(const std::string& path);
-[[nodiscard]] const char* to_string(ShardMode mode);
-
-/// Worker-side session of a dealt campaign: opens (or resumes) the
-/// worker's shard file under a deal-mode header, then appends one
-/// record per cell for every dealt block. Each record line is flushed
-/// before run_block returns, so an ack sent after it covers bytes that
-/// are actually in the file; a torn line can only ever be the file's
-/// tail, which a resume truncates. Blocks may repeat cells already in
-/// the file (a re-dealt block after a crash): the duplicates are
-/// byte-identical and merge_deal_shards keeps the first.
+/// Worker-side session of a distributed campaign: opens (or, with
+/// options.resume, adopts the valid records of) the worker file, then
+/// appends one record per cell for every block it runs. Each record line
+/// is flushed before run_block returns, so an ack sent after it covers
+/// bytes that are actually in the file; a torn line can only ever be the
+/// file's tail, which a resume truncates. The session remembers which
+/// cells its file holds, so a block computes only the cells still
+/// missing from it.
 class DealWorker {
  public:
   DealWorker(std::vector<Scenario> points, std::vector<ConfigSpec> configs,
@@ -300,32 +217,59 @@ class DealWorker {
   DealWorker& operator=(const DealWorker&) = delete;
   ~DealWorker();
 
-  /// Valid records adopted from a resumed shard file (duplicates count).
+  /// Valid records adopted from a resumed worker file (duplicates count).
   [[nodiscard]] std::size_t resumed_records() const noexcept;
 
-  /// Compute cells [begin, end) and append their records. Within the
-  /// block the configured order/schedule apply; records retire in cell
-  /// order regardless. Throws on I/O failure (the coordinator treats a
-  /// dead worker and a thrown worker alike: re-deal).
+  /// Compute the cells of [begin, end) that the worker file does not hold
+  /// yet and append their records, longest-predicted-first over
+  /// options.threads; records retire in cell order regardless. Throws on
+  /// I/O failure (the coordinator treats a dead worker and a thrown
+  /// worker alike: re-deal).
   void run_block(std::size_t begin, std::size_t end);
 
  private:
   std::vector<Scenario> points_;
   std::vector<ConfigSpec> configs_;
   GridRunOptions options_;
-  std::unique_ptr<CellQueue> queue_;
+  CellQueue queue_;
   std::unique_ptr<CostModel> model_;
+  std::vector<bool> present_;  ///< cells the worker file holds
   std::ofstream sink_;
   std::string path_;
   std::size_t resumed_records_ = 0;
 };
 
-/// Reassemble `workers` deal-mode shard files into the byte-identical
-/// single-process artifact at jsonl_path (crash-atomic, like
-/// merge_shards). Validates every shard's header and records, tolerates
-/// a torn trailing line per shard, dedupes re-dealt cells, and refuses
-/// loudly — naming the file, the missing cells and the shard's mode —
-/// when coverage is incomplete or a static-mode shard is mixed in.
+/// --worker k/W: DealWorker k of W running its fixed block,
+/// shard_range(cells, shard), into shard_path(options.jsonl_path, shard).
+/// With options.resume it computes only the cells its file lacks.
+/// Throws std::runtime_error when options.jsonl_path is empty.
+void run_campaign_shard(const Campaign& campaign, const ShardSpec& shard,
+                        const GridRunOptions& options);
+
+/// Where a cell's first valid record sits among a distributed campaign's
+/// worker files.
+struct DealRecord {
+  std::size_t worker = 0;
+  std::uintmax_t offset = 0;  ///< byte offset of the record line
+  std::size_t length = 0;     ///< line length without '\n'
+  bool present = false;       ///< false: no worker file holds the cell
+};
+
+/// Index every cell's first valid record across the `workers` worker
+/// files of `jsonl_path`: pass 1 of merge_deal_shards, and what a resumed
+/// coordinator deals around. Validates every header and record, skips a
+/// torn trailing line per file, and counts a missing file as empty.
+[[nodiscard]] std::vector<DealRecord> index_deal_shards(
+    const std::vector<Scenario>& points, const std::vector<ConfigSpec>& configs,
+    std::size_t workers, const std::string& jsonl_path);
+
+/// Reassemble `workers` worker files into the byte-identical
+/// single-process artifact at jsonl_path. Publication is crash-atomic
+/// (temp sibling + fsync + rename), so a killed merge leaves the final
+/// name absent or complete. Refuses loudly when a worker file is
+/// missing or from another grid, and when cells are missing — naming
+/// the first missing cell and the --worker k/W whose fixed block holds
+/// it; on failure the partial output is removed.
 void merge_deal_shards(const std::vector<Scenario>& points,
                        const std::vector<ConfigSpec>& configs,
                        std::size_t workers, const std::string& jsonl_path);

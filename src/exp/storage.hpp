@@ -1,41 +1,10 @@
 #pragma once
 
 /// \file storage.hpp
-/// Pluggable cell-queue and result-spill storage for grid/shard runs
-/// (DESIGN.md section 7.5).
-///
-/// A campaign worker holds two data structures whose size scales with the
-/// grid, not with the machine: the *cell queue* (the (point, repetition)
-/// layout of every cell the run will execute) and the *result spill* (the
-/// serialized records of cells that finished out of order, held back until
-/// the in-order committer can append them). Both hide behind an interface
-/// with interchangeable backends, the way layered search engines stack
-/// `queue_*`/`swap_*` implementations behind one contract:
-///
-///  * `ram`  — everything in memory. Fastest; RAM is O(cells) for the
-///    queue and O(backlog bytes) for the spill. The default, and exactly
-///    the pre-storage-layer behavior.
-///  * `file` — bounded RAM. The queue streams its fixed-width layout
-///    records into an anonymous scratch file at build time and reads them
-///    back per lookup; the spill keeps at most `ram_budget_bytes` of
-///    record payload resident and appends the rest to a scratch file
-///    (record payloads on disk, a small offset index in RAM), truncating
-///    the file whenever the backlog fully drains.
-///  * `mmap` — bounded *heap*, `file`'s durability with `ram`'s access
-///    path (POSIX only). The queue and the spill both live in a
-///    scratch file mapped shared read-write: lookups and record
-///    round-trips are memcpy against the mapping (no seek+read
-///    syscall pair, no lock on the queue), capacity grows by
-///    ftruncate + remap in 1 MiB chunks, and the kernel's page cache
-///    decides what is resident — under memory pressure cold pages
-///    drop to disk instead of growing the heap.
-///
-/// The backend choice cannot reach any output: queues serve the same
-/// refs in the same order and spills return the same bytes, so a grid
-/// run's JSONL artifact and aggregates are byte-identical across
-/// backends (locked by tests/storage_test.cpp). Scratch files live in
-/// `dir` (defaulting to the system temp directory) and are removed on
-/// destruction.
+/// The cell layout and the bounded result spill of a grid run
+/// (DESIGN.md section 7.5). Neither can reach an output byte: the queue
+/// is a pure function of the repetition counts and the spill returns the
+/// exact bytes it was given.
 ///
 /// Thread safety: `CellQueue::at` is const and safe to call concurrently
 /// after construction. `ResultSpill` is *externally synchronized* — the
@@ -43,21 +12,14 @@
 /// spill does not pay for a second lock.
 
 #include <cstddef>
+#include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace coredis::exp {
-
-/// Backend selector for the storage layer ("ram" | "file" | "mmap").
-enum class StorageKind { Ram, File, Mmap };
-
-/// Parse "ram" / "file" / "mmap" (used by --storage flags). Throws
-/// std::runtime_error naming the accepted values on anything else, and
-/// for "mmap" on platforms without POSIX mmap.
-[[nodiscard]] StorageKind parse_storage_kind(const std::string& text);
-[[nodiscard]] const char* to_string(StorageKind kind) noexcept;
 
 /// One cell of the flattened grid: which scenario point it evaluates and
 /// which Monte-Carlo repetition it is.
@@ -67,45 +29,78 @@ struct CellRef {
 };
 
 /// The flattened (point, repetition) layout of a run, cell index ->
-/// CellRef. Immutable once built; lookups are concurrency-safe.
+/// CellRef: point i contributes runs_per_point[i] consecutive cells. The
+/// layout is arithmetic — one prefix-sum offset per point, `at(k)` a
+/// binary search — so RAM is O(points) however large the grid is.
 class CellQueue {
  public:
-  virtual ~CellQueue() = default;
-  [[nodiscard]] virtual CellRef at(std::size_t index) const = 0;
-  [[nodiscard]] virtual std::size_t size() const noexcept = 0;
+  explicit CellQueue(const std::vector<std::size_t>& runs_per_point);
+
+  /// Precondition: index < size().
+  [[nodiscard]] CellRef at(std::size_t index) const;
+  [[nodiscard]] std::size_t size() const noexcept { return offsets_.back(); }
+
+ private:
+  /// offsets_[i] is point i's first cell; the last entry is size().
+  std::vector<std::size_t> offsets_;
 };
+
+/// A one-line factory with a one-value selector, kept only because
+/// perfbench/src/grid.cpp spells `make_cell_queue(StorageKind::Ram,
+/// runs)` and the benchmark's sources change only together with the
+/// benchmark; the next benchmark change can construct CellQueue directly
+/// and drop both.
+enum class StorageKind { Ram };
+[[nodiscard]] std::unique_ptr<CellQueue> make_cell_queue(
+    StorageKind kind, const std::vector<std::size_t>& runs_per_point);
+
+/// Record payload the in-order committer's spill keeps in RAM.
+inline constexpr std::size_t kSpillRamBudgetBytes = std::size_t{16} << 20;
 
 /// Holds byte records keyed by cell index until the committer drains
-/// them in order. put/take round-trip the exact bytes.
+/// them in order; put/take round-trip the exact bytes. Payloads stay in
+/// RAM up to `ram_budget_bytes`; the rest go to one scratch file in
+/// std::filesystem::temp_directory_path() (which honours TMPDIR),
+/// created on the first overflow. Its name is removed right after it is
+/// opened (POSIX; elsewhere the destructor removes it), so no scratch
+/// name outlives even a kill -9, and a drained overflow closes the file,
+/// so disk use is bounded by the worst backlog.
 class ResultSpill {
  public:
-  virtual ~ResultSpill() = default;
+  explicit ResultSpill(std::size_t ram_budget_bytes);
+  ResultSpill(const ResultSpill&) = delete;
+  ResultSpill& operator=(const ResultSpill&) = delete;
+  ~ResultSpill();
+
   /// Store `record` under `index` (indices are unique until taken).
-  virtual void put(std::size_t index, std::string_view record) = 0;
+  void put(std::size_t index, std::string_view record);
   /// Remove the record at `index` into `out`; false when absent.
-  [[nodiscard]] virtual bool take(std::size_t index, std::string& out) = 0;
+  [[nodiscard]] bool take(std::size_t index, std::string& out);
   /// Records currently held.
-  [[nodiscard]] virtual std::size_t pending() const noexcept = 0;
-  /// Bytes of record payload currently resident in RAM (diagnostic; the
-  /// file backend keeps this at or under its budget).
-  [[nodiscard]] virtual std::size_t resident_bytes() const noexcept = 0;
+  [[nodiscard]] std::size_t pending() const noexcept {
+    return hot_.size() + spilled_.size();
+  }
+  /// Bytes of record payload currently resident in RAM (at most the
+  /// budget).
+  [[nodiscard]] std::size_t resident_bytes() const noexcept {
+    return resident_;
+  }
+
+ private:
+  struct Extent {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+
+  void close_scratch() noexcept;
+
+  std::size_t budget_;
+  std::map<std::size_t, std::string> hot_;
+  std::map<std::size_t, Extent> spilled_;
+  std::size_t resident_ = 0;
+  std::FILE* scratch_ = nullptr;  ///< opened on the first overflow
+  std::string scratch_name_;      ///< still to remove (non-POSIX only)
+  std::size_t end_ = 0;           ///< append offset in the scratch file
 };
-
-/// Build a cell queue over `runs_per_point` (point i contributes
-/// runs_per_point[i] consecutive cells). The file and mmap backends
-/// keep their layout in a scratch file under `dir` (empty: the system
-/// temp directory); construction streams, so peak RAM is O(points).
-[[nodiscard]] std::unique_ptr<CellQueue> make_cell_queue(
-    StorageKind kind, const std::vector<std::size_t>& runs_per_point,
-    const std::string& dir = {});
-
-/// Build a result spill. The file backend keeps at most
-/// `ram_budget_bytes` of payload in RAM and spills the rest under `dir`;
-/// the mmap backend puts every payload in its mapping under `dir` and
-/// ignores the budget (the page cache is the budget); the ram backend
-/// ignores both knobs.
-[[nodiscard]] std::unique_ptr<ResultSpill> make_result_spill(
-    StorageKind kind, const std::string& dir = {},
-    std::size_t ram_budget_bytes = std::size_t{16} << 20);
 
 }  // namespace coredis::exp

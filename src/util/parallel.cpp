@@ -14,40 +14,7 @@
 #include <utility>
 #include <vector>
 
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace coredis {
-
-namespace {
-
-#if defined(__linux__)
-/// CPUs the process may run on, in id order — the pin targets. Respects
-/// an inherited mask (cgroups, taskset), so sharding never pins outside
-/// what the operator allowed.
-std::vector<int> allowed_cpus() {
-  std::vector<int> cpus;
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  if (sched_getaffinity(0, sizeof(set), &set) == 0)
-    for (int c = 0; c < CPU_SETSIZE; ++c)
-      if (CPU_ISSET(c, &set)) cpus.push_back(c);
-  return cpus;
-}
-
-/// Best-effort self-pin; a failure (mask raced away, exotic kernel) just
-/// leaves the worker on the default scheduler.
-void pin_current_thread(int cpu) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-#endif
-
-}  // namespace
 
 bool parse_thread_count(const std::string& text, std::size_t& count,
                         std::string& error) {
@@ -73,17 +40,6 @@ bool parse_thread_count(const std::string& text, std::size_t& count,
   return true;
 }
 
-bool parse_affinity_flag(const std::string& text, bool& on,
-                         std::string& error) {
-  if (text == "0" || text == "1") {
-    on = text == "1";
-    error.clear();
-    return true;
-  }
-  error = "COREDIS_AFFINITY='" + text + "' must be 0 or 1";
-  return false;
-}
-
 std::size_t default_thread_count() {
   const unsigned hc = std::thread::hardware_concurrency();
   const std::size_t fallback = hc == 0 ? 1 : hc;
@@ -104,24 +60,6 @@ std::size_t default_thread_count() {
   return fallback;
 }
 
-bool affinity_sharding_default() {
-  static const bool on = [] {
-    const char* env = std::getenv("COREDIS_AFFINITY");
-    if (env == nullptr) return false;
-    bool flag = false;
-    std::string error;
-    if (parse_affinity_flag(env, flag, error)) return flag;
-    std::fprintf(stderr, "coredis: %s; falling back to affinity off\n",
-                 error.c_str());
-    return false;
-  }();
-  return on;
-}
-
-Schedule default_schedule() {
-  return affinity_sharding_default() ? Schedule::Static : Schedule::Dynamic;
-}
-
 std::size_t thread_budget_share(std::size_t workers, std::size_t index) {
   if (workers == 0) return default_thread_count();
   const std::size_t total = default_thread_count();
@@ -131,8 +69,7 @@ std::size_t thread_budget_share(std::size_t workers, std::size_t index) {
 
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
-                  const ParallelOptions& options) {
-  std::size_t threads = options.threads;
+                  std::size_t threads) {
   if (threads == 0) threads = default_thread_count();
   if (threads <= 1 || count <= 1) {
     for (std::size_t i = 0; i < count; ++i) body(i);
@@ -140,7 +77,6 @@ void parallel_for(std::size_t count,
   }
   threads = std::min(threads, count);
 
-  std::atomic<std::size_t> next{0};
   std::atomic<bool> stop{false};
   std::exception_ptr first_error;
   std::mutex error_mutex;
@@ -151,55 +87,6 @@ void parallel_for(std::size_t count,
       if (!first_error) first_error = std::current_exception();
     }
     stop.store(true, std::memory_order_release);
-  };
-
-  auto dynamic_worker = [&] {
-    for (;;) {
-      // The stop flag is checked both before claiming an index and before
-      // running the body, so after a throw the surviving workers stop
-      // draining the queue. Best-effort by nature: a worker already past
-      // both checks when the flag is set still finishes that one body —
-      // at most one in-flight body per surviving worker.
-      if (stop.load(std::memory_order_acquire)) return;
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= count) return;
-      if (stop.load(std::memory_order_acquire)) return;
-      try {
-        body(i);
-      } catch (...) {
-        record_error();
-        return;
-      }
-    }
-  };
-
-#if defined(__linux__)
-  const std::vector<int> cpus = options.schedule == Schedule::Static
-                                    ? allowed_cpus()
-                                    : std::vector<int>{};
-#endif
-  // Static affinity schedule: worker t owns the contiguous shard
-  // [t * count / T, (t + 1) * count / T) — every index is covered exactly
-  // once by the telescoping bounds — and pins itself onto one allowed
-  // CPU, spread evenly over the set so shards land on distinct cores
-  // (and across NUMA nodes, whose CPUs are contiguous id ranges on
-  // Linux). Same stop-flag contract as the dynamic schedule.
-  auto static_worker = [&](std::size_t t) {
-#if defined(__linux__)
-    if (!cpus.empty())
-      pin_current_thread(cpus[t * cpus.size() / threads]);
-#endif
-    const std::size_t begin = t * count / threads;
-    const std::size_t end = (t + 1) * count / threads;
-    for (std::size_t i = begin; i < end; ++i) {
-      if (stop.load(std::memory_order_acquire)) return;
-      try {
-        body(i);
-      } catch (...) {
-        record_error();
-        return;
-      }
-    }
   };
 
   // Work-stealing schedule: per-worker deques of contiguous index
@@ -221,8 +108,7 @@ void parallel_for(std::size_t count,
     std::mutex mutex;
     std::deque<StealRange> ranges;
   };
-  std::vector<StealDeque> deques(
-      options.schedule == Schedule::Stealing ? threads : 0);
+  std::vector<StealDeque> deques(threads);
   for (std::size_t t = 0; t < deques.size(); ++t) {
     const StealRange shard{t * count / threads, (t + 1) * count / threads};
     if (shard.begin < shard.end) deques[t].ranges.push_back(shard);
@@ -296,24 +182,11 @@ void parallel_for(std::size_t count,
 
   std::vector<std::jthread> pool;
   pool.reserve(threads);
-  for (std::size_t t = 0; t < threads; ++t) {
-    switch (options.schedule) {
-      case Schedule::Static: pool.emplace_back(static_worker, t); break;
-      case Schedule::Stealing: pool.emplace_back(stealing_worker, t); break;
-      case Schedule::Dynamic: pool.emplace_back(dynamic_worker); break;
-    }
-  }
+  for (std::size_t t = 0; t < threads; ++t)
+    pool.emplace_back(stealing_worker, t);
   pool.clear();  // join
 
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body,
-                  std::size_t threads) {
-  ParallelOptions options;
-  options.threads = threads;
-  parallel_for(count, body, options);
 }
 
 }  // namespace coredis

@@ -28,12 +28,6 @@ namespace coredis {
 /// loud errors instead of a sign-wrapped or saturated thread pool.
 [[nodiscard]] constexpr std::size_t max_thread_override() { return 65536; }
 
-/// Strict parse of a COREDIS_AFFINITY-style flag: exactly "0" or "1".
-/// Returns false and fills `error` on anything else, so a typo like
-/// "yes" cannot silently leave affinity sharding off.
-[[nodiscard]] bool parse_affinity_flag(const std::string& text, bool& on,
-                                       std::string& error);
-
 /// Number of workers used by parallel_for: hardware concurrency unless the
 /// COREDIS_THREADS environment variable overrides it (0 or 1 disable
 /// threading, useful when debugging). A malformed override — garbage,
@@ -41,13 +35,6 @@ namespace coredis {
 /// stderr warning naming the offending value, then the explicit fallback
 /// to hardware concurrency (it is never silently treated as 0).
 [[nodiscard]] std::size_t default_thread_count();
-
-/// Whether parallel_for defaults to affinity sharding: opt-in via
-/// COREDIS_AFFINITY=1 (read once per process). Off by default — the
-/// dynamic schedule is the right choice for uneven run lengths. Any
-/// value other than "0"/"1" is rejected loudly (one stderr warning) and
-/// falls back explicitly to off.
-[[nodiscard]] bool affinity_sharding_default();
 
 /// Fair slice of the machine's thread budget for worker `index` of
 /// `workers` co-scheduled worker processes: the default_thread_count()
@@ -58,59 +45,20 @@ namespace coredis {
 [[nodiscard]] std::size_t thread_budget_share(std::size_t workers,
                                               std::size_t index);
 
-/// How parallel_for distributes indices over its workers. Every schedule
-/// produces the same outputs for the same inputs — results are indexed by
-/// i, so only which worker computes an index changes — the choice is
-/// purely a throughput/locality trade.
-enum class Schedule {
-  /// One shared atomic counter: workers claim the next index in order.
-  /// Balances uneven run lengths well; every claim contends on one
-  /// cache line.
-  Dynamic,
-  /// Affinity-aware static sharding: worker t runs the contiguous index
-  /// shard [t * count / T, (t + 1) * count / T) and pins itself to one
-  /// CPU of the process's allowed set, spread evenly across it.
-  /// Contiguous shards keep each worker's touched engine workspaces,
-  /// allocator arenas and page-cache lines on the core (and NUMA node)
-  /// that first-touched them, at the price of no dynamic balancing. On
-  /// non-Linux builds the pinning is a no-op and only the static
-  /// schedule remains.
-  Static,
-  /// Work stealing: each worker owns a deque of contiguous index ranges
-  /// seeded with its static shard. Owners take indices LIFO from the
-  /// back of their own deque (walking each range in increasing index
-  /// order, so locality matches the static schedule); an idle worker
-  /// steals FIFO from the front of a victim's deque, taking the far
-  /// half of the victim's range. Heterogeneous index costs balance to
-  /// near-ideal makespan while the uncontended fast path touches only
-  /// the worker's own lock (DESIGN.md section 12.2).
-  Stealing,
-};
-
-/// The process-default schedule: Static when COREDIS_AFFINITY=1
-/// (affinity_sharding_default), Dynamic otherwise.
-[[nodiscard]] Schedule default_schedule();
-
-struct ParallelOptions {
-  /// Worker count; 0 means default_thread_count().
-  std::size_t threads = 0;
-  /// Index distribution; default honours COREDIS_AFFINITY=1.
-  Schedule schedule = default_schedule();
-};
-
-/// Run body(i) for every i in [0, count), distributing indices per
-/// options.schedule (Dynamic by default). Exceptions thrown by the body
-/// propagate to the caller (the first one recorded wins; later ones are
-/// swallowed). After any throw the workers stop claiming new indices and
-/// stop starting bodies (best-effort: each surviving worker may finish at
-/// most one body already in flight), so a failing campaign aborts
-/// promptly instead of draining the rest of the grid.
-void parallel_for(std::size_t count,
-                  const std::function<void(std::size_t)>& body,
-                  const ParallelOptions& options);
-
-/// Back-compat spelling: parallel_for with the default schedule and an
-/// explicit thread count.
+/// Run body(i) for every i in [0, count) on `threads` workers (0 means
+/// default_thread_count()), by work stealing: each worker owns a deque
+/// of contiguous index ranges seeded with its static shard. Owners take
+/// indices LIFO from the back of their own deque (walking each range in
+/// increasing index order); an idle worker steals FIFO from the front of
+/// a victim's deque, taking the far half of the victim's range.
+/// Heterogeneous index costs balance to near-ideal makespan while the
+/// uncontended fast path touches only the worker's own lock (DESIGN.md
+/// section 12.2). Exceptions thrown by the body propagate to the caller
+/// (the first one recorded wins; later ones are swallowed). After any
+/// throw the workers stop claiming new indices and stop starting bodies
+/// (best-effort: each surviving worker may finish at most one body
+/// already in flight), so a failing campaign aborts promptly instead of
+/// draining the rest of the grid.
 void parallel_for(std::size_t count,
                   const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);

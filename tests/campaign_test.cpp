@@ -1,8 +1,9 @@
 /// Campaign orchestrator tests (exp/campaign.hpp): grid parsing with
 /// line-numbered errors, whole-grid execution equivalence with run_point,
 /// byte-identical JSONL under any thread count, the interrupt/resume
-/// contract (truncated and corrupted-tail files), and the distributed
-/// shard fabric (shard ranges, worker shard files, byte-identical merge).
+/// contract (truncated and corrupted-tail files), and distributed
+/// campaigns (fixed-deal ranges, worker files, dealt blocks, the
+/// byte-identical merge).
 
 #include <algorithm>
 #include <cstddef>
@@ -507,7 +508,7 @@ TEST(CampaignOnline, OnlineCellsRewardMalleabilityAtHighLoad) {
   EXPECT_EQ(high.configs[1].redistributions.mean(), 0.0);
 }
 
-// --- the distributed shard fabric (DESIGN.md section 7.4) -----------------
+// --- distributed campaigns: fixed deals (DESIGN.md section 7.4) ----------
 
 TEST(CampaignShard, ParsesSpecsAndRejectsMalformedOnes) {
   EXPECT_EQ(parse_shard_spec("1/4").index, 1u);
@@ -548,8 +549,8 @@ TEST(CampaignShard, ShardPathSplicesBeforeTheExtension) {
                 .string());
 }
 
-/// Run every shard of `campaign` for `workers` workers into the shard
-/// files of `out`, then merge into `out`.
+/// Run every worker's fixed block of `campaign` for `workers` workers
+/// into the worker files of `out`, then merge into `out`.
 void run_all_shards_and_merge(const Campaign& campaign, std::size_t workers,
                               const std::string& out) {
   for (std::size_t k = 0; k < workers; ++k) {
@@ -558,7 +559,7 @@ void run_all_shards_and_merge(const Campaign& campaign, std::size_t workers,
     options.threads = 2;
     run_campaign_shard(campaign, {k, workers}, options);
   }
-  merge_campaign_shards(campaign, workers, out);
+  merge_campaign_deal_shards(campaign, workers, out);
 }
 
 void remove_shard_files(const std::string& out, std::size_t workers) {
@@ -619,7 +620,7 @@ TEST(CampaignShard, TornShardResumesToAnIdenticalMerge) {
 
   // Merging the torn shard refuses loudly and leaves no artifact behind.
   try {
-    merge_campaign_shards(campaign, 2, out.string());
+    merge_campaign_deal_shards(campaign, 2, out.string());
     FAIL() << "must refuse a torn shard";
   } catch (const std::runtime_error& error) {
     const std::string what = error.what();
@@ -634,7 +635,7 @@ TEST(CampaignShard, TornShardResumesToAnIdenticalMerge) {
   resume.resume = true;
   run_campaign_shard(campaign, {0, 2}, resume);
   EXPECT_EQ(read_file(shard0), full_shard);
-  merge_campaign_shards(campaign, 2, out.string());
+  merge_campaign_deal_shards(campaign, 2, out.string());
   EXPECT_EQ(read_file(out), read_file(single_path));
 
   remove_shard_files(out.string(), 2);
@@ -655,7 +656,7 @@ TEST(CampaignShard, MergeRefusesMissingMismatchedAndOversizedShards) {
 
   // Missing shard 1: the refusal names the missing file.
   try {
-    merge_campaign_shards(campaign, 2, out.string());
+    merge_campaign_deal_shards(campaign, 2, out.string());
     FAIL() << "must refuse a missing shard";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find(shard1), std::string::npos)
@@ -668,17 +669,7 @@ TEST(CampaignShard, MergeRefusesMissingMismatchedAndOversizedShards) {
   other.grid.base.seed = 7;
   GridRunOptions other_options = options;
   run_campaign_shard(other, {1, 2}, other_options);
-  EXPECT_THROW(merge_campaign_shards(campaign, 2, out.string()),
-               std::runtime_error);
-  EXPECT_FALSE(std::filesystem::exists(out));
-
-  // Trailing data beyond the shard's range refuses too.
-  run_campaign_shard(campaign, {1, 2}, options);
-  {
-    std::ofstream append(shard1, std::ios::binary | std::ios::app);
-    append << "{\"cell\":99}\n";
-  }
-  EXPECT_THROW(merge_campaign_shards(campaign, 2, out.string()),
+  EXPECT_THROW(merge_campaign_deal_shards(campaign, 2, out.string()),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(out));
 
@@ -699,31 +690,87 @@ TEST(CampaignShard, ShardRunsNeedAnOutputPath) {
                std::runtime_error);
 }
 
-TEST(CampaignShard, FileStorageShardsMergeIdentically) {
-  // The whole fabric over the file backend with a 1-byte spill budget:
-  // worker RAM is bounded, bytes are not allowed to change.
+TEST(CampaignShard, FixedDealResumeAppendsOnlyMissingCells) {
+  // A killed --worker k/W leaves a prefix of its fixed block; the resumed
+  // worker appends exactly the missing records, and resuming a complete
+  // worker file appends nothing.
   const Campaign campaign = parse_campaign(kSmokeCampaign);
-  const auto ram_out = temp_jsonl("shard_storage_ram");
-  const auto file_out = temp_jsonl("shard_storage_file");
-  std::filesystem::remove(ram_out);
-  std::filesystem::remove(file_out);
-  run_all_shards_and_merge(campaign, 2, ram_out.string());
+  const auto out = temp_jsonl("shard_fixed_resume");
+  std::filesystem::remove(out);
+  GridRunOptions options;
+  options.jsonl_path = out.string();
+  options.threads = 2;
+  run_campaign_shard(campaign, {1, 2}, options);
+  const std::string shard1 = shard_path(out.string(), {1, 2});
+  const std::string full = read_file(shard1);
+  const std::vector<std::string> lines = lines_of(full);
+  ASSERT_EQ(lines.size(), 5u);  // header + cells 4..7
+  write_file(shard1, lines[0] + '\n' + lines[1] + '\n');
 
-  for (std::size_t k = 0; k < 2; ++k) {
-    GridRunOptions options;
-    options.jsonl_path = file_out.string();
-    options.threads = 8;
-    options.storage = StorageKind::File;
-    options.spill_ram_budget_bytes = 1;
-    run_campaign_shard(campaign, {k, 2}, options);
+  GridRunOptions resume = options;
+  resume.resume = true;
+  run_campaign_shard(campaign, {1, 2}, resume);
+  EXPECT_EQ(read_file(shard1), full);
+  run_campaign_shard(campaign, {1, 2}, resume);
+  EXPECT_EQ(read_file(shard1), full);
+
+  remove_shard_files(out.string(), 2);
+}
+
+TEST(CampaignShard, StaticModeWorkerFilesAreRefusedNotAdopted) {
+  // A --worker k/W file from before every multi-process run became a
+  // deal opens with a "coredis_campaign_shard" header carrying a fixed
+  // range. Neither the merge nor a resumed worker may take it for a
+  // worker file: both refuse, naming the file, and the resume leaves its
+  // bytes alone.
+  const Campaign campaign = parse_campaign(kSmokeCampaign);
+  const auto out = temp_jsonl("shard_static_mode");
+  std::filesystem::remove(out);
+  GridRunOptions options;
+  options.jsonl_path = out.string();
+  options.threads = 2;
+  run_campaign_shard(campaign, {0, 2}, options);
+  run_campaign_shard(campaign, {1, 2}, options);
+  const std::string shard0 = shard_path(out.string(), {0, 2});
+  const std::vector<std::string> lines = lines_of(read_file(shard0));
+  ASSERT_EQ(lines.size(), 5u);  // header + cells 0..3
+
+  // Same fingerprint and records, static-mode header shape.
+  const std::string deal_tag = "{\"coredis_campaign_deal\":1,";
+  const std::string identity = "\"worker\":0,\"workers\":2,";
+  std::string header = lines[0];
+  ASSERT_EQ(header.rfind(deal_tag, 0), 0u) << header;
+  const std::size_t at = header.find(identity);
+  ASSERT_NE(at, std::string::npos) << header;
+  header.replace(at, identity.size(),
+                 "\"shard\":0,\"workers\":2,\"begin\":0,\"end\":4,");
+  header.replace(0, deal_tag.size(), "{\"coredis_campaign_shard\":1,");
+  std::string static_file = header + '\n';
+  for (std::size_t i = 1; i < lines.size(); ++i) static_file += lines[i] + '\n';
+  write_file(shard0, static_file);
+
+  try {
+    merge_campaign_deal_shards(campaign, 2, out.string());
+    FAIL() << "must refuse a static-mode worker file";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find(shard0), std::string::npos) << what;
+    EXPECT_NE(what.find("mismatch"), std::string::npos) << what;
   }
-  merge_campaign_shards(campaign, 2, file_out.string());
-  EXPECT_EQ(read_file(file_out), read_file(ram_out));
+  EXPECT_FALSE(std::filesystem::exists(out));
 
-  remove_shard_files(ram_out.string(), 2);
-  remove_shard_files(file_out.string(), 2);
-  std::filesystem::remove(ram_out);
-  std::filesystem::remove(file_out);
+  GridRunOptions resume = options;
+  resume.resume = true;
+  try {
+    run_campaign_shard(campaign, {0, 2}, resume);
+    FAIL() << "must refuse to resume a static-mode worker file";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(shard0), std::string::npos)
+        << error.what();
+  }
+  EXPECT_EQ(read_file(shard0), static_file);
+
+  remove_shard_files(out.string(), 2);
 }
 
 TEST(CampaignMerge, LeavesNoTempSiblingAfterSuccess) {
@@ -749,7 +796,7 @@ TEST(CampaignMerge, FailureTouchesNeitherFinalNorTemp) {
   options.jsonl_path = out.string();
   options.threads = 2;
   run_campaign_shard(campaign, {0, 2}, options);  // shard 1 never runs
-  EXPECT_THROW(merge_campaign_shards(campaign, 2, out.string()),
+  EXPECT_THROW(merge_campaign_deal_shards(campaign, 2, out.string()),
                std::runtime_error);
   EXPECT_FALSE(std::filesystem::exists(out));
   EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(out.string())));
@@ -758,7 +805,7 @@ TEST(CampaignMerge, FailureTouchesNeitherFinalNorTemp) {
   // stale temp sibling (a previous crash's debris) is simply truncated.
   write_file(atomic_temp_path(out.string()), "stale debris\n");
   run_campaign_shard(campaign, {1, 2}, options);
-  merge_campaign_shards(campaign, 2, out.string());
+  merge_campaign_deal_shards(campaign, 2, out.string());
   EXPECT_FALSE(std::filesystem::exists(atomic_temp_path(out.string())));
 
   // The recovered artifact is byte-identical to a clean single-process run.
@@ -806,48 +853,32 @@ TEST(CampaignSummarize, MatchesTheRunThatProducedTheFile) {
   std::filesystem::remove(path);
 }
 
-// --- scheduling knobs: pure scheduling, zero output bytes -----------------
+// --- thread counts: pure scheduling, zero output bytes --------------------
 
-TEST(CampaignSchedule, EveryScheduleOrderAndThreadCountSameBytes) {
+TEST(CampaignSchedule, EveryThreadCountSameBytes) {
+  // Work stealing over the longest-predicted-first order at
+  // COREDIS_THREADS 1, 2, 3 and 8: the committer retires cells in index
+  // order whatever runs first, so the bytes cannot move.
   const Campaign campaign = parse_campaign(kSmokeCampaign);
   std::string reference;
-  const auto check = [&](const std::string& tag, Schedule schedule,
-                         CellOrder order) {
-    const auto path = temp_jsonl("schedule_" + tag);
+  for (const char* threads : {"1", "2", "3", "8"}) {
+    const ThreadsEnv env(threads);
+    const auto path = temp_jsonl(std::string("schedule_t") + threads);
     std::filesystem::remove(path);
     GridRunOptions options;
     options.jsonl_path = path.string();
-    options.schedule = schedule;
-    options.order = order;
     (void)run_campaign(campaign, options);
     const std::string content = read_file(path);
     if (reference.empty()) {
       reference = content;
     } else {
-      EXPECT_EQ(content, reference) << tag;
+      EXPECT_EQ(content, reference) << threads << " threads";
     }
     std::filesystem::remove(path);
-  };
-  // The acceptance matrix: the stealing schedule across COREDIS_THREADS
-  // 1, 2 and 8, both cell orders...
-  for (const char* threads : {"1", "2", "8"}) {
-    const ThreadsEnv env(threads);
-    check(std::string("steal_t") + threads, Schedule::Stealing,
-          CellOrder::CostLpt);
-    check(std::string("steal_index_t") + threads, Schedule::Stealing,
-          CellOrder::Index);
   }
-  // ...and every other schedule x order combination at a fixed count.
-  const ThreadsEnv env("3");
-  for (const Schedule schedule :
-       {Schedule::Dynamic, Schedule::Static, Schedule::Stealing})
-    for (const CellOrder order : {CellOrder::Index, CellOrder::CostLpt})
-      check("grid" + std::to_string(static_cast<int>(schedule)) +
-                std::to_string(static_cast<int>(order)),
-            schedule, order);
 }
 
-// --- dynamic dealing ------------------------------------------------------
+// --- dealt blocks ---------------------------------------------------------
 
 std::vector<std::size_t> campaign_runs(const std::vector<Scenario>& points) {
   std::vector<std::size_t> runs;
@@ -867,17 +898,16 @@ TEST(CampaignDeal, PlanTilesTheCellSpaceLongestFirst) {
   const Campaign campaign =
       parse_campaign("n = 6, 24\np = 48\nruns = 4\nconfigs = baseline\n");
   const std::vector<Scenario> points = campaign_points(campaign);
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, campaign_runs(points));
+  const CellQueue queue(campaign_runs(points));
   const CostModel model(points, campaign.configs);
   for (const std::size_t workers : {1u, 2u, 5u}) {
-    std::vector<DealBlock> blocks = plan_deal_blocks(model, *queue, workers);
+    std::vector<DealBlock> blocks = plan_deal_blocks(model, queue, workers);
     ASSERT_FALSE(blocks.empty());
     // The first block dealt is (one of) the predicted-longest.
     const auto block_cost = [&](const DealBlock& block) {
       double cost = 0.0;
       for (std::size_t k = block.begin; k < block.end; ++k)
-        cost += model.predict(queue->at(k).point);
+        cost += model.predict(queue.at(k).point);
       return cost;
     };
     for (std::size_t i = 1; i < blocks.size(); ++i)
@@ -893,7 +923,7 @@ TEST(CampaignDeal, PlanTilesTheCellSpaceLongestFirst) {
       EXPECT_LT(block.begin, block.end);
       next = block.end;
     }
-    EXPECT_EQ(next, queue->size());
+    EXPECT_EQ(next, queue.size());
   }
 }
 
@@ -982,15 +1012,16 @@ TEST(CampaignDeal, TornTailResumesAndRedealCompletesTheMerge) {
   const std::string bytes = read_file(shard);
   write_file(shard, bytes.substr(0, bytes.size() - 17));
   {
-    // The respawned worker adopts the valid prefix (7 of 8 records) and
-    // recomputes the whole re-dealt block; duplicates dedupe in the
-    // merge.
+    // The respawned worker adopts the valid prefix (7 of 8 records) and,
+    // handed the whole block again, appends exactly the one missing
+    // record.
     GridRunOptions resume_options = worker_options;
     resume_options.resume = true;
     DealWorker again(points, campaign.configs, 0, 1, resume_options);
     EXPECT_EQ(again.resumed_records(), 7u);
     again.run_block(0, 8);
   }
+  EXPECT_EQ(read_file(shard), bytes);
   merge_deal_shards(points, campaign.configs, 1, out.string());
   EXPECT_EQ(read_file(out), reference);
   remove_deal_files(out.string(), 1);
@@ -998,7 +1029,7 @@ TEST(CampaignDeal, TornTailResumesAndRedealCompletesTheMerge) {
   std::filesystem::remove(single_path);
 }
 
-TEST(CampaignDeal, MergeRefusesGapsAndMixedModes) {
+TEST(CampaignDeal, MergeRefusesGaps) {
   const Campaign campaign = parse_campaign(kSmokeCampaign);
   const std::vector<Scenario> points = campaign_points(campaign);
   const auto out = temp_jsonl("deal_refuse");
@@ -1019,36 +1050,144 @@ TEST(CampaignDeal, MergeRefusesGapsAndMixedModes) {
     EXPECT_NE(what.find("incomplete"), std::string::npos) << what;
     EXPECT_NE(what.find("cell 3"), std::string::npos) << what;
     EXPECT_NE(what.find("--resume"), std::string::npos) << what;
+    // Cell 3 lies in worker 0's fixed block of 8 cells over 2 workers.
+    EXPECT_NE(what.find("--worker 0/2"), std::string::npos) << what;
   }
   EXPECT_FALSE(std::filesystem::exists(out));
+  remove_deal_files(out.string(), 2);
+}
 
-  // A static shard mixed into a deal merge is refused naming its mode —
-  // and vice versa.
-  GridRunOptions static_options;
-  static_options.jsonl_path = out.string();
-  run_shard(points, campaign.configs, {1, 2}, static_options);
-  try {
-    merge_deal_shards(points, campaign.configs, 2, out.string());
-    FAIL() << "must refuse a static shard in a deal merge";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("static-shard header"),
-              std::string::npos)
-        << error.what();
+TEST(CampaignDeal, FollowingTheMergeHintCompletesADealtCampaign) {
+  // Dealt and fixed-deal workers write one file shape, so the remedy the
+  // merge names for a gap — --worker k/W --resume over the fixed block
+  // holding the first missing cell — finishes a dealt campaign: each
+  // resumed worker appends only the cells its file lacks.
+  const Campaign campaign = parse_campaign(kSmokeCampaign);
+  const std::vector<Scenario> points = campaign_points(campaign);
+  const auto single_path = temp_jsonl("deal_hint_single");
+  std::filesystem::remove(single_path);
+  GridRunOptions options;
+  options.jsonl_path = single_path.string();
+  (void)run_campaign(campaign, options);
+
+  const auto out = temp_jsonl("deal_hint");
+  std::filesystem::remove(out);
+  GridRunOptions worker_options;
+  worker_options.jsonl_path = out.string();
+  {
+    DealWorker w0(points, campaign.configs, 0, 2, worker_options);
+    DealWorker w1(points, campaign.configs, 1, 2, worker_options);
+    w1.run_block(5, 8);
+    w0.run_block(0, 3);  // cells 3 and 4 never dealt
   }
-  EXPECT_EQ(detect_shard_mode(shard_path(out.string(), {0, 2})),
-            ShardMode::Deal);
-  EXPECT_EQ(detect_shard_mode(shard_path(out.string(), {1, 2})),
-            ShardMode::Static);
-  try {
-    merge_shards(points, campaign.configs, 2, out.string());
-    FAIL() << "must refuse a deal shard in a static merge";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("deal-mode header"),
-              std::string::npos)
-        << error.what();
+  const auto records_in = [&](std::size_t worker) {
+    return lines_of(read_file(shard_path(out.string(), {worker, 2}))).size() -
+           1;
+  };
+  GridRunOptions resume = worker_options;
+  resume.resume = true;
+  for (const ShardSpec& owner : {ShardSpec{0, 2}, ShardSpec{1, 2}}) {
+    const std::string hint =
+        "--worker " + std::to_string(owner.index) + "/2 --resume";
+    try {
+      merge_deal_shards(points, campaign.configs, 2, out.string());
+      FAIL() << "must refuse an incomplete deal";
+    } catch (const std::runtime_error& error) {
+      const std::string what = error.what();
+      ASSERT_NE(what.find(hint), std::string::npos) << what;
+    }
+    run_campaign_shard(campaign, owner, resume);
   }
+  EXPECT_EQ(records_in(0), 4u);  // cells 0..2 dealt, cell 3 resumed
+  EXPECT_EQ(records_in(1), 4u);  // cells 5..7 dealt, cell 4 resumed
+  merge_deal_shards(points, campaign.configs, 2, out.string());
+  EXPECT_EQ(read_file(out), read_file(single_path));
   remove_deal_files(out.string(), 2);
   std::filesystem::remove(out);
+  std::filesystem::remove(single_path);
+}
+
+TEST(CampaignDeal, OverlappingBlocksInOneSessionAppendEachCellOnce) {
+  // A live worker may be handed a block overlapping one it already
+  // finished (a re-deal after a lost ack). The session knows which cells
+  // its file holds and appends only the missing ones.
+  const Campaign campaign = parse_campaign(kSmokeCampaign);
+  const std::vector<Scenario> points = campaign_points(campaign);
+  const auto single_path = temp_jsonl("deal_session_single");
+  std::filesystem::remove(single_path);
+  GridRunOptions options;
+  options.jsonl_path = single_path.string();
+  (void)run_campaign(campaign, options);
+  const std::vector<std::string> reference = lines_of(read_file(single_path));
+
+  const auto out = temp_jsonl("deal_session");
+  std::filesystem::remove(out);
+  GridRunOptions worker_options;
+  worker_options.jsonl_path = out.string();
+  {
+    DealWorker w0(points, campaign.configs, 0, 1, worker_options);
+    w0.run_block(0, 5);
+    w0.run_block(3, 8);
+    w0.run_block(0, 8);
+  }
+  // Header, then every cell exactly once, in the order first computed —
+  // here cell order, so the records match the artifact's line for line.
+  const std::vector<std::string> lines =
+      lines_of(read_file(shard_path(out.string(), {0, 1})));
+  ASSERT_EQ(lines.size(), reference.size());
+  for (std::size_t i = 1; i < lines.size(); ++i)
+    EXPECT_EQ(lines[i], reference[i]) << "line " << i;
+  remove_deal_files(out.string(), 1);
+  std::filesystem::remove(out);
+  std::filesystem::remove(single_path);
+}
+
+TEST(CampaignDeal, IndexLocatesEachCellsFirstRecord) {
+  // index_deal_shards is what a resumed coordinator deals around: for
+  // every cell, the first worker file (in worker order) holding it and
+  // the exact byte span of its record there; a worker that never started
+  // counts as an empty file.
+  const Campaign campaign = parse_campaign(kSmokeCampaign);
+  const std::vector<Scenario> points = campaign_points(campaign);
+  const auto single_path = temp_jsonl("deal_index_single");
+  std::filesystem::remove(single_path);
+  GridRunOptions options;
+  options.jsonl_path = single_path.string();
+  (void)run_campaign(campaign, options);
+  const std::vector<std::string> reference = lines_of(read_file(single_path));
+
+  const auto out = temp_jsonl("deal_index");
+  std::filesystem::remove(out);
+  GridRunOptions worker_options;
+  worker_options.jsonl_path = out.string();
+  {
+    DealWorker w2(points, campaign.configs, 2, 3, worker_options);
+    DealWorker w0(points, campaign.configs, 0, 3, worker_options);
+    w2.run_block(4, 7);
+    w0.run_block(2, 5);  // cell 4 lands in files 0 and 2
+  }
+  ASSERT_FALSE(std::filesystem::exists(shard_path(out.string(), {1, 3})));
+
+  const std::vector<DealRecord> index =
+      index_deal_shards(points, campaign.configs, 3, out.string());
+  ASSERT_EQ(index.size(), campaign.cells());
+  for (std::size_t cell = 0; cell < index.size(); ++cell) {
+    const DealRecord& slot = index[cell];
+    const bool dealt = cell >= 2 && cell < 7;
+    ASSERT_EQ(slot.present, dealt) << "cell " << cell;
+    if (!dealt) continue;
+    EXPECT_EQ(slot.worker, cell < 5 ? 0u : 2u) << "cell " << cell;
+    std::ifstream file(shard_path(out.string(), {slot.worker, 3}),
+                       std::ios::binary);
+    file.seekg(static_cast<std::streamoff>(slot.offset));
+    std::string record(slot.length, '\0');
+    file.read(record.data(), static_cast<std::streamsize>(slot.length));
+    ASSERT_TRUE(file) << "cell " << cell;
+    EXPECT_EQ(record, reference[1 + cell]) << "cell " << cell;
+  }
+  remove_deal_files(out.string(), 3);
+  std::filesystem::remove(out);
+  std::filesystem::remove(single_path);
 }
 
 }  // namespace

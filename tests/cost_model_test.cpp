@@ -118,12 +118,11 @@ TEST(CostModel, IgnoresClockGarbage) {
 TEST(CostModel, SpanObservationSplitsSecondsByPrediction) {
   const std::vector<Scenario> points{sized(100, 1000), sized(1000, 10000)};
   CostModel model(points, paper_curves());
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, {2, 2});
+  const CellQueue queue({2, 2});
   // One block covering all four cells, measured as a single number —
   // the per-point estimates must split it in prediction proportion and
   // sum back to the block total.
-  model.observe_span(*queue, 0, 4, 1.0);
+  model.observe_span(queue, 0, 4, 1.0);
   EXPECT_EQ(model.observations(0), 2u);
   EXPECT_EQ(model.observations(1), 2u);
   EXPECT_GT(model.predict(1), model.predict(0));
@@ -133,9 +132,8 @@ TEST(CostModel, SpanObservationSplitsSecondsByPrediction) {
 TEST(LptOrder, ExpensiveCellsFirstTiesByIndex) {
   const std::vector<Scenario> points{sized(100, 1000), sized(1000, 10000)};
   const CostModel model(points, paper_curves());
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, {3, 2});
-  const std::vector<std::size_t> order = lpt_cell_order(model, *queue, 0, 5);
+  const CellQueue queue({3, 2});
+  const std::vector<std::size_t> order = lpt_cell_order(model, queue, 0, 5);
   // Cells 3,4 (point 1) lead, then 0,1,2 (point 0); ties keep index
   // order within each point.
   const std::vector<std::size_t> expected{3, 4, 0, 1, 2};
@@ -145,21 +143,19 @@ TEST(LptOrder, ExpensiveCellsFirstTiesByIndex) {
 TEST(LptOrder, HomogeneousGridKeepsIndexOrder) {
   const std::vector<Scenario> points{sized(100, 1000), sized(100, 1000)};
   const CostModel model(points, paper_curves());
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, {2, 2});
+  const CellQueue queue({2, 2});
   std::vector<std::size_t> identity(4);
   std::iota(identity.begin(), identity.end(), std::size_t{0});
-  EXPECT_EQ(lpt_cell_order(model, *queue, 0, 4), identity);
+  EXPECT_EQ(lpt_cell_order(model, queue, 0, 4), identity);
 }
 
 TEST(LptOrder, HonoursTheSpanOffset) {
   const std::vector<Scenario> points{sized(100, 1000), sized(1000, 10000)};
   const CostModel model(points, paper_curves());
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, {3, 2});
+  const CellQueue queue({3, 2});
   // A resumed span starting at cell 2 still orders point-1 cells first;
   // indices are relative to the span start.
-  const std::vector<std::size_t> order = lpt_cell_order(model, *queue, 2, 3);
+  const std::vector<std::size_t> order = lpt_cell_order(model, queue, 2, 3);
   const std::vector<std::size_t> expected{1, 2, 0};
   EXPECT_EQ(order, expected);
 }
@@ -167,26 +163,15 @@ TEST(LptOrder, HonoursTheSpanOffset) {
 TEST(LptOrder, ReordersAfterObservationsFlipTheRanking) {
   const std::vector<Scenario> points{sized(100, 1000), sized(1000, 10000)};
   CostModel model(points, paper_curves());
-  const std::unique_ptr<CellQueue> queue =
-      make_cell_queue(StorageKind::Ram, {2, 2});
+  const CellQueue queue({2, 2});
   // Measured reality contradicts the prior: point 0 is the slow one.
   for (int i = 0; i < 8; ++i) {
     model.observe(0, 0.100);
     model.observe(1, 0.001);
   }
-  const std::vector<std::size_t> order = lpt_cell_order(model, *queue, 0, 4);
+  const std::vector<std::size_t> order = lpt_cell_order(model, queue, 0, 4);
   const std::vector<std::size_t> expected{0, 1, 2, 3};
   EXPECT_EQ(order, expected);
-}
-
-TEST(GridRunOptionsKnobs, ParseOrderAndSchedule) {
-  EXPECT_EQ(parse_cell_order("index"), CellOrder::Index);
-  EXPECT_EQ(parse_cell_order("LPT"), CellOrder::CostLpt);
-  EXPECT_THROW((void)parse_cell_order("random"), std::runtime_error);
-  EXPECT_EQ(parse_schedule("dynamic"), Schedule::Dynamic);
-  EXPECT_EQ(parse_schedule("static"), Schedule::Static);
-  EXPECT_EQ(parse_schedule("Stealing"), Schedule::Stealing);
-  EXPECT_THROW((void)parse_schedule("chase-lev"), std::runtime_error);
 }
 
 TEST(GridRunFeedsTheModel, EveryCellObservedOnce) {

@@ -586,11 +586,11 @@ TEST(LazyEquivalence, WeibullHeavyIteratedGreedyBattery) {
   }
 }
 
-TEST(ParallelFor, EverySchedulePairMatchesAcrossThreadCounts) {
-  // The schedule choice is a locality/balance optimization, never a
-  // semantic one: for a body indexed by i, every (schedule, thread
-  // count) pair — including the COREDIS_THREADS-driven default — must
-  // fill the exact same result vector.
+TEST(ParallelFor, EveryThreadCountMatchesTheSerialResult) {
+  // Work stealing is a balance optimization, never a semantic one: for a
+  // body indexed by i, every thread count — including the
+  // COREDIS_THREADS-driven default — must fill the exact same result
+  // vector.
   constexpr std::size_t kCount = 97;  // not a multiple of any shard count
   const auto value_of = [](std::size_t i) {
     // Deterministic per-index payload with float content (so any
@@ -601,54 +601,34 @@ TEST(ParallelFor, EverySchedulePairMatchesAcrossThreadCounts) {
   std::vector<double> reference(kCount);
   for (std::size_t i = 0; i < kCount; ++i) reference[i] = value_of(i);
 
-  for (const Schedule schedule :
-       {Schedule::Dynamic, Schedule::Static, Schedule::Stealing}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                      std::size_t{3}, std::size_t{7}}) {
-      std::vector<double> got(kCount, -1.0);
-      ParallelOptions options;
-      options.threads = threads;
-      options.schedule = schedule;
-      parallel_for(kCount, [&](std::size_t i) { got[i] = value_of(i); },
-                   options);
-      EXPECT_EQ(got, reference) << "schedule=" << static_cast<int>(schedule)
-                                << " threads=" << threads;
-    }
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{3}, std::size_t{7}}) {
+    std::vector<double> got(kCount, -1.0);
+    parallel_for(kCount, [&](std::size_t i) { got[i] = value_of(i); },
+                 threads);
+    EXPECT_EQ(got, reference) << "threads=" << threads;
   }
 
   // COREDIS_THREADS-crossed: the env-driven default thread count feeds
-  // every schedule through the same sharding arithmetic.
+  // the same sharding arithmetic.
   for (const char* env_threads : {"2", "5"}) {
     ASSERT_EQ(0, setenv("COREDIS_THREADS", env_threads, 1));
-    for (const Schedule schedule :
-         {Schedule::Dynamic, Schedule::Static, Schedule::Stealing}) {
-      std::vector<double> got(kCount, -1.0);
-      ParallelOptions options;  // threads = 0: resolve from the env
-      options.schedule = schedule;
-      parallel_for(kCount, [&](std::size_t i) { got[i] = value_of(i); },
-                   options);
-      EXPECT_EQ(got, reference) << "schedule=" << static_cast<int>(schedule)
-                                << " COREDIS_THREADS=" << env_threads;
-    }
+    std::vector<double> got(kCount, -1.0);
+    parallel_for(kCount, [&](std::size_t i) { got[i] = value_of(i); });
+    EXPECT_EQ(got, reference) << "COREDIS_THREADS=" << env_threads;
   }
   unsetenv("COREDIS_THREADS");
 }
 
-TEST(ParallelFor, StaticAndStealingSchedulesPropagateTheFirstError) {
-  // Same exception contract as the dynamic schedule: a throwing body
-  // aborts the loop promptly and the caller sees a propagated error.
-  for (const Schedule schedule : {Schedule::Static, Schedule::Stealing}) {
-    ParallelOptions options;
-    options.threads = 3;
-    options.schedule = schedule;
-    EXPECT_THROW(
-        parallel_for(64,
-                     [](std::size_t i) {
-                       if (i % 5 == 0) throw std::runtime_error("boom");
-                     },
-                     options),
-        std::runtime_error);
-  }
+TEST(ParallelFor, StealingPropagatesTheFirstError) {
+  // A throwing body aborts the loop promptly and the caller sees a
+  // propagated error.
+  EXPECT_THROW(parallel_for(64,
+                            [](std::size_t i) {
+                              if (i % 5 == 0) throw std::runtime_error("boom");
+                            },
+                            3),
+               std::runtime_error);
 }
 
 TEST(ProbeMany, BitIdenticalToScalarQueries) {

@@ -306,7 +306,7 @@ TEST(PolicyAdaptiveDeterminism, ShardMergeMatchesSingleRun) {
     options.jsonl_path = merged.string();
     run_campaign_shard(campaign, {worker, 2}, options);
   }
-  merge_campaign_shards(campaign, 2, merged.string());
+  merge_campaign_deal_shards(campaign, 2, merged.string());
   const std::string bytes = read_file(merged);
   std::filesystem::remove(merged);
   for (std::size_t worker = 0; worker < 2; ++worker)

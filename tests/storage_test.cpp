@@ -1,237 +1,210 @@
-/// Storage-layer tests (exp/storage.hpp): the ram, file and mmap
-/// backends must be interchangeable — identical cell layouts, identical
-/// record bytes through the spill — the file spill must honour a tiny
-/// RAM budget, the mmap spill must survive ftruncate+remap growth
-/// across chunk boundaries, and a whole-grid run over each backend must
-/// reproduce the ram backend's JSONL artifact and aggregates bit for
-/// bit.
+/// Storage-layer tests (exp/storage.hpp): the arithmetic cell queue must
+/// serve the hand-written (point, repetition) layout at any grid size
+/// and trip its contract out of range; the result spill must round-trip
+/// exact bytes out of order on both sides of its RAM budget, honour the
+/// budget record by record, start over cleanly once drained, and never
+/// leave a named scratch file in the temp directory.
 
 #include <cstddef>
+#include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <gtest/gtest.h>
-#include <memory>
-#include <sstream>
-#include <stdexcept>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "exp/campaign.hpp"
 #include "exp/storage.hpp"
 
 namespace coredis::exp {
 namespace {
 
-TEST(StorageKindSelector, ParsesAndNamesEveryBackend) {
-  EXPECT_EQ(parse_storage_kind("ram"), StorageKind::Ram);
-  EXPECT_EQ(parse_storage_kind("file"), StorageKind::File);
-  EXPECT_EQ(parse_storage_kind("mmap"), StorageKind::Mmap);
-  EXPECT_STREQ(to_string(StorageKind::Ram), "ram");
-  EXPECT_STREQ(to_string(StorageKind::File), "file");
-  EXPECT_STREQ(to_string(StorageKind::Mmap), "mmap");
-  try {
-    (void)parse_storage_kind("tmpfs");
-    FAIL() << "must throw";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("tmpfs"), std::string::npos);
-    EXPECT_NE(std::string(error.what()).find("ram|file|mmap"),
-              std::string::npos);
-  }
-}
-
 TEST(CellQueueBackends, ServeTheSameLayoutInTheSameOrder) {
   // Mixed repetition counts, including an empty point.
-  const std::vector<std::size_t> runs_per_point{3, 1, 0, 2};
-  const std::unique_ptr<CellQueue> ram =
-      make_cell_queue(StorageKind::Ram, runs_per_point);
-  ASSERT_EQ(ram->size(), 6u);
-  for (const StorageKind kind : {StorageKind::File, StorageKind::Mmap}) {
-    const std::unique_ptr<CellQueue> other =
-        make_cell_queue(kind, runs_per_point);
-    ASSERT_EQ(other->size(), 6u) << to_string(kind);
-    for (std::size_t k = 0; k < ram->size(); ++k) {
-      const CellRef a = ram->at(k);
-      const CellRef b = other->at(k);
-      EXPECT_EQ(a.point, b.point) << to_string(kind) << " cell " << k;
-      EXPECT_EQ(a.rep, b.rep) << to_string(kind) << " cell " << k;
-    }
+  const CellQueue queue({3, 1, 0, 2});
+  ASSERT_EQ(queue.size(), 6u);
+  // The layout itself: points in order, repetitions contiguous, the
+  // empty point 2 skipped.
+  const std::vector<CellRef> expected{{0, 0}, {0, 1}, {0, 2},
+                                      {1, 0}, {3, 0}, {3, 1}};
+  for (std::size_t k = 0; k < expected.size(); ++k) {
+    EXPECT_EQ(queue.at(k).point, expected[k].point) << "cell " << k;
+    EXPECT_EQ(queue.at(k).rep, expected[k].rep) << "cell " << k;
   }
-  // The layout itself: points in order, repetitions contiguous.
-  EXPECT_EQ(ram->at(0).point, 0u);
-  EXPECT_EQ(ram->at(2).rep, 2u);
-  EXPECT_EQ(ram->at(3).point, 1u);
-  EXPECT_EQ(ram->at(4).point, 3u);
-  EXPECT_EQ(ram->at(5).rep, 1u);
+  // The factory the benchmark harness spells builds the same queue.
+  EXPECT_EQ(make_cell_queue(StorageKind::Ram, {3, 1, 0, 2})->at(4).point, 3u);
+  EXPECT_EQ(CellQueue({}).size(), 0u);
+  EXPECT_EQ(CellQueue({0, 0}).size(), 0u);
+  EXPECT_DEATH((void)queue.at(6), "precondition");
+}
+
+TEST(CellQueueBackends, LayoutCostsOneOffsetPerPointAtAnyGridSize) {
+  // Far more cells than any machine could tabulate one entry each: the
+  // arithmetic layout answers every lookup from its five offsets.
+  const std::size_t huge = std::numeric_limits<std::size_t>::max() / 4;
+  const CellQueue queue({huge, 3, 0, huge});
+  ASSERT_EQ(queue.size(), 2 * huge + 3);
+  const auto expect_cell = [&](std::size_t index, std::size_t point,
+                               std::size_t rep) {
+    EXPECT_EQ(queue.at(index).point, point) << "cell " << index;
+    EXPECT_EQ(queue.at(index).rep, rep) << "cell " << index;
+  };
+  expect_cell(0, 0, 0);
+  expect_cell(huge - 1, 0, huge - 1);
+  expect_cell(huge, 1, 0);
+  expect_cell(huge + 2, 1, 2);
+  expect_cell(huge + 3, 3, 0);  // the empty point 2 is stepped over
+  expect_cell(2 * huge + 2, 3, huge - 1);
 }
 
 TEST(ResultSpillBackends, RoundTripExactBytesOutOfOrder) {
-  for (const StorageKind kind :
-       {StorageKind::Ram, StorageKind::File, StorageKind::Mmap}) {
-    // A 16-byte budget forces the file backend to spill most records.
-    const std::unique_ptr<ResultSpill> spill = make_result_spill(kind, "", 16);
+  // A 16-byte budget keeps the first record in RAM and overflows the
+  // rest to the scratch file; an unlimited one keeps everything in RAM.
+  for (const std::size_t budget : {std::size_t{16}, kSpillRamBudgetBytes}) {
+    ResultSpill spill(budget);
     const std::vector<std::string> records{
         R"({"cell":0,"x":1})", R"({"cell":1,"y":"with \"quotes\""})",
         std::string(100, 'z'), "", R"({"cell":4})"};
     // Arrive out of order, as a parallel grid would deliver them.
     for (const std::size_t k : {3u, 1u, 4u, 0u, 2u})
-      spill->put(k, records[k]);
-    EXPECT_EQ(spill->pending(), records.size());
+      spill.put(k, records[k]);
+    EXPECT_EQ(spill.pending(), records.size());
 
     std::string out;
-    EXPECT_FALSE(spill->take(7, out)) << to_string(kind);
+    EXPECT_FALSE(spill.take(7, out)) << budget;
     for (std::size_t k = 0; k < records.size(); ++k) {
-      ASSERT_TRUE(spill->take(k, out)) << to_string(kind) << " cell " << k;
-      EXPECT_EQ(out, records[k]) << to_string(kind) << " cell " << k;
+      ASSERT_TRUE(spill.take(k, out)) << budget << " cell " << k;
+      EXPECT_EQ(out, records[k]) << budget << " cell " << k;
     }
-    EXPECT_EQ(spill->pending(), 0u);
-    EXPECT_FALSE(spill->take(0, out));
+    EXPECT_EQ(spill.pending(), 0u);
+    EXPECT_FALSE(spill.take(0, out));
   }
 }
 
 TEST(ResultSpillBackends, FileSpillHonoursTheRamBudget) {
   const std::size_t budget = 64;
-  const std::unique_ptr<ResultSpill> spill =
-      make_result_spill(StorageKind::File, "", budget);
+  ResultSpill spill(budget);
   // 20 records of 24 bytes: at most two fit the budget at a time.
   std::vector<std::string> records;
   for (std::size_t k = 0; k < 20; ++k)
     records.push_back("record-" + std::to_string(k) + "-" +
                       std::string(24 - 9 - std::to_string(k).size(), 'x'));
   for (std::size_t k = 0; k < records.size(); ++k) {
-    spill->put(k, records[k]);
-    EXPECT_LE(spill->resident_bytes(), budget) << "after put " << k;
+    spill.put(k, records[k]);
+    EXPECT_LE(spill.resident_bytes(), budget) << "after put " << k;
   }
-  EXPECT_EQ(spill->pending(), records.size());
+  EXPECT_EQ(spill.pending(), records.size());
   std::string out;
   for (std::size_t k = 0; k < records.size(); ++k) {
-    ASSERT_TRUE(spill->take(k, out));
+    ASSERT_TRUE(spill.take(k, out));
     EXPECT_EQ(out, records[k]);
-    EXPECT_LE(spill->resident_bytes(), budget);
+    EXPECT_LE(spill.resident_bytes(), budget);
   }
-  EXPECT_EQ(spill->pending(), 0u);
-  EXPECT_EQ(spill->resident_bytes(), 0u);
-  // A drained spill starts over cleanly.
-  spill->put(0, records[0]);
-  ASSERT_TRUE(spill->take(0, out));
-  EXPECT_EQ(out, records[0]);
-}
-
-TEST(ResultSpillBackends, ScratchFilesAreRemovedOnDestruction) {
-  const std::string dir = (std::filesystem::temp_directory_path() /
-                           "coredis_storage_test_scratch")
-                              .string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  {
-    const std::unique_ptr<ResultSpill> spill =
-        make_result_spill(StorageKind::File, dir, 1);
-    spill->put(0, "spilled-beyond-the-one-byte-budget");
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
-  }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  {
-    const std::unique_ptr<CellQueue> queue =
-        make_cell_queue(StorageKind::File, {2, 2}, dir);
-    EXPECT_EQ(queue->size(), 4u);
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
-  }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  {
-    const std::unique_ptr<ResultSpill> spill =
-        make_result_spill(StorageKind::Mmap, dir);
-    spill->put(0, "mapped");
-    const std::unique_ptr<CellQueue> queue =
-        make_cell_queue(StorageKind::Mmap, {2, 2}, dir);
-    EXPECT_EQ(queue->size(), 4u);
-    EXPECT_FALSE(std::filesystem::is_empty(dir));
-  }
-  EXPECT_TRUE(std::filesystem::is_empty(dir));
-  std::filesystem::remove_all(dir);
-}
-
-TEST(ResultSpillBackends, MmapSpillRemapsAcrossChunkBoundaries) {
-  // Records whose total crosses the 1 MiB growth chunk several times:
-  // every put after the first remap reads back bytes written into an
-  // earlier mapping generation, and a drained backlog truncates the
-  // scratch file so the next fill starts over.
-  const std::unique_ptr<ResultSpill> spill =
-      make_result_spill(StorageKind::Mmap);
+  EXPECT_EQ(spill.pending(), 0u);
+  EXPECT_EQ(spill.resident_bytes(), 0u);
+  // A drained spill drops its scratch file and starts over cleanly, on
+  // both sides of the budget.
   for (int round = 0; round < 2; ++round) {
-    std::vector<std::string> records;
-    for (std::size_t k = 0; k < 7; ++k)
-      records.push_back(std::string((std::size_t{1} << 19) + k,
-                                    static_cast<char>('a' + k)) +
-                        std::to_string(round));
-    for (const std::size_t k : {6u, 0u, 3u, 1u, 5u, 2u, 4u})
-      spill->put(k, records[k]);
-    EXPECT_EQ(spill->pending(), records.size());
-    EXPECT_EQ(spill->resident_bytes(), 0u) << "payload lives in the mapping";
-    std::string out;
-    for (std::size_t k = 0; k < records.size(); ++k) {
-      ASSERT_TRUE(spill->take(k, out)) << "round " << round << " cell " << k;
+    for (std::size_t k = 0; k < 5; ++k) spill.put(k, records[k]);
+    for (std::size_t k = 0; k < 5; ++k) {
+      ASSERT_TRUE(spill.take(k, out)) << "round " << round << " cell " << k;
       EXPECT_EQ(out, records[k]) << "round " << round << " cell " << k;
     }
-    EXPECT_EQ(spill->pending(), 0u);
   }
+  EXPECT_EQ(spill.pending(), 0u);
 }
 
-TEST(StorageGrid, EveryBackendReproducesTheRamArtifactBitForBit) {
-  // The pinned smoke grid of campaign_test, run once per backend; the
-  // file run gets a 1-byte spill budget (every out-of-order record goes
-  // to disk) and 8 threads (maximum reordering pressure).
-  const Campaign campaign = parse_campaign(
-      "n = 6\np = 24\nruns = 2\nseed = 20260726\nmtbf_years = 2, 50\n"
-      "fault_law = exponential, weibull\nconfigs = baseline, ig_local\n");
-  const auto path_of = [](const char* tag) {
-    return (std::filesystem::temp_directory_path() /
-            ("coredis_storage_test_" + std::string(tag) + ".jsonl"))
-        .string();
-  };
-  const auto read_all = [](const std::string& path) {
-    std::ifstream file(path, std::ios::binary);
-    std::ostringstream text;
-    text << file.rdbuf();
-    return text.str();
-  };
+TEST(ResultSpillBackends, OversizedRecordOverflowsAloneAndSmallOnesStayHot) {
+  // The budget is checked per record: one record larger than the whole
+  // budget goes to the scratch file, and the small records after it still
+  // fill the RAM budget instead of following it to disk.
+  ResultSpill spill(32);
+  const std::string big(100, 'b');
+  spill.put(0, big);
+  EXPECT_EQ(spill.resident_bytes(), 0u);
+  spill.put(1, std::string(20, 's'));
+  EXPECT_EQ(spill.resident_bytes(), 20u);
+  spill.put(2, std::string(12, 't'));
+  EXPECT_EQ(spill.resident_bytes(), 32u);
+  spill.put(3, "u");  // the budget is full: this one overflows too
+  EXPECT_EQ(spill.resident_bytes(), 32u);
+  EXPECT_EQ(spill.pending(), 4u);
+  std::string out;
+  ASSERT_TRUE(spill.take(0, out));
+  EXPECT_EQ(out, big);
+  ASSERT_TRUE(spill.take(3, out));
+  EXPECT_EQ(out, "u");
+  ASSERT_TRUE(spill.take(1, out));
+  EXPECT_EQ(out, std::string(20, 's'));
+  EXPECT_EQ(spill.resident_bytes(), 12u);
+  ASSERT_TRUE(spill.take(2, out));
+  EXPECT_EQ(out, std::string(12, 't'));
+  EXPECT_EQ(spill.resident_bytes(), 0u);
+  EXPECT_EQ(spill.pending(), 0u);
+}
 
-  GridRunOptions ram;
-  ram.jsonl_path = path_of("ram");
-  ram.threads = 8;
-  std::filesystem::remove(ram.jsonl_path);
-  const std::vector<PointResult> ram_points = run_campaign(campaign, ram);
-
-  GridRunOptions file = ram;
-  file.jsonl_path = path_of("file");
-  file.storage = StorageKind::File;
-  file.spill_ram_budget_bytes = 1;
-  std::filesystem::remove(file.jsonl_path);
-  const std::vector<PointResult> file_points = run_campaign(campaign, file);
-
-  GridRunOptions mapped = ram;
-  mapped.jsonl_path = path_of("mmap");
-  mapped.storage = StorageKind::Mmap;
-  std::filesystem::remove(mapped.jsonl_path);
-  (void)run_campaign(campaign, mapped);
-  EXPECT_EQ(read_all(mapped.jsonl_path), read_all(file.jsonl_path));
-  std::filesystem::remove(mapped.jsonl_path);
-
-  EXPECT_EQ(read_all(ram.jsonl_path), read_all(file.jsonl_path));
-  ASSERT_EQ(ram_points.size(), file_points.size());
-  for (std::size_t i = 0; i < ram_points.size(); ++i) {
-    EXPECT_EQ(ram_points[i].baseline_makespan.mean(),
-              file_points[i].baseline_makespan.mean());
-    EXPECT_EQ(ram_points[i].baseline_makespan.variance(),
-              file_points[i].baseline_makespan.variance());
-    ASSERT_EQ(ram_points[i].configs.size(), file_points[i].configs.size());
-    for (std::size_t c = 0; c < ram_points[i].configs.size(); ++c) {
-      EXPECT_EQ(ram_points[i].configs[c].normalized.mean(),
-                file_points[i].configs[c].normalized.mean());
-      EXPECT_EQ(ram_points[i].configs[c].makespan.variance(),
-                file_points[i].configs[c].makespan.variance());
-    }
+/// Points TMPDIR (which std::filesystem::temp_directory_path honours) at
+/// a fresh private directory for the scope, restoring it afterwards.
+class ScratchTmpdir {
+ public:
+  ScratchTmpdir()
+      : dir_(std::filesystem::temp_directory_path() /
+             "coredis_storage_test_scratch") {
+    if (const char* old = std::getenv("TMPDIR")) previous_ = old;
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    setenv("TMPDIR", dir_.c_str(), 1);
   }
-  std::filesystem::remove(ram.jsonl_path);
-  std::filesystem::remove(file.jsonl_path);
+  ~ScratchTmpdir() {
+    if (previous_) {
+      setenv("TMPDIR", previous_->c_str(), 1);
+    } else {
+      unsetenv("TMPDIR");
+    }
+    std::filesystem::remove_all(dir_);
+  }
+  ScratchTmpdir(const ScratchTmpdir&) = delete;
+  ScratchTmpdir& operator=(const ScratchTmpdir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& dir() const { return dir_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::optional<std::string> previous_;
+};
+
+TEST(ResultSpillBackends, ScratchFilesAreRemovedOnDestruction) {
+  const ScratchTmpdir tmp;
+  {
+    ResultSpill spill(1);
+    spill.put(1, "held-in-the-scratch-file");
+    spill.put(0, "and-this-one-too");
+    EXPECT_EQ(spill.resident_bytes(), 0u);
+#if defined(__unix__) || defined(__APPLE__)
+    // The scratch file is unlinked right after it is opened, so a crash
+    // (even kill -9) while the spill holds overflow strands no name...
+    EXPECT_TRUE(std::filesystem::is_empty(tmp.dir()));
+#endif
+#if defined(__linux__)
+    // ...yet the overflow does live in that directory: an open
+    // descriptor points at a deleted file there.
+    bool held_open = false;
+    for (const auto& fd :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+      std::error_code ignored;
+      const std::string target =
+          std::filesystem::read_symlink(fd.path(), ignored).string();
+      held_open = held_open || (target.starts_with(tmp.dir().string()) &&
+                                target.ends_with(" (deleted)"));
+    }
+    EXPECT_TRUE(held_open);
+#endif
+    std::string out;
+    ASSERT_TRUE(spill.take(1, out));
+    EXPECT_EQ(out, "held-in-the-scratch-file");
+    spill.put(2, "left-in-the-spill");
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(tmp.dir()));
 }
 
 }  // namespace

@@ -278,11 +278,8 @@ TEST(ParallelFor, StealingVisitsEveryIndexExactlyOnce) {
     for (const std::size_t threads :
          {std::size_t{2}, std::size_t{3}, std::size_t{8}, std::size_t{13}}) {
       std::vector<std::atomic<int>> hits(count);
-      ParallelOptions options;
-      options.threads = threads;
-      options.schedule = Schedule::Stealing;
       parallel_for(count, [&](std::size_t i) { hits[i].fetch_add(1); },
-                   options);
+                   threads);
       for (std::size_t i = 0; i < count; ++i)
         EXPECT_EQ(hits[i].load(), 1)
             << "i=" << i << " count=" << count << " threads=" << threads;
@@ -298,9 +295,6 @@ TEST(ParallelFor, StealingBalancesAFrontLoadedQueue) {
   // wide margin so the test stays robust on loaded runners.
   constexpr std::size_t kCount = 64;
   std::vector<std::atomic<int>> hits(kCount);
-  ParallelOptions options;
-  options.threads = 8;
-  options.schedule = Schedule::Stealing;
   const auto started = std::chrono::steady_clock::now();
   parallel_for(kCount,
                [&](std::size_t i) {
@@ -308,7 +302,7 @@ TEST(ParallelFor, StealingBalancesAFrontLoadedQueue) {
                    std::this_thread::sleep_for(std::chrono::milliseconds(2));
                  hits[i].fetch_add(1);
                },
-               options);
+               8);
   const auto elapsed = std::chrono::steady_clock::now() - started;
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
   // Sequential slow half is 64 ms; eight stealing workers should land
@@ -322,9 +316,6 @@ TEST(ParallelFor, StealingBalancesAFrontLoadedQueue) {
 TEST(ParallelFor, StealingStopsWorkersAfterAThrow) {
   constexpr std::size_t count = 20000;
   std::atomic<int> executed{0};
-  ParallelOptions options;
-  options.threads = 8;
-  options.schedule = Schedule::Stealing;
   EXPECT_THROW(
       parallel_for(
           count,
@@ -333,7 +324,7 @@ TEST(ParallelFor, StealingStopsWorkersAfterAThrow) {
             executed.fetch_add(1);
             std::this_thread::sleep_for(std::chrono::milliseconds(1));
           },
-          options),
+          8),
       std::runtime_error);
   EXPECT_LT(executed.load(), 1000);
 }
@@ -599,19 +590,6 @@ TEST(ThreadEnv, ParseThreadCountRejectionsNameTheValue) {
     EXPECT_NE(error.find(std::to_string(max_thread_override())),
               std::string::npos)
         << error;
-  }
-}
-
-TEST(ThreadEnv, ParseAffinityFlagIsStrictlyBinary) {
-  bool on = false;
-  std::string error;
-  EXPECT_TRUE(parse_affinity_flag("1", on, error));
-  EXPECT_TRUE(on);
-  EXPECT_TRUE(parse_affinity_flag("0", on, error));
-  EXPECT_FALSE(on);
-  for (const char* text : {"true", "yes", "2", "", " 1", "01"}) {
-    EXPECT_FALSE(parse_affinity_flag(text, on, error)) << text;
-    EXPECT_NE(error.find("must be 0 or 1"), std::string::npos) << error;
   }
 }
 

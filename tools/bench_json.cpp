@@ -15,25 +15,21 @@
 /// table (DESIGN.md section 6).
 ///
 /// The full (non-smoke) grid additionally times whole-campaign
-/// scenarios through the shard fabric (DESIGN.md section 7.4): the
-/// pinned bench campaign single-process (`grid_w1`), as four shards plus
-/// the merge (`grid_w4` — on a single-core runner the shards run one
-/// after another and the reported wall-clock is the coordinator's
-/// critical path, slowest shard + merge), and at 8 threads over the ram
-/// vs the file storage backend with a 1 MiB spill budget
-/// (`grid_ram8`/`grid_spill`). Every scenario runs in a forked child on
-/// POSIX so the report can record a true per-scenario peak RSS next to
-/// its timings.
+/// scenarios: the pinned bench campaign single-process at one thread
+/// (`grid_w1`) and at 8 threads (`grid_ram8`, so commits arrive out of
+/// order and the committer's spill engages). Every scenario runs in a
+/// forked child on POSIX so the report can record a true per-scenario
+/// peak RSS next to its timings.
 ///
 /// The grid_hetero_* scenarios (PR 10) time the heterogeneous campaign
 /// — n 100 vs 1000 under both fault laws, a ~2-orders-of-magnitude
-/// cell-cost spread — single-process (`grid_hetero_w1`), through the
-/// cost-guided dynamic dealer's 4-worker critical path
-/// (`grid_hetero_w4`), and through the frozen static contiguous-shard
-/// schedule (`grid_hetero_w4_static`); `--check-deal-gap R` gates
-/// static/dynamic >= R within one run. Reports carry two machine
-/// probes, `calibration_seconds` (compute) and `calibration_mem_seconds`
-/// (memory bandwidth); `--check` normalizes by their geometric blend.
+/// cell-cost spread — single-process (`grid_hetero_w1`) and through the
+/// cost-guided dealer's 4-worker critical path (`grid_hetero_w4`);
+/// `--check-deal-gap R` gates the parallel efficiency
+/// grid_hetero_w1 / grid_hetero_w4 >= R within one run. Reports carry
+/// two machine probes, `calibration_seconds` (compute) and
+/// `calibration_mem_seconds` (memory bandwidth); `--check` normalizes by
+/// their geometric blend.
 
 #include <algorithm>
 #include <chrono>
@@ -63,7 +59,6 @@
 #include "core/engine.hpp"
 #include "exp/campaign.hpp"
 #include "exp/cost_model.hpp"
-#include "exp/storage.hpp"
 #include "extensions/online.hpp"
 #include "fault/exponential.hpp"
 #include "fault/weibull.hpp"
@@ -92,20 +87,14 @@ struct GridPoint {
   /// offered load instead of the engine (0 = engine scenario).
   double online_load = 0.0;
   /// Whole-campaign point: run the pinned bench campaign through this
-  /// many shard-fabric workers instead of the engine (0 = not a grid
-  /// scenario; 1 = single process).
+  /// many dealt workers instead of the engine (0 = not a grid scenario;
+  /// 1 = single process).
   int grid_workers = 0;
   /// Grid scenario only: threads per worker (1 mirrors a real worker on
   /// this runner; 8 creates the commit reordering the spill feeds on).
   int grid_threads = 1;
-  /// Grid scenario only: file storage backend with a 1 MiB spill budget.
-  bool grid_file_storage = false;
   /// Grid scenario only: campaign text override (null = kGridCampaign).
   const char* grid_campaign = nullptr;
-  /// Grid scenario only, workers > 1: estimate the *dynamic dealer's*
-  /// critical path (cost-guided blocks, dealt longest-first to the
-  /// earliest-free worker) instead of the static contiguous shards'.
-  bool grid_dynamic_deal = false;
 };
 
 struct Measurement {
@@ -140,9 +129,9 @@ long self_peak_rss_kb() {
 /// (n=1000, p=10000) cell costs ~100x an (n=100, p=1000) one) under
 /// both fault laws and both whole-allocation heuristics. Point order
 /// clusters the two most expensive points — (n=1000, p=10000) x both
-/// laws — into the *last* contiguous static shard, so the frozen
-/// schedule's critical path is nearly the whole campaign: exactly the
-/// workload shape cost-guided dynamic dealing is for.
+/// laws — into the *last* quarter of the cells, so an equal-count
+/// contiguous split would leave the most expensive cells on one worker:
+/// exactly the workload shape cost-guided dealing is for.
 constexpr const char* kHeteroCampaign =
     "n = 100, 1000\n"
     "p = 2000, 10000\n"
@@ -189,35 +178,23 @@ std::vector<GridPoint> pinned_grid(bool smoke) {
                     core::FailurePolicy::ShortestTasksFirst, false, 1, 0.0});
     grid.push_back({"n5000_ig_exp", 5000, 12000,
                     core::FailurePolicy::IteratedGreedy, false, 1, 0.0});
-    // Whole-campaign scenarios over the shard fabric (kGridCampaign).
-    // grid_w1/grid_w4: single worker vs the four-worker coordinator
-    // critical path, each worker single-threaded like a real local
-    // worker here. grid_ram8/grid_spill: the same campaign at 8 threads
-    // (so commits arrive out of order and the spill engages) over the
-    // ram and file backends — the pair makes the file backend's peak-RSS
-    // cost readable at matching thread counts. One grid is one "run";
+    // Whole-campaign scenarios (kGridCampaign): grid_w1 single-threaded
+    // like a real local worker here, grid_ram8 at 8 threads so commits
+    // arrive out of order and the spill engages. One grid is one "run";
     // the n/p columns echo the campaign's workload.
     GridPoint grid_point{"grid_w1", 100, 1000,
                          core::FailurePolicy::IteratedGreedy, false, 1, 0.0};
     grid_point.grid_workers = 1;
     grid.push_back(grid_point);
-    grid_point.name = "grid_w4";
-    grid_point.grid_workers = 4;
-    grid.push_back(grid_point);
     grid_point.name = "grid_ram8";
-    grid_point.grid_workers = 1;
     grid_point.grid_threads = 8;
-    grid.push_back(grid_point);
-    grid_point.name = "grid_spill";
-    grid_point.grid_file_storage = true;
     grid.push_back(grid_point);
     // Heterogeneity scenarios (kHeteroCampaign): a grid whose points
     // differ by ~2 orders of magnitude in cell cost, the regime the
     // cost-guided dealer exists for. grid_hetero_w1 is the
-    // single-process floor; grid_hetero_w4 estimates the dynamic
-    // dealer's 4-worker critical path and grid_hetero_w4_static the
-    // frozen contiguous-shard schedule's — their ratio is the PR 10
-    // speedup claim, gated by --check-deal-gap.
+    // single-process floor and grid_hetero_w4 estimates the dealer's
+    // 4-worker critical path — their ratio is the parallel efficiency
+    // gated by --check-deal-gap.
     GridPoint hetero{"grid_hetero_w1", 1000, 10000,
                      core::FailurePolicy::IteratedGreedy, true, 1, 0.0};
     hetero.grid_campaign = kHeteroCampaign;
@@ -225,10 +202,6 @@ std::vector<GridPoint> pinned_grid(bool smoke) {
     grid.push_back(hetero);
     hetero.name = "grid_hetero_w4";
     hetero.grid_workers = 4;
-    hetero.grid_dynamic_deal = true;
-    grid.push_back(hetero);
-    hetero.name = "grid_hetero_w4_static";
-    hetero.grid_dynamic_deal = false;
     grid.push_back(hetero);
   }
   return grid;
@@ -292,10 +265,9 @@ Measurement run_online_point(const GridPoint& point, int runs) {
   return m;
 }
 
-/// The pinned campaign behind the grid_* scenarios: one grid point (so
-/// the four shard ranges are homogeneous and the max-over-shards
-/// estimator is tight) with enough repetitions that a grid is seconds,
-/// not milliseconds, of work.
+/// The pinned campaign behind the grid_w1/grid_ram8 scenarios: one grid
+/// point with enough repetitions that a grid is seconds, not
+/// milliseconds, of work.
 constexpr const char* kGridCampaign =
     "n = 100\n"
     "p = 1000\n"
@@ -305,11 +277,9 @@ constexpr const char* kGridCampaign =
     "fault_law = exponential\n"
     "configs = baseline, stf_local, ig_local\n";
 
-/// Whole-campaign scenario: time one pass of kGridCampaign through the
-/// shard fabric. grid_workers == 1 times run_campaign directly; W > 1
-/// runs the W shards back to back — each single-threaded, exactly what a
-/// real worker process executes — and reports the coordinator's critical
-/// path, max-over-shards + merge, as the W-worker wall-clock estimator.
+/// Whole-campaign scenario: time one pass of the campaign.
+/// grid_workers == 1 times run_campaign directly; W > 1 estimates the
+/// dealer's W-worker wall-clock (see below).
 Measurement run_grid_point(const GridPoint& point) {
   namespace fs = std::filesystem;
   Measurement m;
@@ -323,16 +293,11 @@ Measurement run_grid_point(const GridPoint& point) {
           .string();
   const std::size_t workers = static_cast<std::size_t>(point.grid_workers);
   fs::remove(base);
-  for (std::size_t k = 0; k < workers; ++k)
-    fs::remove(exp::shard_path(base, {k, workers}));
+  fs::remove(exp::shard_path(base, {0, 1}));
 
   exp::GridRunOptions options;
   options.jsonl_path = base;
   options.threads = static_cast<std::size_t>(point.grid_threads);
-  if (point.grid_file_storage) {
-    options.storage = exp::StorageKind::File;
-    options.spill_ram_budget_bytes = std::size_t{1} << 20;
-  }
 
   const auto seconds_of = [](const auto& body) {
     const auto start = std::chrono::steady_clock::now();
@@ -347,9 +312,8 @@ Measurement run_grid_point(const GridPoint& point) {
     std::vector<exp::PointResult> points;
     wall = seconds_of([&] { points = exp::run_campaign(campaign, options); });
     m.makespan_mean = points.at(0).baseline_makespan.mean();
-  } else if (point.grid_dynamic_deal) {
-    // Dynamic dealer's critical path on a one-core runner, the sibling
-    // of the static max-over-shards estimator below: plan the
+  } else {
+    // The dealer's critical path on a one-core runner: plan the
     // cost-balanced blocks, execute each once (timed, through a real
     // DealWorker so the merge is the production path), then replay the
     // deal — blocks in plan order, each to the earliest-free of W
@@ -360,11 +324,10 @@ Measurement run_grid_point(const GridPoint& point) {
     std::vector<std::size_t> runs_per_point;
     for (const exp::Scenario& grid_point : grid_points)
       runs_per_point.push_back(static_cast<std::size_t>(grid_point.runs));
-    const std::unique_ptr<exp::CellQueue> queue =
-        exp::make_cell_queue(exp::StorageKind::Ram, runs_per_point);
+    const exp::CellQueue queue(runs_per_point);
     const exp::CostModel model(grid_points, campaign.configs);
     const std::vector<exp::DealBlock> blocks =
-        exp::plan_deal_blocks(model, *queue, workers);
+        exp::plan_deal_blocks(model, queue, workers);
     std::vector<double> block_seconds;
     {
       exp::DealWorker worker(grid_points, campaign.configs, 0, 1, options);
@@ -382,21 +345,6 @@ Measurement run_grid_point(const GridPoint& point) {
     m.makespan_mean =
         exp::summarize_jsonl(campaign, base).at(0).baseline_makespan.mean();
     fs::remove(exp::shard_path(base, {0, 1}));
-  } else {
-    double slowest = 0.0;
-    for (std::size_t k = 0; k < workers; ++k) {
-      const double shard_wall = seconds_of([&] {
-        exp::run_campaign_shard(campaign, {k, workers}, options);
-      });
-      slowest = std::max(slowest, shard_wall);
-    }
-    wall = slowest + seconds_of([&] {
-      exp::merge_campaign_shards(campaign, workers, base);
-    });
-    m.makespan_mean =
-        exp::summarize_jsonl(campaign, base).at(0).baseline_makespan.mean();
-    for (std::size_t k = 0; k < workers; ++k)
-      fs::remove(exp::shard_path(base, {k, workers}));
   }
   fs::remove(base);
 
@@ -615,9 +563,9 @@ int main(int argc, char** argv) {
                   "differs from the baseline's at matching run counts "
                   "(catches silent semantic drift)")
         .describe("check-deal-gap",
-                  "fail unless grid_hetero_w4_static / grid_hetero_w4 in "
-                  "THIS run is at least this ratio (the dynamic dealer's "
-                  "speedup over the frozen static schedule; both "
+                  "fail unless grid_hetero_w1 / grid_hetero_w4 in THIS run "
+                  "is at least this ratio (the dealer's parallel "
+                  "efficiency on the heterogeneous campaign; both "
                   "scenarios must have been measured)");
     if (cli.wants_help()) {
       std::cout << cli.usage("Pinned-grid performance baseline (JSON)");
@@ -663,30 +611,17 @@ int main(int argc, char** argv) {
                    m.point.name.c_str(), m.seconds_per_run, m.events_per_sec,
                    m.faults_per_run, m.peak_rss_kb);
     }
-    {
-      // Worker scaling at a glance: single-worker grid wall-clock over
-      // the 4-worker coordinator critical path (when both ran).
-      double w1 = 0.0, w4 = 0.0;
-      for (const Measurement& m : measurements) {
-        if (m.point.name == "grid_w1") w1 = m.seconds_per_run;
-        if (m.point.name == "grid_w4") w4 = m.seconds_per_run;
-      }
-      if (w1 > 0.0 && w4 > 0.0)
-        std::fprintf(stderr, "grid scaling: 4 workers %.2fx vs 1\n", w1 / w4);
+    // The dealer's scaling at a glance: one worker over four on the
+    // heterogeneous campaign (0 unless both ran; a grid is one run).
+    double hetero_w1 = 0.0, hetero_w4 = 0.0;
+    for (const Measurement& m : measurements) {
+      if (m.point.name == "grid_hetero_w1") hetero_w1 = m.seconds_per_run_min;
+      if (m.point.name == "grid_hetero_w4") hetero_w4 = m.seconds_per_run_min;
     }
-    {
-      // The PR 10 claim at a glance: frozen static schedule over the
-      // cost-guided dynamic dealer on the heterogeneous campaign.
-      double dealt = 0.0, frozen = 0.0;
-      for (const Measurement& m : measurements) {
-        if (m.point.name == "grid_hetero_w4") dealt = m.seconds_per_run;
-        if (m.point.name == "grid_hetero_w4_static")
-          frozen = m.seconds_per_run;
-      }
-      if (dealt > 0.0 && frozen > 0.0)
-        std::fprintf(stderr, "hetero dealing: dynamic %.2fx vs static\n",
-                     frozen / dealt);
-    }
+    const double gap =
+        hetero_w1 > 0.0 && hetero_w4 > 0.0 ? hetero_w1 / hetero_w4 : 0.0;
+    if (gap > 0.0)
+      std::fprintf(stderr, "hetero dealing: 4 workers %.2fx vs 1\n", gap);
 
     const std::string json = to_json(measurements, calibration,
                                      mem_calibration);
@@ -700,30 +635,24 @@ int main(int argc, char** argv) {
       std::cout << json;
     }
 
-    // Gate the dynamic-vs-static gap *after* the report is written, so a
-    // failing run still uploads its JSON for inspection. The gap is
+    // Gate the parallel efficiency *after* the report is written, so a
+    // failing run still uploads its JSON for inspection. The ratio is
     // within-run — both sides ran on this machine seconds apart — so no
     // calibration enters it.
     const double min_gap = cli.get_double("check-deal-gap", 0.0);
     if (min_gap > 0.0) {
-      double dealt = 0.0, frozen = 0.0;
-      for (const Measurement& m : measurements) {
-        if (m.point.name == "grid_hetero_w4") dealt = m.seconds_per_run_min;
-        if (m.point.name == "grid_hetero_w4_static")
-          frozen = m.seconds_per_run_min;
-      }
-      if (dealt <= 0.0 || frozen <= 0.0)
+      if (gap <= 0.0)
         throw std::runtime_error(
-            "--check-deal-gap needs both grid_hetero_w4 and "
-            "grid_hetero_w4_static in this run");
-      if (frozen / dealt < min_gap) {
+            "--check-deal-gap needs both grid_hetero_w1 and grid_hetero_w4 "
+            "in this run");
+      if (gap < min_gap) {
         std::fprintf(stderr,
                      "deal gap %.2fx below the required %.2fx  REGRESSION\n",
-                     frozen / dealt, min_gap);
+                     gap, min_gap);
         return 1;
       }
-      std::fprintf(stderr, "deal gap %.2fx (>= %.2fx required)\n",
-                   frozen / dealt, min_gap);
+      std::fprintf(stderr, "deal gap %.2fx (>= %.2fx required)\n", gap,
+                   min_gap);
     }
 
     const std::string baseline_path = cli.get_string("check", "");

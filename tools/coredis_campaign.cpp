@@ -11,14 +11,12 @@
 /// (committed in cell order, so the file is deterministic for any
 /// COREDIS_THREADS), and prints the per-point summary table.
 ///
-/// Distributed campaigns (DESIGN.md sections 7.4 and 12.3): `--workers
-/// N` coordinates N local worker processes — by default dealing
-/// cost-guided cell blocks dynamically to whichever worker is idle
-/// (lost blocks are re-dealt; `--deal static` restores one fixed
-/// contiguous range per worker) — `--worker k/W` runs one static shard
-/// in-process for external launchers (ssh, mpirun), and `--merge W`
-/// reassembles the byte-identical single-file artifact, auto-detecting
-/// the sharding mode from shard 0.
+/// Distributed campaigns (DESIGN.md sections 7.4 and 12.3) are deals:
+/// `--workers N` coordinates N local worker processes, dealing
+/// cost-guided cell blocks to whichever worker is idle (lost blocks are
+/// re-dealt); `--worker k/W` runs worker k's fixed block in-process for
+/// external launchers (ssh, mpirun); and `--merge W` reassembles the
+/// byte-identical single-file artifact from the W worker files.
 ///
 ///   coredis_campaign --campaign grid.txt --out results.jsonl
 ///   coredis_campaign --campaign grid.txt --out results.jsonl --resume
@@ -33,7 +31,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <iostream>
-#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -52,7 +49,6 @@
 #include "exp/campaign.hpp"
 #include "exp/cost_model.hpp"
 #include "exp/scenario_file.hpp"
-#include "exp/storage.hpp"
 #include "util/cli.hpp"
 #include "util/parallel.hpp"
 
@@ -88,10 +84,10 @@ int summarize_campaign(const exp::Campaign& campaign,
   return 0;
 }
 
-/// Overwrite refusal for the final artifact and for shard files alike:
-/// an existing file is only ever reused under --resume. Shard refusals
-/// are loud and per-file — every clobber candidate is named before the
-/// run aborts, so a mis-aimed launcher cannot silently eat a shard.
+/// Overwrite refusal for the final artifact and for worker files alike:
+/// an existing file is only ever reused under --resume. Worker-file
+/// refusals are loud and per-file — every clobber candidate is named
+/// before the run aborts, so a mis-aimed launcher cannot eat a worker file.
 void refuse_existing(const std::string& path, const char* what) {
   if (!std::filesystem::exists(path)) return;
   throw std::runtime_error(
@@ -104,14 +100,14 @@ void refuse_existing_shards(const std::string& out, std::size_t workers) {
   for (std::size_t k = 0; k < workers; ++k) {
     const std::string path = exp::shard_path(out, {k, workers});
     if (std::filesystem::exists(path)) {
-      std::cerr << "error: shard file exists: " << path
+      std::cerr << "error: worker file exists: " << path
                 << " (pass --resume to continue it, or remove it to start "
                    "over)\n";
       any = true;
     }
   }
   if (any)
-    throw std::runtime_error("refusing to overwrite existing shard files");
+    throw std::runtime_error("refusing to overwrite existing worker files");
 }
 
 int run_campaign_to(const exp::Campaign& campaign,
@@ -132,9 +128,9 @@ int run_worker(const exp::Campaign& campaign, const exp::ShardSpec& shard,
                const exp::GridRunOptions& options) {
   const auto [begin, end] = exp::shard_range(campaign.cells(), shard);
   if (!options.resume)
-    refuse_existing(exp::shard_path(options.jsonl_path, shard), "shard file");
+    refuse_existing(exp::shard_path(options.jsonl_path, shard), "worker file");
   exp::run_campaign_shard(campaign, shard, options);
-  std::cout << "shard " << shard.index << "/" << shard.count << " (cells "
+  std::cout << "worker " << shard.index << "/" << shard.count << " (cells "
             << begin << ".." << end << ") written to "
             << exp::shard_path(options.jsonl_path, shard) << '\n';
   return 0;
@@ -142,24 +138,23 @@ int run_worker(const exp::Campaign& campaign, const exp::ShardSpec& shard,
 
 int merge_to(const exp::Campaign& campaign, std::size_t workers,
              const std::string& out) {
-  // Auto-detect the sharding mode from shard 0's header (static
-  // contiguous ranges vs dynamically dealt blocks); a mode mismatch in
-  // any later shard is refused per-file, naming the mode it carries.
-  // A missing shard 0 falls through to the static merge for its
-  // "run shard 0/W first" guidance.
-  exp::ShardMode mode = exp::ShardMode::Static;
-  const std::string first = exp::shard_path(out, {0, workers});
-  if (std::filesystem::exists(first)) mode = exp::detect_shard_mode(first);
-  if (mode == exp::ShardMode::Deal)
-    exp::merge_campaign_deal_shards(campaign, workers, out);
-  else
-    exp::merge_campaign_shards(campaign, workers, out);
-  std::cout << "merged " << workers << " " << exp::to_string(mode)
-            << " shards -> " << out << '\n';
+  exp::merge_campaign_deal_shards(campaign, workers, out);
+  std::cout << "merged " << workers << " worker files -> " << out << '\n';
   return 0;
 }
 
 #if defined(COREDIS_CAMPAIGN_FORK)
+/// Print a campaign's summary table from its final artifact.
+int print_results(const exp::Campaign& campaign, const std::string& out,
+                  std::size_t workers) {
+  const std::vector<exp::PointResult> results =
+      exp::summarize_jsonl(campaign, out);
+  std::cout << exp::render_campaign_table(campaign, results);
+  std::cout << "\nresults written to " << out << " (" << workers
+            << " workers)\n";
+  return 0;
+}
+
 /// Set by the coordinator's SIGINT/SIGTERM handler; checked by the reap
 /// loop (installed without SA_RESTART, so a blocked waitpid returns
 /// EINTR and the loop sees the flag promptly).
@@ -169,202 +164,6 @@ extern "C" void coordinator_signal_handler(int sig) {
   g_coordinator_signal = sig;
 }
 
-/// Remove a dead worker's scratch files. Workers leave via _Exit (and
-/// signaled ones never unwind at all), so the self-deleting ScratchFile
-/// destructors (exp/storage.cpp) do not run — the coordinator sweeps the
-/// pid-tagged names (`coredis_<tag>_<pid>_<seq>.bin`) from the spill
-/// directory instead. Best-effort: a failed removal must not mask the
-/// run's own outcome.
-void remove_worker_scratch(const std::string& dir, pid_t pid) {
-  namespace fs = std::filesystem;
-  std::error_code ignored;
-  const fs::path parent =
-      dir.empty() ? fs::temp_directory_path(ignored) : fs::path(dir);
-  // Appends instead of operator+ chains: GCC 12 misfires -Wrestrict on
-  // the latter (GCC PR105329).
-  std::string pid_tag = "_";
-  pid_tag += std::to_string(pid);
-  pid_tag += '_';
-  fs::directory_iterator it(parent, ignored), end;
-  for (; !ignored && it != end; it.increment(ignored)) {
-    const std::string name = it->path().filename().string();
-    if (name.rfind("coredis_", 0) == 0 &&
-        name.find(pid_tag) != std::string::npos && name.ends_with(".bin"))
-      fs::remove(it->path(), ignored);
-  }
-}
-#endif
-
-/// Coordinator: fork one worker per shard (each with its fair share of
-/// the machine's thread budget), re-issue a lost shard with resume — the
-/// rerun adopts the dead worker's shard-file prefix — and merge. Where
-/// fork() does not exist the shards run sequentially in-process, which
-/// preserves every artifact byte.
-///
-/// SIGINT/SIGTERM while coordinating forwards the signal to every live
-/// worker, reaps them, sweeps their scratch files, and exits 128+signal.
-/// Shard files are deliberately retained: each holds a valid prefix that
-/// --resume adopts.
-int run_distributed(const exp::Campaign& campaign, std::size_t workers,
-                    bool keep_shards, const exp::GridRunOptions& base) {
-  const std::string& out = base.jsonl_path;
-
-  const auto worker_options = [&](std::size_t k, bool resume) {
-    exp::GridRunOptions options = base;
-    options.resume = resume;
-    if (options.threads == 0)
-      options.threads = thread_budget_share(workers, k);
-    return options;
-  };
-
-#if defined(COREDIS_CAMPAIGN_FORK)
-  std::vector<pid_t> pids(workers, -1);
-  std::vector<int> attempts(workers, 0);
-  const int kMaxAttempts = 3;
-
-  const auto spawn = [&](std::size_t k, bool resume) {
-    std::cout.flush();
-    std::cerr.flush();
-    const pid_t pid = ::fork();
-    if (pid < 0)
-      throw std::runtime_error("cannot fork worker " + std::to_string(k));
-    if (pid == 0) {
-      // Children take the default signal dispositions back: the
-      // coordinator's flag-setting handler is meaningless in a worker,
-      // and a forwarded SIGTERM must actually kill it.
-      std::signal(SIGINT, SIG_DFL);
-      std::signal(SIGTERM, SIG_DFL);
-      int status = 1;
-      try {
-        exp::run_campaign_shard(campaign, {k, workers},
-                                worker_options(k, resume));
-        status = 0;
-      } catch (const std::exception& error) {
-        std::cerr << "worker " << k << "/" << workers
-                  << ": error: " << error.what() << '\n';
-      }
-      std::_Exit(status);  // no cleanup: the parent owns the terminal state
-    }
-    pids[k] = pid;
-    ++attempts[k];
-  };
-
-  // Interruption plumbing: flag-setting handlers without SA_RESTART, so
-  // the blocking waitpid below returns EINTR when the user hits Ctrl-C.
-  g_coordinator_signal = 0;
-  struct sigaction action {};
-  action.sa_handler = coordinator_signal_handler;
-  sigemptyset(&action.sa_mask);
-  action.sa_flags = 0;
-  struct sigaction old_int {}, old_term {};
-  ::sigaction(SIGINT, &action, &old_int);
-  ::sigaction(SIGTERM, &action, &old_term);
-  const auto restore_handlers = [&] {
-    ::sigaction(SIGINT, &old_int, nullptr);
-    ::sigaction(SIGTERM, &old_term, nullptr);
-  };
-
-  std::cerr << "coordinating " << workers << " workers over "
-            << campaign.cells() << " cells -> " << out << '\n';
-  for (std::size_t k = 0; k < workers; ++k) spawn(k, base.resume);
-
-  std::size_t alive = workers;
-  bool gave_up = false;
-  while (alive > 0 && g_coordinator_signal == 0) {
-    int status = 0;
-    const pid_t pid = ::waitpid(-1, &status, 0);
-    if (pid < 0) {
-      if (errno == EINTR) continue;  // loop head re-checks the signal flag
-      // ECHILD (or worse) with live workers on the books means the pid
-      // table is wrong — stop loudly rather than merge a partial run.
-      std::string message = "coordinator: waitpid failed with ";
-      message += std::to_string(alive);
-      message += " workers outstanding: ";
-      message += std::strerror(errno);
-      restore_handlers();
-      throw std::runtime_error(message);
-    }
-    std::size_t k = workers;
-    for (std::size_t i = 0; i < workers; ++i)
-      if (pids[i] == pid) k = i;
-    if (k == workers) {
-      // Every child we fork is a shard worker; an unknown pid means the
-      // shard bookkeeping no longer matches reality, and retrying or
-      // merging on top of that would be guesswork.
-      std::string message = "coordinator: reaped unknown child pid ";
-      message += std::to_string(pid);
-      message += "; shard bookkeeping is corrupt";
-      restore_handlers();
-      throw std::runtime_error(message);
-    }
-    pids[k] = -1;
-    --alive;
-    // Workers exit via _Exit, so their self-deleting scratch files
-    // survived them; sweep the dead pid's names.
-    remove_worker_scratch(base.storage_dir, pid);
-    if (WIFEXITED(status) && WEXITSTATUS(status) == 0) continue;
-    if (attempts[k] < kMaxAttempts) {
-      // The shard file holds a valid prefix of the lost shard; re-issue
-      // with resume so only the missing cells are recomputed.
-      std::cerr << "worker " << k << "/" << workers
-                << " lost; re-issuing its shard with resume\n";
-      spawn(k, true);
-      ++alive;
-    } else {
-      std::cerr << "worker " << k << "/" << workers << " failed "
-                << kMaxAttempts << " times; giving up\n";
-      gave_up = true;
-    }
-  }
-
-  if (g_coordinator_signal != 0) {
-    const int sig = static_cast<int>(g_coordinator_signal);
-    std::cerr << "coordinator: caught signal " << sig
-              << "; stopping " << alive << " workers\n";
-    for (std::size_t i = 0; i < workers; ++i)
-      if (pids[i] > 0) ::kill(pids[i], sig);
-    for (std::size_t i = 0; i < workers; ++i) {
-      if (pids[i] <= 0) continue;
-      int status = 0;
-      while (::waitpid(pids[i], &status, 0) < 0 && errno == EINTR) {
-      }
-      remove_worker_scratch(base.storage_dir, pids[i]);
-    }
-    restore_handlers();
-    std::cerr << "coordinator: interrupted; shard files retained — rerun "
-                 "with --resume to continue\n";
-    return 128 + sig;
-  }
-  restore_handlers();
-  if (gave_up)
-    throw std::runtime_error(
-        "distributed campaign failed: a shard kept dying; fix the cause and "
-        "rerun with --resume to keep the completed cells");
-#else
-  std::cerr << "coordinating " << workers << " shards sequentially over "
-            << campaign.cells() << " cells -> " << out
-            << " (no fork() on this platform)\n";
-  for (std::size_t k = 0; k < workers; ++k)
-    exp::run_campaign_shard(campaign, {k, workers},
-                            worker_options(k, base.resume));
-#endif
-
-  exp::merge_campaign_shards(campaign, workers, out);
-  if (!keep_shards)
-    for (std::size_t k = 0; k < workers; ++k) {
-      std::error_code ignored;
-      std::filesystem::remove(exp::shard_path(out, {k, workers}), ignored);
-    }
-
-  const std::vector<exp::PointResult> points =
-      exp::summarize_jsonl(campaign, out);
-  std::cout << exp::render_campaign_table(campaign, points);
-  std::cout << "\nresults written to " << out << " (" << workers
-            << " workers)\n";
-  return 0;
-}
-
-#if defined(COREDIS_CAMPAIGN_FORK)
 /// Child side of a dealt campaign: serve "deal <begin> <end>" commands
 /// from the private command pipe until "done", acking each completed
 /// block — after its records are flushed — with one atomic write
@@ -411,29 +210,55 @@ int deal_worker_loop(const std::vector<exp::Scenario>& points,
   }
 }
 
-/// Dynamic dealing coordinator (DESIGN.md section 12.3): fork W workers
-/// — each wired to a private command pipe plus one shared ack pipe —
-/// cut the cell space into cost-balanced blocks, deal them
-/// longest-predicted-first to whichever worker is idle, refine the cost
-/// model from per-block ack timings (re-ranking the remaining blocks),
-/// re-deal a dead worker's un-acked block and respawn the worker with
-/// resume while attempts remain, then merge the deal-mode shard files
-/// into the byte-identical single-process artifact.
+/// Dealing coordinator (DESIGN.md section 12.3): fork W workers — each
+/// wired to a private command pipe plus one shared ack pipe — cut the
+/// cell space into cost-balanced blocks, deal them longest-predicted-
+/// first to whichever worker is idle, refine the cost model from
+/// per-block ack timings (re-ranking the remaining blocks), re-deal a
+/// dead worker's un-acked block and respawn the worker with resume while
+/// attempts remain, then merge the worker files into the byte-identical
+/// single-process artifact. With resume, the worker files are indexed
+/// once and only the cells none of them holds are dealt; a complete
+/// final artifact just prints its summary.
 ///
-/// SIGINT/SIGTERM behave exactly like the static coordinator: forward,
-/// reap, sweep scratch, retain shard files for --resume, exit
-/// 128+signal.
+/// SIGINT/SIGTERM while coordinating forwards the signal to every live
+/// worker, reaps them, keeps the worker files (each holds valid records
+/// a --resume adopts), and exits 128+signal.
 int run_dealt(const exp::Campaign& campaign, std::size_t workers,
               bool keep_shards, const exp::GridRunOptions& base) {
   const std::string& out = base.jsonl_path;
+  if (base.resume && std::filesystem::exists(out)) {
+    exp::JsonlCoverage coverage;
+    (void)exp::summarize_jsonl(campaign, out, &coverage);
+    if (coverage.cells_present == coverage.cells_total)
+      return print_results(campaign, out, workers);
+  }
   const std::vector<exp::Scenario> points = exp::campaign_points(campaign);
   std::vector<std::size_t> runs;
   runs.reserve(points.size());
   for (const exp::Scenario& point : points)
     runs.push_back(static_cast<std::size_t>(point.runs));
-  const std::unique_ptr<exp::CellQueue> queue =
-      exp::make_cell_queue(exp::StorageKind::Ram, runs);
+  const exp::CellQueue queue(runs);
   exp::CostModel model(points, campaign.configs);
+
+  // Deal only what no worker file holds: fully covered blocks drop,
+  // partly covered ones shrink to their missing runs.
+  std::vector<exp::DealBlock> blocks =
+      exp::plan_deal_blocks(model, queue, workers);
+  std::size_t kept = 0;
+  if (base.resume) {
+    const std::vector<exp::DealRecord> index =
+        exp::index_deal_shards(points, campaign.configs, workers, out);
+    std::vector<exp::DealBlock> missing;
+    for (const exp::DealBlock& block : blocks)
+      for (std::size_t k = block.begin; k < block.end;) {
+        for (; k < block.end && index[k].present; ++k) ++kept;
+        const std::size_t begin = k;
+        while (k < block.end && !index[k].present) ++k;
+        if (begin < k) missing.push_back({begin, k});
+      }
+    blocks = std::move(missing);
+  }
 
   // The pending blocks keep a per-point cell histogram so re-ranking
   // under the refined model costs O(points) per block, not O(cells).
@@ -444,12 +269,11 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
   const auto histogram = [&](const exp::DealBlock& block) {
     std::vector<std::size_t> counts(points.size(), 0);
     for (std::size_t k = block.begin; k < block.end; ++k)
-      ++counts[queue->at(k).point];
+      ++counts[queue.at(k).point];
     return counts;
   };
   std::vector<Pending> pending;
-  for (const exp::DealBlock& block :
-       exp::plan_deal_blocks(model, *queue, workers))
+  for (const exp::DealBlock& block : blocks)
     pending.push_back({block, histogram(block)});
   const std::size_t planned_blocks = pending.size();
   const auto requeue = [&](const exp::DealBlock& block) {
@@ -534,7 +358,8 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
     ++procs[k].attempts;
   };
 
-  // Same interruption plumbing as the static coordinator, plus SIGPIPE
+  // Interruption plumbing: flag-setting handlers without SA_RESTART, so
+  // a blocked wait returns EINTR when the user hits Ctrl-C. SIGPIPE is
   // ignored: writing "deal" to a worker that just died must surface as
   // an error return, not kill the coordinator.
   g_coordinator_signal = 0;
@@ -562,7 +387,8 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
   };
 
   std::cerr << "dealing " << planned_blocks << " blocks ("
-            << campaign.cells() << " cells) over " << workers
+            << campaign.cells() - kept << " cells; " << kept
+            << " kept from the worker files) over " << workers
             << " workers -> " << out << '\n';
   for (std::size_t k = 0; k < workers; ++k) spawn(k, base.resume);
 
@@ -612,7 +438,7 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
       procs[k].busy = false;
       // The block's one timing refines every point it touched, so the
       // next take_longest re-ranks the remaining blocks.
-      model.observe_span(*queue, begin, end, seconds);
+      model.observe_span(queue, begin, end, seconds);
     }
   };
   const auto deal_to_idle = [&] {
@@ -664,7 +490,6 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
       procs[k].pid = -1;
       ::close(procs[k].command_fd);
       procs[k].command_fd = -1;
-      remove_worker_scratch(base.storage_dir, pid);
       // An ack flushed just before the death must win over a re-deal:
       // the acked block's records are on disk.
       drain_acks();
@@ -703,12 +528,11 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
       int status = 0;
       while (::waitpid(proc.pid, &status, 0) < 0 && errno == EINTR) {
       }
-      remove_worker_scratch(base.storage_dir, proc.pid);
       proc.pid = -1;
     }
     close_fds();
     restore_handlers();
-    std::cerr << "coordinator: interrupted; shard files retained — rerun "
+    std::cerr << "coordinator: interrupted; worker files retained — rerun "
                  "with --resume to continue\n";
     return 128 + sig;
   }
@@ -724,7 +548,6 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
     int status = 0;
     while (::waitpid(proc.pid, &status, 0) < 0 && errno == EINTR) {
     }
-    remove_worker_scratch(base.storage_dir, proc.pid);
     if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
       std::cerr << "note: a worker exited uncleanly after its last ack; "
                    "the merge below validates every record\n";
@@ -743,14 +566,27 @@ int run_dealt(const exp::Campaign& campaign, std::size_t workers,
       std::error_code ignored;
       std::filesystem::remove(exp::shard_path(out, {k, workers}), ignored);
     }
-  const std::vector<exp::PointResult> results =
-      exp::summarize_jsonl(campaign, out);
-  std::cout << exp::render_campaign_table(campaign, results);
-  std::cout << "\nresults written to " << out << " (" << workers
-            << " workers, dynamic dealing)\n";
-  return 0;
+  return print_results(campaign, out, workers);
 }
 #endif
+
+/// --list, --summarize, --merge, --worker and --workers each select a
+/// different mode: combining two would silently drop one, so it is an
+/// error naming both. --keep-shards only means something under --workers.
+void reject_mode_conflicts(const CliParser& cli) {
+  const char* modes[] = {"list", "summarize", "merge", "worker", "workers"};
+  const char* chosen = nullptr;
+  for (const char* mode : modes) {
+    if (!cli.has(mode)) continue;
+    if (chosen != nullptr)
+      throw std::invalid_argument("--" + std::string(chosen) + " and --" +
+                                  mode +
+                                  " select different modes; pass one of them");
+    chosen = mode;
+  }
+  if (cli.has("keep-shards") && !cli.has("workers"))
+    throw std::invalid_argument("--keep-shards requires --workers");
+}
 
 }  // namespace
 
@@ -763,7 +599,10 @@ int main(int argc, char** argv) {
                  "arrival_law, load_factor) and a configs selector "
                  "(see src/exp/campaign.hpp)")
         .describe("out", "JSONL results file (one record per cell)")
-        .describe("resume", "continue an interrupted --out file")
+        .describe("resume",
+                  "continue an interrupted --out file (with --worker or "
+                  "--workers, the worker files): only missing cells are "
+                  "computed")
         .describe("summarize",
                   "aggregate this JSONL file instead of running anything")
         .describe("list", "print the grid points and configurations, then exit")
@@ -773,44 +612,22 @@ int main(int argc, char** argv) {
         .describe("seed", "override the campaign's master seed")
         .describe("workers",
                   "coordinate N local worker processes, dealing cost-guided "
-                  "cell blocks to idle workers (see --deal), then merge "
-                  "byte-identically into --out")
-        .describe("deal",
-                  "block distribution under --workers: dynamic (default; "
-                  "cost-guided blocks dealt longest-first to idle workers) "
-                  "or static (one fixed contiguous range per worker)")
+                  "cell blocks to idle workers, then merge byte-identically "
+                  "into --out")
         .describe("worker",
-                  "run one fixed contiguous shard (<index>/<count>, e.g. "
-                  "1/4) into its own shard file, for external launchers; "
-                  "always static — dynamic dealing needs the --workers "
-                  "coordinator")
+                  "run worker <index>/<count>'s fixed contiguous block of "
+                  "cells (e.g. 1/4) into its own worker file, for external "
+                  "launchers")
         .describe("merge",
-                  "merge <count> completed shard files into --out, then exit "
-                  "(static or deal mode, auto-detected from shard 0)")
-        .describe("keep-shards", "keep per-shard files after a --workers merge")
-        .describe("order",
-                  "cell execution order: lpt (default; longest-predicted-"
-                  "first from the online cost model) or index — pure "
-                  "scheduling, never changes one output byte")
-        .describe("schedule",
-                  "parallel_for schedule for the cell loop: stealing "
-                  "(default), dynamic, or static (COREDIS_AFFINITY=1 "
-                  "flips the default to static)")
-        .describe("storage",
-                  "cell-queue/result-spill backend: ram (default), file "
-                  "(bounded RAM; see --spill-mb), or mmap (memory-mapped "
-                  "scratch, page-cache resident; POSIX only)")
-        .describe("spill-dir",
-                  "scratch directory for --storage file/mmap (default: "
-                  "system temp)")
-        .describe("spill-mb",
-                  "RAM budget in MiB for the file-backed result spill "
-                  "(default: 16)");
+                  "merge <count> completed worker files into --out, then exit")
+        .describe("keep-shards",
+                  "keep the worker files after a --workers merge");
     if (cli.wants_help()) {
       std::cout << cli.usage("campaign grid runner (run/resume/summarize)");
       return 0;
     }
     cli.reject_unknown();
+    reject_mode_conflicts(cli);
 
     const std::string campaign_path = cli.get_string("campaign", "");
     if (campaign_path.empty())
@@ -840,22 +657,8 @@ int main(int argc, char** argv) {
     options.jsonl_path = out;
     options.resume = cli.get_bool("resume");
     options.threads = static_cast<std::size_t>(threads);
-    options.storage = exp::parse_storage_kind(cli.get_string("storage", "ram"));
-    options.storage_dir = cli.get_string("spill-dir", "");
-    const long spill_mb = cli.get_int("spill-mb", 16);
-    if (spill_mb < 1) throw std::invalid_argument("--spill-mb must be >= 1");
-    options.spill_ram_budget_bytes =
-        static_cast<std::size_t>(spill_mb) << 20;
-    if (const auto order = cli.get("order"))
-      options.order = exp::parse_cell_order(*order);
-    if (const auto schedule = cli.get("schedule"))
-      options.schedule = exp::parse_schedule(*schedule);
-    const std::string deal = cli.get_string("deal", "dynamic");
-    if (deal != "dynamic" && deal != "static")
-      throw std::invalid_argument("--deal must be dynamic or static (got '" +
-                                  deal + "')");
 
-    if (const auto merge = cli.get("merge")) {
+    if (cli.has("merge")) {
       const long count = cli.get_int("merge", 0);
       if (count < 1) throw std::invalid_argument("--merge must be >= 1");
       if (std::filesystem::exists(out))
@@ -865,7 +668,7 @@ int main(int argc, char** argv) {
     }
     if (const auto worker = cli.get("worker"))
       return run_worker(campaign, exp::parse_shard_spec(*worker), options);
-    if (const auto workers = cli.get("workers")) {
+    if (cli.has("workers")) {
       const long count = cli.get_int("workers", 0);
       if (count < 1) throw std::invalid_argument("--workers must be >= 1");
       if (!options.resume) {
@@ -873,16 +676,13 @@ int main(int argc, char** argv) {
         refuse_existing_shards(out, static_cast<std::size_t>(count));
       }
 #if defined(COREDIS_CAMPAIGN_FORK)
-      if (deal == "dynamic")
-        return run_dealt(campaign, static_cast<std::size_t>(count),
-                         cli.get_bool("keep-shards"), options);
+      return run_dealt(campaign, static_cast<std::size_t>(count),
+                       cli.get_bool("keep-shards"), options);
 #else
-      if (deal == "dynamic")
-        std::cerr << "note: no fork() on this platform; falling back to "
-                     "static contiguous shards\n";
+      std::cerr << "note: no fork() on this platform; running the campaign "
+                   "in this process (same bytes)\n";
+      return run_campaign_to(campaign, options);
 #endif
-      return run_distributed(campaign, static_cast<std::size_t>(count),
-                             cli.get_bool("keep-shards"), options);
     }
     if (!options.resume) refuse_existing(out, "output file");
     return run_campaign_to(campaign, options);
