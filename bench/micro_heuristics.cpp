@@ -25,15 +25,13 @@ core::Pack bench_pack(int n) {
 }
 
 void run_engine(benchmark::State& state, core::EndPolicy end,
-                core::FailurePolicy failure, int n, int p, double mtbf_years,
-                bool linear_event_scan = false) {
+                core::FailurePolicy failure, int n, int p, double mtbf_years) {
   const core::Pack pack = bench_pack(n);
   const checkpoint::Model resilience({units::years(mtbf_years), 60.0, 1.0,
                                       checkpoint::PeriodRule::Young, 0.0});
   core::EngineConfig config;
   config.end_policy = end;
   config.failure_policy = failure;
-  config.linear_event_scan = linear_event_scan;
   core::Engine engine(pack, resilience, p, config);
   std::uint64_t seed = 0;
   std::int64_t faults = 0;
@@ -77,16 +75,6 @@ void BM_Engine_PaperScale_IG(benchmark::State& state) {
              core::FailurePolicy::IteratedGreedy, 100, 1000, 100.0);
 }
 BENCHMARK(BM_Engine_PaperScale_IG)->Unit(benchmark::kMillisecond);
-
-// Same configuration dispatched through the legacy O(n) event rescans
-// (EngineConfig::linear_event_scan): the gap against the run above is the
-// indexed event queue's contribution, isolated from the kernel caching.
-void BM_Engine_PaperScale_IG_LinearScan(benchmark::State& state) {
-  run_engine(state, core::EndPolicy::Local,
-             core::FailurePolicy::IteratedGreedy, 100, 1000, 100.0,
-             /*linear_event_scan=*/true);
-}
-BENCHMARK(BM_Engine_PaperScale_IG_LinearScan)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -132,10 +132,8 @@ struct EngineState {
   // and by its expected finish tU (the Alg. 2 line 30 "did the faulty task
   // become the longest?" test). refresh_projection keeps both keys in
   // sync, mark_done removes completed tasks, so event dispatch is O(log n)
-  // instead of an O(n) rescan. Disabled (use_event_index = false) the
-  // state answers the same queries with the legacy linear scans — the
-  // golden determinism test pins both implementations to identical runs.
-  bool use_event_index = false;
+  // instead of an O(n) rescan. build_event_index() must run once `tasks`
+  // is sized, before the first refresh_projection.
   util::IndexedHeap<util::MinKeyThenId> projection_queue;
   util::IndexedHeap<util::MaxKeyThenId> tu_queue;
 
@@ -245,29 +243,27 @@ struct EngineState {
   /// Redistribution cost RC^{sigma_i -> to}_i in seconds (Eq. 9).
   [[nodiscard]] double redistribution_cost(int i, int to) const;
 
-  /// Refresh proj_end from (alpha, sigma, tlastR); with the event index
-  /// enabled, re-keys task i in both queues (callers always rewrite tU
+  /// Refresh proj_end from (alpha, sigma, tlastR) and re-key an
+  /// unfinished task i in both event queues (callers always rewrite tU
   /// before calling this, so one sync point covers both keys).
   void refresh_projection(int i);
 
-  /// Enable and (re)build the event index over the current tasks vector.
+  /// (Re)build the event index over the current tasks vector.
   void build_event_index();
 
   /// Mark task i finished and drop it from the event queues.
   void mark_done(int i);
 
   /// Unfinished task with the earliest proj_end, ties to the smallest
-  /// index (identical to the legacy linear scan). Precondition: at least
-  /// one unfinished task.
+  /// index; -1 when every task is done.
   [[nodiscard]] int earliest_unfinished() const;
 
-  /// Largest tU over unfinished tasks (0 when none, like the scan it
-  /// replaces).
+  /// Largest tU over unfinished tasks (0 when none).
   [[nodiscard]] double longest_expected_finish() const;
 
   /// Ascending-index list of unfinished tasks with proj_end <= bound (the
-  /// Alg. 2 line 28 surrender candidates), excluding `except`. O(matches)
-  /// with the event index, O(n) without.
+  /// Alg. 2 line 28 surrender candidates), excluding `except`: a pruned
+  /// heap descent, then a sort of the matches.
   void unfinished_ending_by(double bound, int except,
                             std::vector<int>& out) const;
 

@@ -114,7 +114,7 @@ RunResult Engine::run(fault::Generator& faults) {
   state.eager_scans = config_.eager_scans;
   state.tasks.resize(static_cast<std::size_t>(n));
   state.ensure_lazy_state();
-  if (!config_.linear_event_scan) state.build_event_index();
+  state.build_event_index();
 
   // --profile plumbing: phase timers bracket the call sites below; the
   // commit share is accumulated by commit_changes through state.profile.

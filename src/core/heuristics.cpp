@@ -77,14 +77,13 @@ double EngineState::redistribution_cost(int i, int to) const {
 void EngineState::refresh_projection(int i) {
   TaskRuntime& rt = task(i);
   rt.proj_end = rt.tlastR + model->simulated_duration(i, rt.sigma, rt.alpha);
-  if (use_event_index && !rt.done) {
+  if (!rt.done) {
     projection_queue.update(i, rt.proj_end);
     tu_queue.update(i, rt.tU);
   }
 }
 
 void EngineState::build_event_index() {
-  use_event_index = true;
   projection_queue.reset(n());
   tu_queue.reset(n());
   for (int i = 0; i < n(); ++i) {
@@ -98,49 +97,26 @@ void EngineState::build_event_index() {
 void EngineState::mark_done(int i) {
   TaskRuntime& rt = task(i);
   rt.done = true;
-  if (use_event_index) {
-    projection_queue.remove(i);
-    tu_queue.remove(i);
-  }
+  projection_queue.remove(i);
+  tu_queue.remove(i);
 }
 
 int EngineState::earliest_unfinished() const {
-  if (use_event_index)
-    return projection_queue.empty() ? -1 : projection_queue.top();
-  double end_time = std::numeric_limits<double>::infinity();
-  int ending = -1;
-  for (int i = 0; i < n(); ++i) {
-    const TaskRuntime& rt = task(i);
-    if (!rt.done && rt.proj_end < end_time) {
-      end_time = rt.proj_end;
-      ending = i;
-    }
-  }
-  return ending;
+  return projection_queue.empty() ? -1 : projection_queue.top();
 }
 
 double EngineState::longest_expected_finish() const {
-  if (use_event_index) return tu_queue.empty() ? 0.0 : tu_queue.top_key();
-  double longest = 0.0;
-  for (int i = 0; i < n(); ++i)
-    if (!task(i).done) longest = std::max(longest, task(i).tU);
-  return longest;
+  return tu_queue.empty() ? 0.0 : tu_queue.top_key();
 }
 
 void EngineState::unfinished_ending_by(double bound, int except,
                                        std::vector<int>& out) const {
   out.clear();
-  if (use_event_index) {
-    projection_queue.for_each_at_or_before(
-        bound, [&](int i) { if (i != except) out.push_back(i); });
-    // Heap order is arbitrary; callers surrender processors in ascending
-    // task order (it shapes the idle pool's stack, hence determinism).
-    std::sort(out.begin(), out.end());
-    return;
-  }
-  for (int i = 0; i < n(); ++i)
-    if (i != except && !task(i).done && task(i).proj_end <= bound)
-      out.push_back(i);
+  projection_queue.for_each_at_or_before(
+      bound, [&](int i) { if (i != except) out.push_back(i); });
+  // Heap order is arbitrary; callers surrender processors in ascending
+  // task order (it shapes the idle pool's stack, hence determinism).
+  std::sort(out.begin(), out.end());
 }
 
 void EngineState::commit(double t, int faulty, const std::vector<int>& new_sigma,

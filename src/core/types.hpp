@@ -40,11 +40,6 @@ struct EngineConfig {
   /// Record the allocation timeline (one segment per constant-sigma span
   /// per task) for Gantt-style inspection; see core/timeline.hpp.
   bool record_timeline = false;
-  /// Debug/validation: dispatch events with the legacy O(n) rescans
-  /// instead of the indexed O(log n) event queues (DESIGN.md section 6).
-  /// Both implementations produce bit-identical simulations — the golden
-  /// determinism test runs every pinned scenario through each.
-  bool linear_event_scan = false;
   /// Debug/validation: run the heuristics' from-scratch improvability
   /// scans instead of the lazy stale-bound machinery (DESIGN.md section
   /// 6.5). Decisions are identical either way — the lazy scans re-probe

@@ -571,8 +571,7 @@ void execute_span(const std::vector<Scenario>& points,
         const std::size_t k = first + order[index];
         const CellRef ref = queue.at(k);
         const auto start = std::chrono::steady_clock::now();
-        const CellResult result =
-            run_cell(points[ref.point], configs, ref.rep, options.dispatch);
+        const CellResult result = run_cell(points[ref.point], configs, ref.rep);
         model->observe(ref.point,
                        std::chrono::duration<double>(
                            std::chrono::steady_clock::now() - start)

@@ -121,10 +121,6 @@ struct GridRunOptions {
   bool resume = false;
   /// Worker override for the global queue (0 = default_thread_count()).
   std::size_t threads = 0;
-  /// Which dispatch executes each configuration (exp/runner.hpp): the
-  /// policy registry (production) or the frozen pre-registry switch.
-  /// The differential battery cmp-locks the two paths' artifacts.
-  DispatchPath dispatch = DispatchPath::Registry;
   /// Cost model that orders cells longest-predicted-first (DESIGN.md
   /// section 12.1) and is refined from completed-cell timings. Null
   /// builds a fresh per-run model; a caller-owned model (must outlive

@@ -15,63 +15,29 @@ namespace {
 /// make cell costs of one point vary by small factors).
 constexpr double kEwmaAlpha = 0.25;
 
-/// Relative cost of evaluating one configuration, against the
-/// rollback-only PackEngine baseline = 1. Hand-fit to the committed
-/// bench history (BENCH_PR8.json): IteratedGreedy rebuilds the whole
-/// allocation at every fault (~2-3x the ShortestTasksFirst local
-/// repair), EndGreedy re-packs at completions, the no-redistribution
-/// baseline skips redistribution entirely, and the arrival-driven
-/// simulators carry queue bookkeeping per event. Exact values are
-/// uncritical — the model self-corrects — but the *order* must be
-/// right for the first cells dealt.
-double config_weight(const ConfigSpec& config) {
-  double weight = 1.0;
-  switch (config.scheduler) {
-    case SchedulerKind::PackEngine:
-      switch (config.engine.failure_policy) {
-        case core::FailurePolicy::None: weight = 0.5; break;
-        case core::FailurePolicy::ShortestTasksFirst: weight = 1.0; break;
-        case core::FailurePolicy::IteratedGreedy: weight = 2.5; break;
-      }
-      if (config.engine.end_policy == core::EndPolicy::Greedy) weight *= 1.3;
-      break;
-    case SchedulerKind::OnlineMalleable: weight = 2.0; break;
-    case SchedulerKind::BatchEasy: weight = 1.5; break;
-    case SchedulerKind::BatchFcfs: weight = 1.2; break;
-    case SchedulerKind::Registry: weight = 2.0; break;
-  }
-  // A fault-free evaluation skips every fault-handling path.
-  if (config.force_fault_free) weight *= 0.6;
-  return weight;
-}
-
 }  // namespace
 
-double cell_cost_prior(const Scenario& point,
-                       const std::vector<ConfigSpec>& configs) {
+double cell_cost_prior(const Scenario& point) {
   // Simulation size: events and allocation work both scale with the
   // task count, redistribution scans with the processor count. The
   // committed bench history shows cell cost growing ~(n*p)^1.0 over the
   // n=100 -> n=1000 (p=10n) decade.
   const double size = static_cast<double>(point.n) *
                       static_cast<double>(std::max(point.p, 1));
-  double heuristics = 0.0;
-  for (const ConfigSpec& config : configs) heuristics += config_weight(config);
-  if (heuristics <= 0.0) heuristics = 1.0;
   // Weibull sampling is heavier per fault and (shape < 1) front-loads
   // faults, driving more redistributions per run.
   const double law = point.fault_law == FaultLaw::Weibull ? 1.5 : 1.0;
   // Online arrivals add release bookkeeping on top of the pack.
   const double arrivals =
       point.arrival_law == extensions::ArrivalLaw::None ? 1.0 : 1.3;
-  return size * heuristics * law * arrivals;
+  return size * law * arrivals;
 }
 
 CostModel::CostModel(const std::vector<Scenario>& points,
-                     const std::vector<ConfigSpec>& configs) {
+                     const std::vector<ConfigSpec>& /*configs*/) {
   priors_.reserve(points.size());
   for (const Scenario& point : points)
-    priors_.push_back(cell_cost_prior(point, configs));
+    priors_.push_back(cell_cost_prior(point));
   observed_.assign(points.size(), Estimate{});
 }
 

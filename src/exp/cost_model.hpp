@@ -14,12 +14,15 @@
 ///
 /// The model is deliberately crude and self-correcting: a structural
 /// prior derived from the scenario knobs the cost actually scales with
-/// (n, p, fault law, arrival law, the configured heuristics) seeds the
-/// ordering, and every completed cell's measured wall-clock refines a
-/// per-point estimate plus a global prior->seconds scale, so points not
-/// yet observed inherit calibration from those that were. Predictions
-/// steer *scheduling only* — they are invisible in every output byte
-/// (the committer retires cells in index order regardless).
+/// (n, p, fault law, arrival law) seeds the ordering, and every
+/// completed cell's measured wall-clock refines a per-point estimate
+/// plus a global prior->seconds scale, so points not yet observed
+/// inherit calibration from those that were. The prior carries no
+/// per-configuration weight: every point of a campaign runs the same
+/// configurations, so such a weight would scale every prior by one
+/// constant, which the learned scale and every ordering absorb.
+/// Predictions steer *scheduling only* — they are invisible in every
+/// output byte (the committer retires cells in index order regardless).
 
 #include <cstddef>
 #include <vector>
@@ -31,19 +34,19 @@
 
 namespace coredis::exp {
 
-/// Structural prior for one cell of `point` under `configs`, in
-/// arbitrary units comparable across points of one campaign: the
-/// n * p simulation size times per-configuration heuristic weights
-/// (IteratedGreedy rebuilds the whole allocation per fault, the
-/// rollback-only baseline handles faults in O(1)) times fault-law and
-/// arrival-law factors. Deterministic and > 0.
-[[nodiscard]] double cell_cost_prior(const Scenario& point,
-                                     const std::vector<ConfigSpec>& configs);
+/// Structural prior for one cell of `point`, in arbitrary units
+/// comparable across points of one campaign: the n * p simulation size
+/// times fault-law and arrival-law factors. Deterministic and > 0.
+[[nodiscard]] double cell_cost_prior(const Scenario& point);
 
 /// Online-refined cell cost estimates for one campaign grid.
 /// Thread-safe: workers call observe() concurrently with predict().
 class CostModel {
  public:
+  /// `configs` is unused (the prior has no per-configuration weight; see
+  /// the file comment), kept only because perfbench/src/grid.cpp spells
+  /// `CostModel(points, configs)` and the benchmark's sources change only
+  /// together with the benchmark; the next benchmark change can drop it.
   CostModel(const std::vector<Scenario>& points,
             const std::vector<ConfigSpec>& configs);
 

@@ -5,12 +5,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
 #include "core/engine.hpp"
-#include "extensions/batch.hpp"
 #include "extensions/online.hpp"
 #include "fault/exponential.hpp"
 #include "fault/weibull.hpp"
@@ -57,34 +55,17 @@ fault::GeneratorPtr make_faults(const Scenario& scenario, std::uint64_t run,
 }
 
 /// True when the two specs would run the exact same simulation. The
-/// canonical policy string encodes every semantics-bearing knob —
-/// scheduler dispatch, every EngineConfig field, every policy option —
-/// so equal strings plus an equal fault-stream switch mean one run can
-/// stand in for the other (an ablation variant that only flips e.g.
-/// faults_in_blackout spells a different string and is never aliased).
+/// canonical policy string encodes every semantics-bearing knob — the
+/// policy and every option it takes — so equal strings plus an equal
+/// fault-stream switch mean one run can stand in for the other (an
+/// ablation variant that only flips e.g. faults_in_blackout spells a
+/// different string and is never aliased). `profile` is a run option no
+/// policy string spells: a profiled spec must run to fill its counters,
+/// so it never stands in for an unprofiled one or the reverse.
 bool same_simulation(const ConfigSpec& a, const ConfigSpec& b) {
   return a.force_fault_free == b.force_fault_free &&
+         a.engine.profile == b.engine.profile &&
          canonical_policy(a) == canonical_policy(b);
-}
-
-core::RunResult from_online(extensions::OnlineResult&& r) {
-  core::RunResult out;
-  out.makespan = r.makespan;
-  out.faults_effective = r.faults_effective;
-  out.redistributions = r.redistributions;
-  out.redistribution_cost = r.redistribution_cost;
-  out.completion_times = std::move(r.completion_times);
-  out.final_allocation = std::move(r.final_allocation);
-  return out;
-}
-
-core::RunResult from_batch(extensions::BatchResult&& r) {
-  core::RunResult out;
-  out.makespan = r.makespan;
-  out.faults_effective = r.faults_effective;
-  out.completion_times = std::move(r.completion_times);
-  out.final_allocation = std::move(r.allocations);
-  return out;
 }
 
 }  // namespace
@@ -126,8 +107,7 @@ const std::vector<double>& CellWorkspace::release_times() {
   return releases_;
 }
 
-CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs,
-                                   DispatchPath path) {
+CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs) {
   CellResult cell;
   // Baseline: no redistribution, faults as configured. It also normalizes
   // the online-workload configurations — every scheduler of a repetition
@@ -141,6 +121,8 @@ CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs,
   }
   cell.baseline = baseline_.makespan;
   cell.results.reserve(configs.size());
+  const std::function<const std::vector<double>&()> releases =
+      [this]() -> const std::vector<double>& { return release_times(); };
   for (const ConfigSpec& spec : configs) {
     if (same_simulation(spec, baseline_spec_)) {
       // The baseline itself: reuse the full simulation above, so its
@@ -148,59 +130,27 @@ CellResult CellWorkspace::evaluate(const std::vector<ConfigSpec>& configs,
       cell.results.push_back(baseline_);
       continue;
     }
+    // Resolve the spec's canonical policy string and run the instantiated
+    // policy over the cell's warm state (DESIGN.md section 10.2): one
+    // engine, one shared model/evaluator, lazily built releases.
     auto faults = make_faults(scenario_, rep_, spec.force_fault_free);
-    if (path == DispatchPath::Registry ||
-        spec.scheduler == SchedulerKind::Registry) {
-      // The production path (DESIGN.md section 10.2): resolve the spec's
-      // canonical policy string and run the instantiated policy over the
-      // same warm state the legacy switch below uses — same engine, same
-      // shared model/evaluator, same lazy releases — so the two paths'
-      // artifacts are byte-identical (the differential battery locks it).
-      const policy::ResolvedPolicy resolved =
-          policy::resolve(canonical_policy(spec));
-      const std::function<const std::vector<double>&()> releases =
-          [this]() -> const std::vector<double>& { return release_times(); };
-      const policy::CellContext ctx{pack_,           resilience_,
-                                    scenario_.p,     *faults,
-                                    engine_.model(), engine_.evaluator(),
-                                    engine_,         releases,
-                                    policy_seed_};
-      cell.results.push_back(resolved.make()->run(ctx));
-      continue;
-    }
-    switch (spec.scheduler) {
-      case SchedulerKind::PackEngine:
-        cell.results.push_back(engine_.run(*faults, spec.engine));
-        break;
-      case SchedulerKind::OnlineMalleable:
-        cell.results.push_back(from_online(extensions::run_online(
-            pack_, resilience_, scenario_.p, release_times(), *faults,
-            engine_.model(), engine_.evaluator())));
-        break;
-      case SchedulerKind::BatchEasy:
-      case SchedulerKind::BatchFcfs: {
-        extensions::BatchConfig batch;
-        batch.backfilling = spec.scheduler == SchedulerKind::BatchEasy;
-        cell.results.push_back(from_batch(extensions::run_batch(
-            pack_, resilience_, scenario_.p, release_times(), batch, *faults,
-            engine_.model(), engine_.evaluator())));
-        break;
-      }
-      case SchedulerKind::Registry:
-        // Unreachable: Registry specs take the branch above whatever the
-        // requested path — the legacy switch predates them.
-        throw std::logic_error("registry-only policy '" + spec.name +
-                               "' cannot run down the legacy dispatch");
-    }
+    const policy::ResolvedPolicy resolved =
+        policy::resolve(canonical_policy(spec));
+    const policy::CellContext ctx{pack_,           resilience_,
+                                  scenario_.p,     *faults,
+                                  engine_.model(), engine_.evaluator(),
+                                  engine_,         releases,
+                                  policy_seed_,    spec.engine.profile};
+    cell.results.push_back(resolved.make()->run(ctx));
   }
   return cell;
 }
 
 CellResult run_cell(const Scenario& scenario,
                     const std::vector<ConfigSpec>& configs,
-                    std::uint64_t rep, DispatchPath path) {
+                    std::uint64_t rep) {
   CellWorkspace workspace(scenario, rep);
-  return workspace.evaluate(configs, path);
+  return workspace.evaluate(configs);
 }
 
 PointResult make_point_frame(const std::vector<ConfigSpec>& configs) {

@@ -72,27 +72,15 @@ std::vector<ConfigSpec> paper_curves() {
 }
 
 ConfigSpec online_malleable() {
-  ConfigSpec spec{"Online malleable (RC)",
-                  {core::EndPolicy::None, core::FailurePolicy::None, false},
-                  false};
-  spec.scheduler = SchedulerKind::OnlineMalleable;
-  return spec;
+  return {"Online malleable (RC)", {}, false, "malleable"};
 }
 
 ConfigSpec online_easy() {
-  ConfigSpec spec{"Online EASY backfilling",
-                  {core::EndPolicy::None, core::FailurePolicy::None, false},
-                  false};
-  spec.scheduler = SchedulerKind::BatchEasy;
-  return spec;
+  return {"Online EASY backfilling", {}, false, "easy"};
 }
 
 ConfigSpec online_fcfs() {
-  ConfigSpec spec{"Online FCFS (rigid)",
-                  {core::EndPolicy::None, core::FailurePolicy::None, false},
-                  false};
-  spec.scheduler = SchedulerKind::BatchFcfs;
-  return spec;
+  return {"Online FCFS (rigid)", {}, false, "fcfs"};
 }
 
 std::vector<ConfigSpec> online_curves() {
@@ -113,18 +101,8 @@ std::vector<ConfigSpec> fault_free_curves() {
 }
 
 std::string canonical_policy(const ConfigSpec& spec) {
-  if (!spec.policy.empty()) return spec.policy;
-  switch (spec.scheduler) {
-    case SchedulerKind::PackEngine:
-      return policy::pack_canonical(spec.engine);
-    case SchedulerKind::OnlineMalleable: return "malleable";
-    case SchedulerKind::BatchEasy: return "easy";
-    case SchedulerKind::BatchFcfs: return "fcfs";
-    case SchedulerKind::Registry:
-      break;  // Registry specs always carry their policy string
-  }
-  throw std::logic_error("ConfigSpec '" + spec.name +
-                         "' has SchedulerKind::Registry but no policy string");
+  return spec.policy.empty() ? policy::pack_canonical(spec.engine)
+                             : spec.policy;
 }
 
 namespace {
@@ -196,7 +174,6 @@ std::vector<ConfigSpec> parse_config_set(const std::string& value) {
       ConfigSpec config;
       config.name = resolved.canonical;
       config.policy = resolved.canonical;
-      config.scheduler = SchedulerKind::Registry;
       configs.push_back(std::move(config));
     }
   }

@@ -55,41 +55,29 @@ struct Scenario {
   [[nodiscard]] extensions::ArrivalSpec arrival_spec() const;
 };
 
-/// Which simulator executes a configuration at a scenario point. The
-/// four legacy kinds survive as the frozen pre-registry dispatch (the
-/// reference side of the policy differential battery); `Registry` marks
-/// configurations that only exist as registered policies
-/// (policy/registry.hpp) and cannot run down the legacy path.
-enum class SchedulerKind {
-  PackEngine,       ///< the paper's engine (static pack; ignores releases)
-  OnlineMalleable,  ///< extensions::run_online (arrival-driven, malleable)
-  BatchEasy,        ///< extensions::run_batch with EASY backfilling
-  BatchFcfs,        ///< extensions::run_batch, plain FCFS (no backfilling)
-  Registry,         ///< registry-only policy; dispatch via `policy`
-};
-
-/// One engine configuration to evaluate at a scenario point.
+/// One configuration to evaluate at a scenario point.
 struct ConfigSpec {
   std::string name;
+  /// The pack engine's knobs, read only while `policy` is empty and only
+  /// through the options the `pack(...)` grammar spells. `profile` is
+  /// the exception: the cell runner hands it to every policy as a run
+  /// option (policy::CellContext::profile).
   core::EngineConfig engine;
   /// Run this configuration under an empty fault stream regardless of the
   /// scenario MTBF (the "fault-free context with RC" curve of Figs. 7-14).
   bool force_fault_free = false;
-  /// Simulator dispatch; `engine` only applies to PackEngine.
-  SchedulerKind scheduler = SchedulerKind::PackEngine;
   /// Registry policy string (policy/registry.hpp grammar). Empty for the
-  /// named preset configurations — their registry spelling is *derived*
-  /// on demand (canonical_policy), so mutating `engine` after
-  /// construction, as the ablation benches do, cannot leave a stale
-  /// string behind. Non-empty for specs built from policy strings.
+  /// pack-engine presets — their registry spelling is *derived* on
+  /// demand (canonical_policy), so mutating `engine` after construction,
+  /// as the ablation benches do, cannot leave a stale string behind.
+  /// Set for the online presets and for specs built from policy strings.
   std::string policy;
 };
 
 /// The canonical registry policy string of a spec: `spec.policy` when
-/// set, otherwise the legacy scheduler/engine fields rendered through
-/// the policy grammar (`pack(end=..., fail=..., ...)`, `malleable`,
-/// `easy`, `fcfs`). Two specs with equal canonical strings and equal
-/// force_fault_free run the exact same simulation.
+/// set, otherwise `engine` rendered through the `pack(...)` grammar. Two
+/// specs with equal canonical strings and equal force_fault_free run the
+/// exact same simulation.
 [[nodiscard]] std::string canonical_policy(const ConfigSpec& spec);
 
 /// The named configurations of section 6.2.

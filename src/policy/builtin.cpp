@@ -52,14 +52,9 @@ const std::vector<OptionSpec>& pack_options() {
                   "task-end redistribution (Algorithms 4/6)"),
       enum_option("fail", "ig", {"none", "stf", "ig"},
                   "failure redistribution (Algorithm 5 variants)"),
-      bool_option("record_trace", false, "one FaultRecord per handled fault"),
       bool_option("zero_rc", false, "ablation: free redistributions"),
       bool_option("blackout_faults", false,
                   "faults in blackout restart the window"),
-      bool_option("record_timeline", false, "record allocation segments"),
-      bool_option("linear_scan", false, "legacy O(n) event dispatch"),
-      bool_option("eager_scans", false, "from-scratch improvability scans"),
-      bool_option("profile", false, "collect the per-phase time breakdown"),
   };
   return specs;
 }
@@ -75,13 +70,8 @@ core::EngineConfig engine_config_of(const OptionSet& options) {
                           : fail == "stf"
                               ? core::FailurePolicy::ShortestTasksFirst
                               : core::FailurePolicy::IteratedGreedy;
-  config.record_trace = options.get_bool("record_trace");
   config.zero_redistribution_cost = options.get_bool("zero_rc");
   config.faults_in_blackout = options.get_bool("blackout_faults");
-  config.record_timeline = options.get_bool("record_timeline");
-  config.linear_event_scan = options.get_bool("linear_scan");
-  config.eager_scans = options.get_bool("eager_scans");
-  config.profile = options.get_bool("profile");
   return config;
 }
 
@@ -89,7 +79,9 @@ class PackPolicy final : public Policy {
  public:
   explicit PackPolicy(core::EngineConfig config) : config_(config) {}
   core::RunResult run(const CellContext& ctx) const override {
-    return ctx.engine.run(ctx.faults, config_);
+    core::EngineConfig config = config_;
+    config.profile = ctx.profile;
+    return ctx.engine.run(ctx.faults, config);
   }
 
  private:
@@ -100,12 +92,10 @@ class PackPolicy final : public Policy {
 
 class MalleablePolicy final : public Policy {
  public:
-  explicit MalleablePolicy(extensions::OnlineOptions options)
-      : options_(options) {}
   core::RunResult run(const CellContext& ctx) const override {
     extensions::OnlineResult r = extensions::run_online(
         ctx.pack, ctx.resilience, ctx.processors, ctx.release_times(),
-        ctx.faults, ctx.model, ctx.evaluator, options_);
+        ctx.faults, ctx.model, ctx.evaluator);
     core::RunResult out;
     out.makespan = r.makespan;
     out.faults_effective = r.faults_effective;
@@ -115,9 +105,6 @@ class MalleablePolicy final : public Policy {
     out.final_allocation = std::move(r.final_allocation);
     return out;
   }
-
- private:
-  extensions::OnlineOptions options_;
 };
 
 // --- easy / fcfs: the rigid batch baselines -------------------------------
@@ -174,12 +161,9 @@ void register_builtin_policies() {
   register_policy(
       {"malleable",
        "online malleable co-scheduling: re-pack at every arrival/completion",
-       {bool_option("eager_replan", false,
-                    "re-pack from scratch at every event")},
-       [](const OptionSet& options) -> std::unique_ptr<Policy> {
-         extensions::OnlineOptions online;
-         online.eager_replan = options.get_bool("eager_replan");
-         return std::make_unique<MalleablePolicy>(online);
+       {},
+       [](const OptionSet&) -> std::unique_ptr<Policy> {
+         return std::make_unique<MalleablePolicy>();
        }});
   register_policy(
       {"easy", "EASY backfilling over rigid job requests", batch_options(),
@@ -209,13 +193,8 @@ std::string pack_canonical(const core::EngineConfig& config) {
                            core::FailurePolicy::ShortestTasksFirst
                        ? "stf"
                        : "ig");
-  values.push_back(text_bool(config.record_trace));
   values.push_back(text_bool(config.zero_redistribution_cost));
   values.push_back(text_bool(config.faults_in_blackout));
-  values.push_back(text_bool(config.record_timeline));
-  values.push_back(text_bool(config.linear_event_scan));
-  values.push_back(text_bool(config.eager_scans));
-  values.push_back(text_bool(config.profile));
   return format_policy("pack", OptionSet(&specs, std::move(values)));
 }
 

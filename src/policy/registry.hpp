@@ -57,6 +57,10 @@ struct CellContext {
   /// Policy-private randomness seed, deterministic in (campaign seed,
   /// repetition) and independent of the workload/fault/arrival streams.
   std::uint64_t policy_seed = 0;
+  /// Collect the engine's per-phase breakdown and work counters into
+  /// RunResult::profile. A run option, not a policy option: no policy
+  /// string sets it and simulated results do not depend on it.
+  bool profile = false;
 };
 
 /// One instantiated policy (a parsed option set bound to behavior).

@@ -413,9 +413,9 @@ TEST(CampaignOnline, ParsesArrivalAxesAndOnlineConfigs) {
   EXPECT_EQ(campaign.cells(), 4u);
   ASSERT_EQ(campaign.configs.size(), 3u);
   EXPECT_EQ(campaign.configs[0].name, online_malleable().name);
-  EXPECT_EQ(campaign.configs[0].scheduler, SchedulerKind::OnlineMalleable);
-  EXPECT_EQ(campaign.configs[1].scheduler, SchedulerKind::BatchEasy);
-  EXPECT_EQ(campaign.configs[2].scheduler, SchedulerKind::BatchFcfs);
+  EXPECT_EQ(campaign.configs[0].policy, "malleable");
+  EXPECT_EQ(campaign.configs[1].policy, "easy");
+  EXPECT_EQ(campaign.configs[2].policy, "fcfs");
   EXPECT_EQ(campaign.grid.point(0).arrival_law,
             extensions::ArrivalLaw::Poisson);
   EXPECT_DOUBLE_EQ(campaign.grid.point(0).load_factor, 0.5);

@@ -3,6 +3,7 @@
 /// baselines (tlastR = t + RC + C, plus D + R for the faulty task),
 /// blackout exclusion, and the revert-at-no-cost rule of IteratedGreedy.
 
+#include <algorithm>
 #include <cmath>
 #include <gtest/gtest.h>
 #include <memory>
@@ -30,6 +31,7 @@ class EngineStateTest : public ::testing::Test {
     state_.platform = &platform_;
     state_.tr = &evaluator_;
     state_.tasks.resize(3);
+    state_.build_event_index();
     for (int i = 0; i < 3; ++i) {
       TaskRuntime& task = state_.task(i);
       task.sigma = 4;
@@ -221,46 +223,78 @@ TEST_F(EngineStateTest, ZeroRedistributionCostFlagDropsRc) {
   EXPECT_GT(state_.redistribution_cost(0, 8), 0.0);
 }
 
-TEST_F(EngineStateTest, EventIndexAgreesWithLinearScans) {
-  // Same state, queried with and without the index, through a sequence of
-  // projection updates and completions.
-  EXPECT_EQ(state_.use_event_index, false);
-  const int linear_first = state_.earliest_unfinished();
-  const double linear_longest = state_.longest_expected_finish();
+/// Brute-force answers to the event-index queries, straight from the
+/// task vector: the earliest projected completion (ties to the smallest
+/// index), the largest tU, and the ascending surrender candidates.
+int brute_earliest(const EngineState& state) {
+  int earliest = -1;
+  for (int i = 0; i < state.n(); ++i) {
+    const TaskRuntime& rt = state.task(i);
+    if (!rt.done &&
+        (earliest < 0 || rt.proj_end < state.task(earliest).proj_end))
+      earliest = i;
+  }
+  return earliest;
+}
 
-  state_.build_event_index();
-  EXPECT_EQ(state_.earliest_unfinished(), linear_first);
-  EXPECT_DOUBLE_EQ(state_.longest_expected_finish(), linear_longest);
+double brute_longest(const EngineState& state) {
+  double longest = 0.0;
+  for (int i = 0; i < state.n(); ++i)
+    if (!state.task(i).done) longest = std::max(longest, state.task(i).tU);
+  return longest;
+}
+
+std::vector<int> brute_ending_by(const EngineState& state, double bound,
+                                 int except) {
+  std::vector<int> out;
+  for (int i = 0; i < state.n(); ++i)
+    if (i != except && !state.task(i).done && state.task(i).proj_end <= bound)
+      out.push_back(i);
+  return out;
+}
+
+TEST_F(EngineStateTest, EventIndexAgreesWithLinearScans) {
+  // The index against brute-force scans of the task vector, through a
+  // sequence of projection updates and completions.
+  EXPECT_EQ(state_.earliest_unfinished(), brute_earliest(state_));
+  EXPECT_DOUBLE_EQ(state_.longest_expected_finish(), brute_longest(state_));
 
   // Push task 0's projection way out and its tU up; the index must track.
   state_.task(0).tlastR = 5.0e7;
   state_.task(0).tU = 9.0e7;
   state_.refresh_projection(0);
-  state_.use_event_index = false;
-  const int scan_first = state_.earliest_unfinished();
-  const double scan_longest = state_.longest_expected_finish();
-  state_.use_event_index = true;
-  EXPECT_EQ(state_.earliest_unfinished(), scan_first);
-  EXPECT_DOUBLE_EQ(state_.longest_expected_finish(), scan_longest);
+  const int first = state_.earliest_unfinished();
+  EXPECT_EQ(first, brute_earliest(state_));
+  EXPECT_NE(first, 0);
+  EXPECT_DOUBLE_EQ(state_.longest_expected_finish(), brute_longest(state_));
 
   // Completion removes the task from both queues.
-  state_.mark_done(scan_first);
-  state_.use_event_index = false;
-  const int next_first = state_.earliest_unfinished();
-  state_.use_event_index = true;
-  EXPECT_EQ(state_.earliest_unfinished(), next_first);
+  state_.mark_done(first);
+  EXPECT_EQ(state_.earliest_unfinished(), brute_earliest(state_));
+  EXPECT_DOUBLE_EQ(state_.longest_expected_finish(), brute_longest(state_));
 }
 
 TEST_F(EngineStateTest, UnfinishedEndingByMatchesLinearFilter) {
-  state_.build_event_index();
   const double bound = state_.task(1).proj_end;  // includes the boundary
   std::vector<int> indexed;
   state_.unfinished_ending_by(bound, /*except=*/2, indexed);
-  state_.use_event_index = false;
-  std::vector<int> linear;
-  state_.unfinished_ending_by(bound, /*except=*/2, linear);
-  EXPECT_EQ(indexed, linear);
+  EXPECT_EQ(indexed, brute_ending_by(state_, bound, 2));
   EXPECT_FALSE(indexed.empty());
+}
+
+TEST_F(EngineStateTest, SurrenderCandidatesComeOutInAscendingTaskOrder) {
+  // Projections descending in task index: the heap holds them in the
+  // reverse of task order, and surrender order must still be ascending
+  // (it shapes the idle pool's stack, hence fault attribution).
+  for (int i = 0; i < 3; ++i) {
+    state_.task(i).tlastR = 1.0e9 * (3 - i);
+    state_.refresh_projection(i);
+  }
+  ASSERT_GT(state_.task(0).proj_end, state_.task(1).proj_end);
+  ASSERT_GT(state_.task(1).proj_end, state_.task(2).proj_end);
+  std::vector<int> candidates;
+  state_.unfinished_ending_by(1.0e300, /*except=*/-1, candidates);
+  EXPECT_EQ(candidates, (std::vector<int>{0, 1, 2}));
 }
 
 }  // namespace

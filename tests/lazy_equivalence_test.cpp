@@ -442,6 +442,7 @@ class ScanCacheTest : public ::testing::Test {
     state_.platform = &platform_;
     state_.tr = &evaluator_;
     state_.tasks.resize(4);
+    state_.build_event_index();
     for (int i = 0; i < 4; ++i) {
       core::detail::TaskRuntime& task = state_.task(i);
       task.sigma = 8;
@@ -464,6 +465,7 @@ class ScanCacheTest : public ::testing::Test {
     fresh.tr = &evaluator_;
     fresh.eager_scans = true;
     fresh.tasks = state_.tasks;
+    fresh.build_event_index();
     for (int i = 0; i < fresh.n(); ++i) {
       if (!fresh.task(i).done) platform.acquire(i, fresh.task(i).sigma);
       fresh.refresh_projection(i);

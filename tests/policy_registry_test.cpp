@@ -1,42 +1,53 @@
 /// \file policy_registry_test.cpp
-/// The registry differential battery (DESIGN.md section 10): the policy
-/// registry is the production dispatch, and this suite locks it against
-/// the frozen pre-registry switch byte for byte. Three layers:
+/// The policy registry battery (DESIGN.md section 10). The registry is
+/// the only dispatch, and this suite pins what it produces:
 ///
-///  * campaign artifacts: whole grids — offline paper configs, an
-///    online-arrival grid, both fault laws — run once per DispatchPath
-///    and the JSONL files must compare equal (cmp semantics, the
-///    lazy_equivalence pattern at the artifact level);
+///  * campaign artifacts: widened offline (paper configs) and
+///    online-arrival grids, both fault laws, are pinned by FNV-1a
+///    digests of their JSONL bytes, captured from the pre-registry
+///    dispatch switch (which matched the registry byte for byte) before
+///    that switch was deleted;
 ///  * registry strings vs presets: `pack(end=..., fail=...)` spellings
-///    must replay the preset ConfigSpecs double for double;
+///    must replay the preset ConfigSpecs double for double, and the
+///    built-in batch policies must keep their defining behaviour (EASY
+///    backfills where FCFS waits);
 ///  * the adaptive policies (bandit, reshape): deterministic in
 ///    (point seed, rep) — identical cells across repeated runs, across
 ///    thread counts (GridRunOptions::threads and COREDIS_THREADS), and
-///    across the shard+merge fabric.
+///    across the deal+merge fabric — and pinned by a digest too.
 
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <gtest/gtest.h>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "exp/campaign.hpp"
 #include "exp/runner.hpp"
 #include "exp/scenario.hpp"
 #include "exp/scenario_file.hpp"
+#include "extensions/batch.hpp"
+#include "fault/generator.hpp"
 #include "policy/registry.hpp"
+#include "speedup/synthetic.hpp"
+#include "speedup/table_profile.hpp"
 
 namespace coredis::exp {
 namespace {
 
-/// Offline differential grid: every pack-engine cell of the paper set
-/// plus both fault laws (the Weibull requirement of the battery).
-const char* const kOfflineCampaign = R"(
-n = 6
-p = 24
+/// Offline golden grid: every pack-engine configuration of the paper set
+/// over three pack sizes and platforms, both fault laws. Its bytes are
+/// pinned below (kOfflineGoldenDigest).
+const char* const kOfflineGoldenCampaign = R"(
+n = 6, 20, 60
+p = 120, 600, 1800
 runs = 2
 seed = 20260726
 mtbf_years = 2, 50
@@ -44,19 +55,26 @@ fault_law = exponential, weibull
 configs = paper
 )";
 
-/// Online-arrival differential grid: the three arrival-driven
-/// schedulers under Poisson releases, again under both fault laws.
-const char* const kOnlineCampaign = R"(
-n = 6
-p = 24
+/// Online-arrival golden grid: the three arrival-driven schedulers under
+/// both arrival laws, below and above saturation, both fault laws. Its
+/// bytes are pinned below (kOnlineGoldenDigest).
+const char* const kOnlineGoldenCampaign = R"(
+n = 6, 20, 60
+p = 120, 600, 1800
 runs = 2
 seed = 20260731
 mtbf_years = 2
 fault_law = exponential, weibull
-arrival_law = poisson
-load_factor = 1
+arrival_law = poisson, bulk
+load_factor = 0.5, 2
 configs = online
 )";
+
+/// FNV-1a of the two golden grids' JSONL bytes (66,593 and 70,646
+/// bytes), captured from the pre-registry dispatch switch, on which the
+/// registry dispatch produced the same bytes; do not regenerate.
+constexpr std::uint64_t kOfflineGoldenDigest = 0xbffda4798abdb359ULL;
+constexpr std::uint64_t kOnlineGoldenDigest = 0x8943c1b622ca4365ULL;
 
 /// Adaptive-policy grid: the two registry-only baselines next to the
 /// malleable reference, over an online workload.
@@ -141,15 +159,14 @@ class ThreadsEnv {
   std::string previous_;
 };
 
-/// Run the campaign under one dispatch path and return the artifact
-/// bytes (the file is removed afterwards).
-std::string campaign_bytes(const Campaign& campaign, DispatchPath path,
-                           const std::string& tag, std::size_t threads = 0) {
+/// Run the campaign and return the artifact bytes (the file is removed
+/// afterwards).
+std::string campaign_bytes(const Campaign& campaign, const std::string& tag,
+                           std::size_t threads = 0) {
   const std::filesystem::path file = temp_jsonl(tag);
   std::filesystem::remove(file);
   GridRunOptions options;
   options.jsonl_path = file.string();
-  options.dispatch = path;
   options.threads = threads;
   (void)run_campaign(campaign, options);
   std::string bytes = read_file(file);
@@ -157,24 +174,23 @@ std::string campaign_bytes(const Campaign& campaign, DispatchPath path,
   return bytes;
 }
 
-TEST(PolicyRegistryDifferential, OfflineGridByteIdentical) {
-  const Campaign campaign = parse_campaign(kOfflineCampaign);
-  const std::string registry =
-      campaign_bytes(campaign, DispatchPath::Registry, "offline_reg");
-  const std::string legacy =
-      campaign_bytes(campaign, DispatchPath::Legacy, "offline_leg");
-  EXPECT_FALSE(registry.empty());
-  EXPECT_EQ(registry, legacy);
+void expect_pinned(const std::string& bytes, std::uint64_t digest) {
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(fnv1a(bytes), digest)
+      << std::hex << "digest 0x" << fnv1a(bytes) << " over " << std::dec
+      << bytes.size() << " bytes";
 }
 
-TEST(PolicyRegistryDifferential, OnlineArrivalGridByteIdentical) {
-  const Campaign campaign = parse_campaign(kOnlineCampaign);
-  const std::string registry =
-      campaign_bytes(campaign, DispatchPath::Registry, "online_reg");
-  const std::string legacy =
-      campaign_bytes(campaign, DispatchPath::Legacy, "online_leg");
-  EXPECT_FALSE(registry.empty());
-  EXPECT_EQ(registry, legacy);
+TEST(PolicyRegistryGolden, OfflineGridMatchesPinnedDigest) {
+  expect_pinned(
+      campaign_bytes(parse_campaign(kOfflineGoldenCampaign), "offline"),
+      kOfflineGoldenDigest);
+}
+
+TEST(PolicyRegistryGolden, OnlineArrivalGridMatchesPinnedDigest) {
+  expect_pinned(
+      campaign_bytes(parse_campaign(kOnlineGoldenCampaign), "online"),
+      kOnlineGoldenDigest);
 }
 
 void expect_identical(const core::RunResult& a, const core::RunResult& b) {
@@ -199,9 +215,9 @@ void expect_identical_cells(const CellResult& a, const CellResult& b) {
 }
 
 TEST(PolicyRegistryDifferential, RegistryStringsMatchPresets) {
-  // Every legacy SchedulerKind, spelled as a registry policy string,
-  // must replay the preset spec's simulation double for double — the
-  // canonical strings route both through the same instantiated policy.
+  // Every preset, spelled as a registry policy string, must have the
+  // preset's canonical string and replay its simulation double for
+  // double — both run through the same instantiated policy.
   Scenario scenario;
   scenario.n = 6;
   scenario.p = 24;
@@ -231,26 +247,58 @@ TEST(PolicyRegistryDifferential, RegistryStringsMatchPresets) {
     const std::vector<ConfigSpec> via_string =
         parse_config_set(pair.text);
     ASSERT_EQ(via_string.size(), 1u);
-    EXPECT_EQ(via_string[0].scheduler, SchedulerKind::Registry);
+    EXPECT_FALSE(via_string[0].policy.empty());
+    EXPECT_EQ(canonical_policy(via_string[0]), canonical_policy(pair.preset));
     for (std::uint64_t rep = 0; rep < 2; ++rep) {
-      expect_identical_cells(
-          run_cell(scenario, via_string, rep, DispatchPath::Registry),
-          run_cell(scenario, {pair.preset}, rep, DispatchPath::Legacy));
+      expect_identical_cells(run_cell(scenario, via_string, rep),
+                             run_cell(scenario, {pair.preset}, rep));
     }
   }
 }
 
-TEST(PolicyRegistryDifferential, RegistryOnlySpecsRunUnderLegacyPathRequest) {
-  Scenario scenario;
-  scenario.n = 4;
-  scenario.p = 16;
-  scenario.mtbf_years = 0.0;
-  validate_scenario(scenario);
-  const std::vector<ConfigSpec> bandit = parse_config_set("bandit");
-  // Registry-only specs run fine down the (default) registry path even
-  // when the caller asks for the legacy one — the legacy switch simply
-  // cannot spell them, and plain legacy specs are unaffected.
-  (void)run_cell(scenario, bandit, 0, DispatchPath::Legacy);
+TEST(PolicyRegistryBuiltins, EasyBackfillsWhereFcfsWaits) {
+  // The crafted table-profile pack of
+  // OnlineArrivals.BatchBackfillsAReleaseDatedCandidate: job 0 holds 2 of
+  // 4 processors until t = 60, job 1 (released at 10) wants all 4 and
+  // blocks, job 2 (released at 20, short, 2 processors) fits before the
+  // head's shadow time. The EASY shadow rule and FCFS coincide on the
+  // paper's profiles (DESIGN.md section 8.2), so only a crafted pack
+  // tells the registered `easy` and `fcfs` apart.
+  std::vector<core::TaskSpec> tasks;
+  const auto table = [](std::vector<std::pair<int, double>> times) {
+    return std::make_shared<speedup::TableModel>(1000.0, std::move(times));
+  };
+  tasks.push_back({1000.0, table({{1, 100.0}, {2, 60.0}})});
+  tasks.push_back({1000.0, table({{1, 400.0}, {2, 220.0}, {4, 110.0}})});
+  tasks.push_back({1000.0, table({{1, 40.0}, {2, 30.0}})});
+  const core::Pack pack(std::move(tasks),
+                        std::make_shared<speedup::SyntheticModel>(0.08));
+  const checkpoint::Model resilience(
+      {0.0, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
+  const std::vector<double> releases{0.0, 10.0, 20.0};
+  const std::function<const std::vector<double>&()> release_times =
+      [&]() -> const std::vector<double>& { return releases; };
+  // The engine only lends the context its model and evaluator (the batch
+  // policies never run it), and it needs p >= 2n: size it for 6.
+  core::Engine engine(pack, resilience, 6);
+  const auto run = [&](const char* text) {
+    fault::NullGenerator none(4);
+    const policy::CellContext ctx{pack,           resilience,
+                                  4,              none,
+                                  engine.model(), engine.evaluator(),
+                                  engine,         release_times};
+    return policy::resolve(text).make()->run(ctx);
+  };
+  const core::RunResult easy = run("easy");
+  const core::RunResult fcfs = run("fcfs");
+  EXPECT_LT(easy.completion_times[2], fcfs.completion_times[2]);
+
+  fault::NullGenerator none(4);
+  extensions::BatchConfig backfilling;
+  backfilling.backfilling = true;
+  const extensions::BatchResult reference =
+      extensions::run_batch(pack, resilience, 4, releases, backfilling, none);
+  EXPECT_EQ(easy.completion_times, reference.completion_times);
 }
 
 // ---- adaptive policies: determinism in (seed, rep) -----------------------
@@ -280,24 +328,22 @@ TEST(PolicyAdaptiveDeterminism, GridBytesIndependentOfThreadCount) {
   std::string two;
   {
     ThreadsEnv env("1");
-    one = campaign_bytes(campaign, DispatchPath::Registry, "adaptive_t1");
+    one = campaign_bytes(campaign, "adaptive_t1");
   }
   {
     ThreadsEnv env("2");
-    two = campaign_bytes(campaign, DispatchPath::Registry, "adaptive_t2");
+    two = campaign_bytes(campaign, "adaptive_t2");
   }
   EXPECT_FALSE(one.empty());
   EXPECT_EQ(one, two);
   // Explicit worker override, no env: same bytes again.
-  const std::string four =
-      campaign_bytes(campaign, DispatchPath::Registry, "adaptive_t4", 4);
+  const std::string four = campaign_bytes(campaign, "adaptive_t4", 4);
   EXPECT_EQ(one, four);
 }
 
 TEST(PolicyAdaptiveDeterminism, ShardMergeMatchesSingleRun) {
   const Campaign campaign = parse_campaign(kAdaptiveCampaign);
-  const std::string single =
-      campaign_bytes(campaign, DispatchPath::Registry, "adaptive_single");
+  const std::string single = campaign_bytes(campaign, "adaptive_single");
 
   const std::filesystem::path merged = temp_jsonl("adaptive_merged");
   std::filesystem::remove(merged);
@@ -315,13 +361,9 @@ TEST(PolicyAdaptiveDeterminism, ShardMergeMatchesSingleRun) {
 }
 
 TEST(PolicyAdaptiveGolden, CampaignBytesMatchPinnedDigest) {
-  const Campaign campaign = parse_campaign(kAdaptiveGoldenCampaign);
-  const std::string bytes =
-      campaign_bytes(campaign, DispatchPath::Registry, "adaptive_golden");
-  EXPECT_FALSE(bytes.empty());
-  EXPECT_EQ(fnv1a(bytes), kAdaptiveGoldenDigest)
-      << std::hex << "digest 0x" << fnv1a(bytes) << " over " << std::dec
-      << bytes.size() << " bytes";
+  expect_pinned(campaign_bytes(parse_campaign(kAdaptiveGoldenCampaign),
+                               "adaptive_golden"),
+                kAdaptiveGoldenDigest);
 }
 
 TEST(PolicyAdaptiveDeterminism, OfflineWorkloadsRunToo) {

@@ -154,6 +154,14 @@ TEST(PolicyStringErrors, MalformedStringsNameTheOffendingToken) {
   expect_error("bandit(window=0)", {"bandit", "window", "0"});
   expect_error("pack() extra", {"trailing characters", "extra"});
   expect_error("pack(end=lo(cal))", {"unexpected '('", "end"});
+  // Instrumentation and reference-path switches are EngineConfig fields
+  // for direct callers, not options of the simulation grammar.
+  const char* const pack_keys = "options: end, fail, zero_rc, blackout_faults";
+  expect_error("pack(linear_scan=true)", {"pack", "linear_scan", pack_keys});
+  expect_error("pack(profile=true)", {"pack", "profile", pack_keys});
+  expect_error("pack(record_trace=true)", {"pack", "record_trace", pack_keys});
+  expect_error("malleable(eager_replan=true)",
+               {"malleable", "eager_replan", "takes no options"});
 }
 
 TEST(PolicyStringErrors, UnknownKeysListTheAcceptedOnesForEveryPolicy) {

@@ -94,6 +94,25 @@ TEST(CellWorkspace, WarmEqualsColdEqualsRunCell) {
   }
 }
 
+TEST(CellWorkspace, ProfileIsARunOptionNeverAliasedToTheBaseline) {
+  // A profiled copy of the baseline spec must be simulated, not served
+  // from the cached unprofiled baseline: only a run fills the counters.
+  // Profiling reads clocks and counts work; it changes no decision.
+  const exp::Scenario scenario = small_scenario();
+  exp::ConfigSpec plain = exp::baseline_no_redistribution();
+  exp::ConfigSpec profiled = plain;
+  profiled.engine.profile = true;
+  EXPECT_EQ(exp::canonical_policy(plain), exp::canonical_policy(profiled));
+
+  exp::CellWorkspace workspace(scenario, 0);
+  const exp::CellResult cell = workspace.evaluate({plain, profiled});
+  ASSERT_EQ(cell.results.size(), 2u);
+  EXPECT_EQ(cell.results[0].profile.events, 0);
+  EXPECT_GT(cell.results[1].profile.events, 0);
+  EXPECT_EQ(cell.results[1].makespan, cell.results[0].makespan);
+  EXPECT_EQ(cell.results[1].makespan, cell.baseline);
+}
+
 // ---------------------------------------------------------------------------
 // Workspace pool
 // ---------------------------------------------------------------------------
@@ -200,7 +219,7 @@ TEST(Protocol, ParsesWhatIfRequest) {
 
 TEST(Protocol, PolicyFieldSelectsRegistryPolicies) {
   // 'policy' is the registry-string alias of 'configs': same selector
-  // grammar, canonical names, SchedulerKind::Registry specs.
+  // grammar, canonical names, specs carrying their policy string.
   Request request;
   std::string error;
   ASSERT_TRUE(parse_request(
@@ -210,7 +229,7 @@ TEST(Protocol, PolicyFieldSelectsRegistryPolicies) {
       << error;
   ASSERT_EQ(request.configs.size(), 2u);
   EXPECT_EQ(request.configs[0].name, "bandit(window=5)");
-  EXPECT_EQ(request.configs[0].scheduler, exp::SchedulerKind::Registry);
+  EXPECT_EQ(request.configs[0].policy, "bandit(window=5)");
   EXPECT_EQ(request.configs[1].name, "pack(end=greedy)");
 }
 

@@ -32,6 +32,9 @@
 ///
 /// The scenario comes from flags (--n, --p, --mtbf, ...) or from a
 /// scenario file (--scenario, see src/exp/scenario_file.hpp); flags win.
+/// --list-policies, --policy and --compare exclude each other, and a
+/// flag the selected mode never reads is an error, not a silent no-op
+/// (select_mode).
 
 #include <cstddef>
 #include <cstdint>
@@ -64,15 +67,80 @@ namespace {
 
 using namespace coredis;
 
-/// Which simulator a single run drives (--workload). Unknown names fail
-/// loudly with the accepted list.
-exp::SchedulerKind parse_workload(const std::string& name) {
-  if (name == "pack") return exp::SchedulerKind::PackEngine;
-  if (name == "malleable") return exp::SchedulerKind::OnlineMalleable;
-  if (name == "easy") return exp::SchedulerKind::BatchEasy;
-  if (name == "fcfs") return exp::SchedulerKind::BatchFcfs;
+/// Which simulator a single run drives (--workload).
+enum class Workload { Pack, Malleable, Easy, Fcfs };
+
+/// Unknown names fail loudly with the accepted list.
+Workload parse_workload(const std::string& name) {
+  if (name == "pack") return Workload::Pack;
+  if (name == "malleable") return Workload::Malleable;
+  if (name == "easy") return Workload::Easy;
+  if (name == "fcfs") return Workload::Fcfs;
   throw std::invalid_argument("--workload expects pack|malleable|easy|fcfs (got '" +
                               name + "')");
+}
+
+/// What one invocation does: --list-policies, --policy and --compare
+/// each select a mode; without one, it is a single run of --workload.
+enum class Mode { ListPolicies, Policy, Compare, Single };
+
+/// The selected mode. Combining two modes would silently drop one, so it
+/// is an error naming both, and so is any flag the selected mode never
+/// reads: the error names the flag, the runs that read it and the mode.
+Mode select_mode(const CliParser& cli) {
+  const struct {
+    const char* flag;
+    Mode mode;
+    bool on;
+  } modes[] = {
+      {"list-policies", Mode::ListPolicies, cli.get_bool("list-policies")},
+      {"policy", Mode::Policy, cli.has("policy")},
+      {"compare", Mode::Compare, cli.get_bool("compare")},
+  };
+  Mode mode = Mode::Single;
+  std::string selected;
+  for (const auto& candidate : modes) {
+    if (!candidate.on) continue;
+    if (mode != Mode::Single)
+      throw std::invalid_argument(selected + " and --" + candidate.flag +
+                                  " select different modes; pass one of them");
+    mode = candidate.mode;
+    selected = "--" + std::string(candidate.flag);
+  }
+  const std::string workload = cli.get_string("workload", "pack");
+  const bool single = mode == Mode::Single;
+  const bool pack_run = single && parse_workload(workload) == Workload::Pack;
+  const bool repeated = mode == Mode::Policy || mode == Mode::Compare;
+  const bool released = repeated || (single && !pack_run);
+  if (single) selected = "a single " + workload + " run";
+  const char* const pack_only = "a single pack run";
+  const char* const releases =
+      "--compare, --policy and single malleable/easy/fcfs runs";
+  const struct {
+    const char* flag;
+    bool read;
+    const char* readers;
+  } flags[] = {
+      {"end", pack_run, pack_only},
+      {"fail", pack_run, pack_only},
+      {"profile", pack_run, pack_only},
+      {"gantt", pack_run, pack_only},
+      {"timeline-csv", pack_run, pack_only},
+      {"trace-out", pack_run, pack_only},
+      {"trace-in", single, "single runs"},
+      {"workload", single, "single runs"},
+      {"runs", repeated, "--compare and --policy"},
+      {"arrival", released, releases},
+      {"load", released, releases},
+      {"bulk-phases", released, releases},
+      {"arrival-trace", released, releases},
+  };
+  for (const auto& flag : flags)
+    if (cli.has(flag.flag) && !flag.read)
+      throw std::invalid_argument("--" + std::string(flag.flag) +
+                                  " is read only by " + flag.readers +
+                                  ", not by " + selected);
+  return mode;
 }
 
 core::EndPolicy parse_end(const std::string& name) {
@@ -202,7 +270,7 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
 /// Single run of one of the arrival-driven workloads (malleable online
 /// co-scheduling or a rigid batch baseline) on the scenario's pack.
 int run_online_single(const exp::Scenario& scenario,
-                      exp::SchedulerKind workload, const CliParser& cli) {
+                      Workload workload, const CliParser& cli) {
   Rng workload_rng = Rng::child(scenario.seed, 0);
   const core::Pack pack = core::Pack::uniform_random(
       scenario.n, scenario.m_inf, scenario.m_sup,
@@ -223,7 +291,7 @@ int run_online_single(const exp::Scenario& scenario,
             << ", last release " << format_double(units::to_days(last_release), 2)
             << " days)\n";
 
-  if (workload == exp::SchedulerKind::OnlineMalleable) {
+  if (workload == Workload::Malleable) {
     const extensions::OnlineResult result =
         extensions::run_online(pack, resilience, scenario.p, releases, *faults);
     std::cout << "workload: malleable online co-scheduling\n";
@@ -241,7 +309,7 @@ int run_online_single(const exp::Scenario& scenario,
   }
 
   extensions::BatchConfig config;
-  config.backfilling = workload == exp::SchedulerKind::BatchEasy;
+  config.backfilling = workload == Workload::Easy;
   const extensions::BatchResult result = extensions::run_batch(
       pack, resilience, scenario.p, releases, config, *faults);
   std::cout << "workload: rigid batch ("
@@ -335,10 +403,10 @@ int main(int argc, char** argv) {
         .describe("f", "sequential fraction of the speedup profile")
         .describe("m-inf", "smallest task data size")
         .describe("m-sup", "largest task data size")
-        .describe("runs", "repetitions (compare mode)")
+        .describe("runs", "repetitions (--compare and --policy)")
         .describe("seed", "master seed")
-        .describe("end", "end-of-task policy: none|local|greedy")
-        .describe("fail", "failure policy: none|stf|ig")
+        .describe("end", "end-of-task policy: none|local|greedy (pack run)")
+        .describe("fail", "failure policy: none|stf|ig (pack run)")
         .describe("workload",
                   "simulator: pack|malleable|easy|fcfs (pack = the paper's "
                   "static engine; the others schedule release-dated jobs)")
@@ -361,19 +429,21 @@ int main(int argc, char** argv) {
                   "markdown table, then exit")
         .describe("profile",
                   "print the per-phase wall-time breakdown after the run "
-                  "(single mode): Algorithm 1, event dispatch, probe scans "
+                  "(pack run): Algorithm 1, event dispatch, probe scans "
                   "+ heap work, commits")
-        .describe("gantt", "print the allocation Gantt chart (single mode)")
-        .describe("timeline-csv", "write the allocation timeline CSV")
-        .describe("trace-out", "record the fault trace to this file")
-        .describe("trace-in", "replay a recorded fault trace");
+        .describe("gantt", "print the allocation Gantt chart (pack run)")
+        .describe("timeline-csv",
+                  "write the allocation timeline CSV (pack run)")
+        .describe("trace-out", "record the fault trace to this file (pack run)")
+        .describe("trace-in", "replay a recorded fault trace (single runs)");
     if (cli.wants_help()) {
       std::cout << cli.usage("resilient co-scheduling simulator");
       return 0;
     }
     cli.reject_unknown();
+    const Mode mode = select_mode(cli);
 
-    if (cli.get_bool("list-policies")) {
+    if (mode == Mode::ListPolicies) {
       std::cout << policy::list_policies_markdown();
       return 0;
     }
@@ -408,19 +478,19 @@ int main(int argc, char** argv) {
     if (const auto trace = cli.get("arrival-trace"))
       exp::apply_scenario_key(scenario, "arrival_trace", *trace);
 
-    const exp::SchedulerKind workload =
+    const Workload workload =
         parse_workload(cli.get_string("workload", "pack"));
-    if (workload != exp::SchedulerKind::PackEngine &&
+    if (workload != Workload::Pack &&
         scenario.arrival_law == extensions::ArrivalLaw::None &&
         !cli.has("arrival"))
       std::cerr << "note: --workload without --arrival releases every job "
                    "at time 0 (the static setting)\n";
     exp::validate_scenario(scenario);
 
-    if (const auto selector = cli.get("policy"))
-      return run_policy(scenario, *selector);
-    if (cli.get_bool("compare")) return run_compare(scenario);
-    return workload == exp::SchedulerKind::PackEngine
+    if (mode == Mode::Policy)
+      return run_policy(scenario, cli.get_string("policy", ""));
+    if (mode == Mode::Compare) return run_compare(scenario);
+    return workload == Workload::Pack
                ? run_single(scenario, cli)
                : run_online_single(scenario, workload, cli);
   } catch (const std::exception& error) {
