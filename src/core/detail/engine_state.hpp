@@ -238,7 +238,10 @@ struct EngineState {
   /// Alg. 4/5 preambles): the committed alpha minus all work performed
   /// since tlastR, where elapsed time minus completed checkpoints counts
   /// as work (an immediate checkpoint would preserve the running period).
-  [[nodiscard]] double alpha_tentative(int i, double t) const;
+  [[nodiscard]] double alpha_tentative(int i, double t) const {
+    const TaskRuntime& rt = task(i);
+    return model->remaining_after(i, rt.sigma, rt.alpha, t - rt.tlastR);
+  }
 
   /// Redistribution cost RC^{sigma_i -> to}_i in seconds (Eq. 9).
   [[nodiscard]] double redistribution_cost(int i, int to) const;

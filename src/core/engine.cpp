@@ -215,20 +215,12 @@ RunResult Engine::run(fault::Generator& faults) {
       // Rollback to the last checkpoint (Alg. 2 lines 23-26).
       TaskRuntime& task = *struck;
       const int j = task.sigma;
-      const double tau = model.period(owner, j);
-      const double cost = model.checkpoint_cost(owner, j);
-      const double periods =
-          std::isfinite(tau) ? std::floor((fault.time - task.tlastR) / tau)
-                             : 0.0;
-      state.checkpoints_taken += static_cast<long long>(periods);
-      state.time_lost_to_faults +=
-          (fault.time - task.tlastR) - periods * (tau - cost) +
-          resilience_->downtime() + model.recovery_time(owner, j);
-      task.alpha = std::clamp(
-          task.alpha - periods * (tau - cost) / model.fault_free_time(owner, j),
-          0.0, 1.0);
-      task.tlastR = fault.time + resilience_->downtime() +
-                    model.recovery_time(owner, j);
+      const ExpectedTimeModel::Rollback back =
+          model.rollback(owner, j, task.alpha, task.tlastR, fault.time);
+      state.checkpoints_taken += static_cast<long long>(back.periods);
+      state.time_lost_to_faults += back.lost;
+      task.alpha = back.alpha;
+      task.tlastR = back.restart;
       task.tU = task.tlastR + evaluator(owner, j, task.alpha);
       state.refresh_projection(owner);
       state.touch(owner);  // rollback rewrote the committed baseline

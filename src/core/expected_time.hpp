@@ -156,10 +156,9 @@ class ExpectedTimeModel {
   }
 
   /// The (task, j) coefficient record itself — one cache line with every
-  /// alpha-independent quantity. For multi-field hot readers (the
-  /// tentative-alpha arithmetic reads t_ij, tau and C together); prefer
-  /// the named accessors elsewhere. Meaningful only in the fault-aware
-  /// context (fault-free fills t_ij alone).
+  /// alpha-independent quantity, filled on first access like the named
+  /// accessors. Meaningful only in the fault-aware context (fault-free
+  /// fills t_ij alone).
   [[nodiscard]] const Coeffs& record(int task, int j) const {
     return coeffs(task, j);
   }
@@ -198,6 +197,56 @@ class ExpectedTimeModel {
     // A run ending exactly on a period boundary skips the final checkpoint.
     if (remainder <= 1e-9 * work && full_periods > 0.0) full_periods -= 1.0;
     return work + full_periods * c.cost;
+  }
+
+  /// Eq. 8: the remaining fraction of a task that kept `alpha` at its
+  /// last baseline and has run on j processors for `elapsed` seconds
+  /// since. Elapsed time minus the completed checkpoints counts as work
+  /// (a redistribution starts with a checkpoint that saves the running
+  /// period); `alpha` itself while elapsed <= 0 (a blackout window). One
+  /// record fetch.
+  [[nodiscard]] double remaining_after(int task, int j, double alpha,
+                                       double elapsed) const {
+    if (elapsed <= 0.0) return alpha;
+    const Coeffs& c = coeffs(task, j);
+    double completed = 0.0;  // N_{i,j}, Eq. 8
+    double cost = 0.0;
+    if (!resilience_->fault_free()) {
+      completed = std::floor(elapsed / c.tau);
+      cost = c.cost;
+    }
+    const double done_fraction = (elapsed - completed * cost) / c.t_ij;
+    return std::clamp(alpha - done_fraction, 0.0, 1.0);
+  }
+
+  /// Outcome of one fault on a running task (rollback below).
+  struct Rollback {
+    double periods = 0.0;  ///< checkpoints completed since the baseline
+    double alpha = 1.0;    ///< remaining fraction at the last checkpoint
+    double restart = 0.0;  ///< new baseline: fault + downtime + recovery
+    double lost = 0.0;     ///< seconds the fault cost: uncheckpointed
+                           ///< work, downtime and recovery
+  };
+
+  /// Alg. 2 lines 23-26: a fault at `time` rolls a task that kept `alpha`
+  /// at `baseline` and has run on j processors since back to its last
+  /// checkpoint; the task restarts after the downtime and a recovery.
+  /// One record fetch.
+  [[nodiscard]] Rollback rollback(int task, int j, double alpha,
+                                  double baseline, double time) const {
+    const Coeffs& c = coeffs(task, j);
+    Rollback back;
+    double kept = 0.0;  // work seconds the completed checkpoints saved
+    double recovery = 0.0;
+    if (!resilience_->fault_free()) {
+      back.periods = std::floor((time - baseline) / c.tau);
+      kept = back.periods * c.tau_minus_cost;
+      recovery = c.recovery;
+    }
+    back.alpha = std::clamp(alpha - kept / c.t_ij, 0.0, 1.0);
+    back.restart = time + resilience_->downtime() + recovery;
+    back.lost = (time - baseline) - kept + resilience_->downtime() + recovery;
+    return back;
   }
 
   /// Batched Eq. 4 over consecutive even allocations: writes

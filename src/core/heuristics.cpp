@@ -47,27 +47,6 @@
 
 namespace coredis::core::detail {
 
-double EngineState::alpha_tentative(int i, double t) const {
-  const TaskRuntime& rt = task(i);
-  const double elapsed = t - rt.tlastR;
-  if (elapsed <= 0.0) return rt.alpha;
-  // One record fetch for tau, C and t_ij (this runs once per eligible
-  // task per heuristic call). In the fault-free context the period is
-  // infinite and no checkpoint is ever taken: same arithmetic as the
-  // period()/checkpoint_cost() accessors it replaces.
-  const ExpectedTimeModel::Coeffs& c = model->record(i, rt.sigma);
-  double completed = 0.0;  // N_{i,j}, Eq. 8
-  double cost = 0.0;
-  if (!model->resilience().fault_free()) {
-    completed = std::floor(elapsed / c.tau);
-    cost = c.cost;
-  }
-  // Work = elapsed time minus completed checkpoints (the in-progress
-  // period counts: redistribution starts with a checkpoint that saves it).
-  const double done_fraction = (elapsed - completed * cost) / c.t_ij;
-  return std::clamp(rt.alpha - done_fraction, 0.0, 1.0);
-}
-
 double EngineState::redistribution_cost(int i, int to) const {
   const int from = task(i).sigma;
   if (from == to || zero_redistribution_cost) return 0.0;

@@ -205,19 +205,11 @@ BatchResult run_batch(const core::Pack& pack,
       Job& job = jobs[static_cast<std::size_t>(owner)];
       if (fault.time <= job.baseline) continue;  // blackout window
       ++result.faults_effective;
-      // Rollback to the last checkpoint (same arithmetic as the engine).
-      const double tau = model.period(owner, job.request);
-      const double cost = model.checkpoint_cost(owner, job.request);
-      const double periods =
-          std::isfinite(tau)
-              ? std::floor((fault.time - job.baseline) / tau)
-              : 0.0;
-      job.alpha = std::clamp(
-          job.alpha - periods * (tau - cost) /
-                          model.fault_free_time(owner, job.request),
-          0.0, 1.0);
-      job.baseline = fault.time + resilience.downtime() +
-                     model.recovery_time(owner, job.request);
+      // Rollback to the last checkpoint (the engine's rule).
+      const core::ExpectedTimeModel::Rollback back = model.rollback(
+          owner, job.request, job.alpha, job.baseline, fault.time);
+      job.alpha = back.alpha;
+      job.baseline = back.restart;
       job.proj_end =
           job.baseline + model.simulated_duration(owner, job.request, job.alpha);
       continue;

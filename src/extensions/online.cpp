@@ -1,6 +1,7 @@
 #include "extensions/online.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <fstream>
@@ -8,7 +9,10 @@
 #include <numeric>
 #include <optional>
 #include <queue>
+#include <sstream>
 #include <stdexcept>
+#include <system_error>
+#include <utility>
 #include <vector>
 
 #include "core/expected_time.hpp"
@@ -36,17 +40,30 @@ double mean_job_area(const core::ExpectedTimeModel& model,
   return total / static_cast<double>(n);
 }
 
+/// Whitespace-separated release dates. Every token must be a whole
+/// finite, non-negative number; an error names the token and its line.
 std::vector<double> load_trace(const std::string& path, int n) {
   std::ifstream file(path);
   if (!file)
     throw std::runtime_error("cannot open arrival trace: " + path);
   std::vector<double> times;
-  double value = 0.0;
-  while (file >> value) {
-    if (value < 0.0)
-      throw std::runtime_error("arrival trace has a negative release date: " +
-                               path);
-    times.push_back(value);
+  std::string line;
+  for (int number = 1; std::getline(file, line); ++number) {
+    std::istringstream tokens(line);
+    std::string token;
+    while (tokens >> token) {
+      const auto fail = [&](const std::string& what) {
+        throw std::runtime_error("arrival trace " + path + " line " +
+                                 std::to_string(number) + ": " + what);
+      };
+      double value = 0.0;
+      const char* end = token.data() + token.size();
+      const auto [stop, error] = std::from_chars(token.data(), end, value);
+      if (error != std::errc() || stop != end || !std::isfinite(value))
+        fail("'" + token + "' is not a finite number");
+      if (value < 0.0) fail("negative release date '" + token + "'");
+      times.push_back(value);
+    }
   }
   if (static_cast<int>(times.size()) < n)
     throw std::runtime_error(
@@ -78,19 +95,74 @@ struct HeapEntry {
 using util::heap_replace_top;
 using util::stays_top;
 
-/// Runtime state of one online job.
-struct Job {
-  bool admitted = false;
-  bool done = false;
-  double alpha = 1.0;     ///< remaining work fraction, committed at baseline
-  int sigma = 0;          ///< current (even) allocation; 0 before admission
-  double baseline = 0.0;  ///< start of the current checkpoint pattern;
-                          ///< also the end of any blackout window
-  double proj_end = 0.0;  ///< fault-free projected completion
-  double busy_mark = 0.0; ///< last allocation change (busy accounting)
-};
+/// The incremental repair of run_online (DESIGN.md section 8.2): the
+/// regrow re-derives almost every job's allocation unchanged, so prefill
+/// each admissible job's fresh-alpha column to its current allocation
+/// depth in one probe_many batch — the exact Eq. 4 values the grant scans
+/// will read, streamed back to back — then regrow with a replace-top
+/// scratch heap, granting in bulk while a job provably keeps the lead
+/// (the rescored entry beats both heap children, so re-pushing and
+/// re-popping it would be a no-op). Its grants are those of
+/// OnlineSim::regrow, the from-scratch rebuild, which the lazy-equivalence
+/// battery runs as its reference.
+void repair_targets(const OnlineSim& sim, const std::vector<int>& live,
+                    const std::vector<double>& alpha_now, int available,
+                    std::vector<HeapEntry>& heap, std::vector<int>& target) {
+  core::TrEvaluator& evaluator = sim.evaluator();
+  const std::size_t count = live.size();
+  target.assign(count, 2);
+  heap.clear();
+  for (std::size_t k = 0; k < count; ++k) {
+    const core::TrEvaluator::Column col =
+        evaluator.column(live[k], alpha_now[k]);
+    (void)col(std::max(sim.job(live[k]).sigma, 2));
+    heap.push_back({col(2), static_cast<int>(k)});
+  }
+  std::make_heap(heap.begin(), heap.end());
+  bool stuck = false;  // the longest job cannot improve: stop granting
+  while (!stuck && available >= 2 && !heap.empty()) {
+    const auto k = static_cast<std::size_t>(heap.front().job);
+    const core::TrEvaluator::Column tr =
+        evaluator.column(live[k], alpha_now[k]);
+    bool granted = false;
+    while (available >= 2) {
+      const int current = target[k];
+      const int pmax = current + available - available % 2;
+      // Line 9 lookahead, short-circuited as in Algorithm 1
+      // (optimal_schedule.cpp): pmax >= current + 2 and columns are
+      // prefix minima, so a strict drop at current + 2 proves
+      // tr(current) > tr(pmax); only a plateau probes pmax.
+      const double next = tr(current + 2);
+      if (!(next < tr(current)) && !(tr(current) > tr(pmax))) {
+        stuck = !granted;
+        break;
+      }
+      target[k] = current + 2;
+      available -= 2;
+      granted = true;
+      const HeapEntry rescored{next, static_cast<int>(k)};
+      if (stays_top(heap, rescored)) {
+        heap.front() = rescored;  // keeps the lead: grant again
+      } else {
+        heap_replace_top(heap, rescored);
+        break;  // another job took the lead; re-peek
+      }
+    }
+  }
+}
 
 }  // namespace
+
+core::RunResult to_run_result(OnlineResult result) {
+  core::RunResult out;
+  out.makespan = result.makespan;
+  out.faults_effective = result.faults_effective;
+  out.redistributions = result.redistributions;
+  out.redistribution_cost = result.redistribution_cost;
+  out.completion_times = std::move(result.completion_times);
+  out.final_allocation = std::move(result.final_allocation);
+  return out;
+}
 
 std::string to_string(ArrivalLaw law) {
   switch (law) {
@@ -180,216 +252,169 @@ OnlineResult run_online(const core::Pack& pack,
                         const core::ExpectedTimeModel& model,
                         core::TrEvaluator& evaluator,
                         const OnlineOptions& options) {
-  COREDIS_EXPECTS(processors >= 2);
   COREDIS_EXPECTS(&model.pack() == &pack);
-  const int n = pack.size();
-  COREDIS_EXPECTS(static_cast<int>(release_times.size()) == n);
-  const int p = processors - processors % 2;
-  const double infinity = std::numeric_limits<double>::infinity();
-
-  std::vector<Job> jobs(static_cast<std::size_t>(n));
-
-  // Arrival order: release date, ties by job index.
-  std::vector<int> arrivals(static_cast<std::size_t>(n));
-  std::iota(arrivals.begin(), arrivals.end(), 0);
-  std::stable_sort(arrivals.begin(), arrivals.end(), [&](int a, int b) {
-    return release_times[static_cast<std::size_t>(a)] <
-           release_times[static_cast<std::size_t>(b)];
-  });
-  std::size_t next_arrival = 0;
-  // Released, not yet admitted, in arrival order: a consumed-prefix cursor
-  // instead of front-erasure (the erase was quadratic in queue depth).
-  std::vector<int> waiting;
-  std::size_t waiting_head = 0;
-  const auto waiting_empty = [&] { return waiting_head >= waiting.size(); };
-
-  OnlineResult result;
-  result.start_times.assign(static_cast<std::size_t>(n), 0.0);
-  result.completion_times.assign(static_cast<std::size_t>(n), 0.0);
-  result.final_allocation.assign(static_cast<std::size_t>(n), 0);
-
-  /// Remaining work fraction of job i at time t, the engine's
-  /// alpha_tentative arithmetic: elapsed time minus completed checkpoints
-  /// counts as work (a redistribution starts with a checkpoint that
-  /// preserves the running period).
-  const auto tentative_alpha = [&](int i, double t) {
-    const Job& job = jobs[static_cast<std::size_t>(i)];
-    if (t <= job.baseline) return job.alpha;
-    const double tau = model.period(i, job.sigma);
-    const double cost = model.checkpoint_cost(i, job.sigma);
-    const double elapsed = t - job.baseline;
-    const double completed = std::isfinite(tau) ? std::floor(elapsed / tau)
-                                                : 0.0;
-    const double done_fraction =
-        (elapsed - completed * cost) / model.fault_free_time(i, job.sigma);
-    return std::clamp(job.alpha - done_fraction, 0.0, 1.0);
-  };
-
-  // Re-run the pack machinery over the admissible jobs at time t: admit
-  // newly released jobs while one pair per live job still fits, then
-  // rebuild the allocation with the Algorithm 1 greedy over remaining
-  // work, committing only actual changes (each pays RC + an initial
-  // checkpoint and opens a blackout window).
-  std::vector<int> live;      // reused across events
+  COREDIS_EXPECTS(&model.resilience() == &resilience);
+  OnlineSim sim(model, evaluator, processors, release_times);
+  // Re-run the pack machinery over the admissible jobs at every event:
+  // admit newly released jobs while one pair per live job still fits,
+  // rebuild the allocation with Algorithm 1 over remaining work, commit
+  // only actual changes. Scratch vectors are reused across events.
+  std::vector<int> live;
   std::vector<double> alpha_now;
   std::vector<int> target;
-  std::vector<HeapEntry> heap;  // incremental path's scratch (reused)
-  const bool eager_replan = options.eager_replan;
+  std::vector<HeapEntry> heap;
   const auto reschedule = [&](double t) {
-    live.clear();
-    int reserved = 0;
-    for (int i = 0; i < n; ++i) {
-      const Job& job = jobs[static_cast<std::size_t>(i)];
-      if (!job.admitted || job.done) continue;
-      // Jobs inside a blackout window (mid-redistribution or recovering)
-      // keep their allocation; everyone else is malleable.
-      if (t >= job.baseline) {
-        live.push_back(i);
-      } else {
-        reserved += job.sigma;
-      }
-    }
-    // Admission in release order, while one pair per live job still fits.
-    while (!waiting_empty() &&
-           2 * (static_cast<int>(live.size()) + 1) <= p - reserved) {
-      const int i = waiting[waiting_head];
-      ++waiting_head;
-      Job& job = jobs[static_cast<std::size_t>(i)];
-      job.admitted = true;
-      job.alpha = 1.0;
-      job.sigma = 0;     // assigned below
-      job.baseline = t;  // keeps tentative_alpha at 1.0 until the commit
-      job.busy_mark = t;
-      result.start_times[static_cast<std::size_t>(i)] = t;
-      live.push_back(i);
-    }
-    if (live.empty()) return;
-    std::sort(live.begin(), live.end());
-
-    const auto count = live.size();
-    alpha_now.assign(count, 1.0);
-    target.assign(count, 2);
-    for (std::size_t k = 0; k < count; ++k)
-      alpha_now[k] = tentative_alpha(live[k], t);
-
-    // Algorithm 1 over the live set: start at one pair each, grant a pair
-    // to the longest job while its expected time can still decrease; the
-    // line 9 lookahead stops as soon as the longest job cannot improve
-    // even with the whole remaining pool.
-    int available = p - reserved - 2 * static_cast<int>(count);
-    COREDIS_ASSERT(available >= 0);
-    if (!eager_replan) {
-      // Incremental repair (DESIGN.md section 8.2): the regrow re-derives
-      // almost every job's allocation unchanged, so prefill each
-      // admissible job's fresh-alpha column to its current allocation
-      // depth in one probe_many batch — the exact Eq. 4 values the grant
-      // scans will read, streamed back to back — then regrow with a
-      // replace-top scratch heap, granting in bulk while a job provably
-      // keeps the lead (the rescored entry beats both heap children, so
-      // re-pushing and re-popping it would be a no-op). The probes and
-      // their order are identical to the from-scratch rebuild kept below.
-      heap.clear();
-      for (std::size_t k = 0; k < count; ++k) {
-        const core::TrEvaluator::Column col =
-            evaluator.column(live[k], alpha_now[k]);
-        (void)col(std::max(jobs[static_cast<std::size_t>(live[k])].sigma, 2));
-        heap.emplace_back(col(2), static_cast<int>(k));
-      }
-      std::make_heap(heap.begin(), heap.end());
-      bool stuck = false;  // the longest job cannot improve: stop granting
-      while (!stuck && available >= 2 && !heap.empty()) {
-        const auto k = static_cast<std::size_t>(heap.front().job);
-        const core::TrEvaluator::Column tr =
-            evaluator.column(live[k], alpha_now[k]);
-        bool granted = false;
-        while (available >= 2) {
-          const int current = target[k];
-          const int pmax = current + available - available % 2;
-          // Line 9 lookahead, short-circuited as in Algorithm 1
-          // (optimal_schedule.cpp): pmax >= current + 2 and columns are
-          // prefix minima, so a strict drop at current + 2 proves
-          // tr(current) > tr(pmax); only a plateau probes pmax.
-          const double next = tr(current + 2);
-          if (!(next < tr(current)) && !(tr(current) > tr(pmax))) {
-            stuck = !granted;
-            break;
-          }
-          target[k] = current + 2;
-          available -= 2;
-          granted = true;
-          const HeapEntry rescored{next, static_cast<int>(k)};
-          if (stays_top(heap, rescored)) {
-            heap.front() = rescored;  // keeps the lead: grant again
-          } else {
-            heap_replace_top(heap, rescored);
-            break;  // another job took the lead; re-peek
-          }
-        }
-      }
-    } else {
-      std::priority_queue<HeapEntry> queue;
-      for (std::size_t k = 0; k < count; ++k)
-        queue.push({evaluator(live[k], 2, alpha_now[k]), static_cast<int>(k)});
-      while (available >= 2) {
-        const HeapEntry head = queue.top();
-        queue.pop();
-        const auto k = static_cast<std::size_t>(head.job);
-        const int current = target[k];
-        const int pmax = current + available - available % 2;
-        const core::TrEvaluator::Column tr =
-            evaluator.column(live[k], alpha_now[k]);
-        if (tr(current) > tr(pmax)) {
-          target[k] = current + 2;
-          queue.push({tr(current + 2), head.job});
-          available -= 2;
-        } else {
-          break;
-        }
-      }
-    }
-
-    // Commit the changes.
-    for (std::size_t k = 0; k < count; ++k) {
-      const int i = live[k];
-      Job& job = jobs[static_cast<std::size_t>(i)];
-      if (job.sigma == 0) {
-        // Fresh admission: no data to move, the pattern starts here.
-        job.sigma = target[k];
-        job.baseline = t;
-        job.busy_mark = t;
-        job.proj_end = t + model.simulated_duration(i, job.sigma, 1.0);
-      } else if (target[k] != job.sigma) {
-        // Malleable resize: commit the work done so far, pay the Eq. 9
-        // redistribution plus an initial checkpoint on the new
-        // allocation, and black out until both complete.
-        const double rc =
-            redistrib::cost(job.sigma, target[k], pack.task(i).data_size);
-        result.busy_processor_seconds +=
-            static_cast<double>(job.sigma) * (t - job.busy_mark);
-        job.busy_mark = t;
-        job.alpha = alpha_now[k];
-        job.sigma = target[k];
-        job.baseline = t + rc + model.checkpoint_cost(i, job.sigma);
-        job.proj_end =
-            job.baseline + model.simulated_duration(i, job.sigma, job.alpha);
-        ++result.redistributions;
-        result.redistribution_cost += rc;
-      }
-    }
+    const int available = sim.admit_live(t, live, alpha_now);
+    if (options.eager_replan)
+      sim.regrow(live, alpha_now, available, {}, target);
+    else
+      repair_targets(sim, live, alpha_now, available, heap, target);
+    sim.commit(t, live, alpha_now, target);
   };
+  return sim.run(faults, reschedule);
+}
+
+OnlineSim::OnlineSim(const core::ExpectedTimeModel& model,
+                     core::TrEvaluator& evaluator, int processors,
+                     const std::vector<double>& release_times)
+    : model_(model),
+      evaluator_(evaluator),
+      releases_(release_times),
+      p_(processors - processors % 2),
+      n_(model.pack().size()) {
+  COREDIS_EXPECTS(p_ >= 2);
+  COREDIS_EXPECTS(static_cast<int>(release_times.size()) == n_);
+  const auto n = static_cast<std::size_t>(n_);
+  jobs_.assign(n, {});
+  result_.start_times.assign(n, 0.0);
+  result_.completion_times.assign(n, 0.0);
+  result_.final_allocation.assign(n, 0);
+}
+
+int OnlineSim::admit_live(double t, std::vector<int>& live,
+                          std::vector<double>& alpha_now, bool hold_running) {
+  live.clear();
+  int reserved = 0;
+  for (int i = 0; i < n_; ++i) {
+    const Job& job = jobs_[static_cast<std::size_t>(i)];
+    if (!job.admitted || job.done) continue;
+    // Jobs inside a blackout window (mid-redistribution or recovering)
+    // keep their allocation; everyone else is malleable.
+    if (!hold_running && t >= job.baseline)
+      live.push_back(i);
+    else
+      reserved += job.sigma;
+  }
+  while (waiting_head_ < waiting_.size() &&
+         2 * (static_cast<int>(live.size()) + 1) <= p_ - reserved) {
+    const int i = waiting_[waiting_head_++];
+    Job& job = jobs_[static_cast<std::size_t>(i)];
+    job.admitted = true;
+    job.baseline = t;  // keeps tentative_alpha at 1.0 until placement
+    job.busy_mark = t;
+    result_.start_times[static_cast<std::size_t>(i)] = t;
+    live.push_back(i);
+  }
+  std::sort(live.begin(), live.end());
+  alpha_now.resize(live.size());
+  for (std::size_t k = 0; k < live.size(); ++k)
+    alpha_now[k] = tentative_alpha(live[k], t);
+  const int available = p_ - reserved - 2 * static_cast<int>(live.size());
+  COREDIS_ASSERT(available >= 0);
+  return available;
+}
+
+void OnlineSim::regrow(const std::vector<int>& live,
+                       const std::vector<double>& alpha_now, int available,
+                       const std::vector<int>& caps,
+                       std::vector<int>& target) {
+  const std::size_t count = live.size();
+  target.assign(count, 2);
+  std::priority_queue<HeapEntry> queue;
+  for (std::size_t k = 0; k < count; ++k)
+    queue.push({evaluator_(live[k], 2, alpha_now[k]), static_cast<int>(k)});
+  while (available >= 2 && !queue.empty()) {
+    const HeapEntry head = queue.top();
+    queue.pop();
+    const auto k = static_cast<std::size_t>(head.job);
+    const int cap = caps.empty() ? kUncapped : caps[k];
+    const int current = target[k];
+    if (current + 2 > cap) continue;  // capped out: try the next job
+    const int pmax = std::min(current + available - available % 2, cap);
+    const core::TrEvaluator::Column tr =
+        evaluator_.column(live[k], alpha_now[k]);
+    // pmax >= current + 2 and columns are prefix minima, so a strict drop
+    // at current + 2 proves the line 9 lookahead tr(current) > tr(pmax);
+    // only a plateau probes pmax.
+    const double next = tr(current + 2);
+    if (!(next < tr(current)) && !(tr(current) > tr(pmax))) break;
+    target[k] = current + 2;
+    queue.push({next, head.job});
+    available -= 2;
+  }
+}
+
+void OnlineSim::place(int i, int sigma, double t) {
+  Job& job = jobs_[static_cast<std::size_t>(i)];
+  job.sigma = sigma;
+  job.baseline = t;
+  job.busy_mark = t;
+  job.proj_end = t + model_.simulated_duration(i, sigma, 1.0);
+}
+
+void OnlineSim::resize(int i, int sigma, double alpha_now, double t) {
+  Job& job = jobs_[static_cast<std::size_t>(i)];
+  const double rc =
+      redistrib::cost(job.sigma, sigma, model_.pack().task(i).data_size);
+  result_.busy_processor_seconds +=
+      static_cast<double>(job.sigma) * (t - job.busy_mark);
+  job.busy_mark = t;
+  job.alpha = alpha_now;
+  job.sigma = sigma;
+  job.baseline = t + rc + model_.checkpoint_cost(i, sigma);
+  job.proj_end = job.baseline + model_.simulated_duration(i, sigma, alpha_now);
+  ++result_.redistributions;
+  result_.redistribution_cost += rc;
+}
+
+void OnlineSim::commit(double t, const std::vector<int>& live,
+                       const std::vector<double>& alpha_now,
+                       const std::vector<int>& target) {
+  for (std::size_t k = 0; k < live.size(); ++k) {
+    const int i = live[k];
+    const int sigma = jobs_[static_cast<std::size_t>(i)].sigma;
+    if (sigma == 0)
+      place(i, target[k], t);
+    else if (target[k] != sigma)
+      resize(i, target[k], alpha_now[k], t);
+  }
+}
+
+OnlineResult OnlineSim::run(fault::Generator& faults,
+                            const Reschedule& reschedule,
+                            const OnFault& on_fault) {
+  const double infinity = std::numeric_limits<double>::infinity();
+  const auto n = static_cast<std::size_t>(n_);
+  std::vector<int> arrivals(n);
+  std::iota(arrivals.begin(), arrivals.end(), 0);
+  std::stable_sort(arrivals.begin(), arrivals.end(), [&](int a, int b) {
+    return releases_[static_cast<std::size_t>(a)] <
+           releases_[static_cast<std::size_t>(b)];
+  });
+  std::size_t next_arrival = 0;
 
   std::optional<fault::Fault> next_fault = faults.next();
-  int remaining = n;
+  int remaining = n_;
   double now = 0.0;
   while (remaining > 0) {
     const double t_release =
-        next_arrival < static_cast<std::size_t>(n)
-            ? release_times[static_cast<std::size_t>(arrivals[next_arrival])]
+        next_arrival < n
+            ? releases_[static_cast<std::size_t>(arrivals[next_arrival])]
             : infinity;
     double end_time = infinity;
     int ending = -1;
-    for (int i = 0; i < n; ++i) {
-      const Job& job = jobs[static_cast<std::size_t>(i)];
+    for (int i = 0; i < n_; ++i) {
+      const Job& job = jobs_[static_cast<std::size_t>(i)];
       if (job.admitted && !job.done && job.proj_end < end_time) {
         end_time = job.proj_end;
         ending = i;
@@ -399,29 +424,23 @@ OnlineResult run_online(const core::Pack& pack,
     // the expiring reservation may be exactly what admission waits for,
     // and the next completion can be arbitrarily far away.
     double t_unblock = infinity;
-    if (!waiting_empty()) {
-      for (int i = 0; i < n; ++i) {
-        const Job& job = jobs[static_cast<std::size_t>(i)];
+    if (waiting_head_ < waiting_.size()) {
+      for (const Job& job : jobs_)
         if (job.admitted && !job.done && job.baseline > now)
           t_unblock = std::min(t_unblock, job.baseline);
-      }
     }
     const double t_wake = std::min(t_release, t_unblock);
     const double t_next = std::min(t_wake, end_time);
     COREDIS_ASSERT(std::isfinite(t_next));
 
-    // ---- Fault event ---------------------------------------------------
     if (next_fault && next_fault->time < t_next) {
       const fault::Fault fault = *next_fault;
       next_fault = faults.next();
       now = fault.time;
-      // Attribute the fault: processor indices are laid out over the
-      // admitted jobs in index order, idle slots last (the merged stream
-      // draws processors uniformly, so slot identity is equivalent).
       int cursor = 0;
       int owner = -1;
-      for (int i = 0; i < n; ++i) {
-        const Job& job = jobs[static_cast<std::size_t>(i)];
+      for (int i = 0; i < n_; ++i) {
+        const Job& job = jobs_[static_cast<std::size_t>(i)];
         if (!job.admitted || job.done) continue;
         if (fault.processor < cursor + job.sigma) {
           owner = i;
@@ -430,62 +449,48 @@ OnlineResult run_online(const core::Pack& pack,
         cursor += job.sigma;
       }
       if (owner < 0) continue;  // idle slot
-      Job& job = jobs[static_cast<std::size_t>(owner)];
+      Job& job = jobs_[static_cast<std::size_t>(owner)];
       if (fault.time <= job.baseline) continue;  // blackout window
-      ++result.faults_effective;
-      // Rollback to the last checkpoint (the engine's arithmetic).
-      const double tau = model.period(owner, job.sigma);
-      const double cost = model.checkpoint_cost(owner, job.sigma);
-      const double periods =
-          std::isfinite(tau)
-              ? std::floor((fault.time - job.baseline) / tau)
-              : 0.0;
-      job.alpha = std::clamp(
-          job.alpha - periods * (tau - cost) /
-                          model.fault_free_time(owner, job.sigma),
-          0.0, 1.0);
-      job.baseline = fault.time + resilience.downtime() +
-                     model.recovery_time(owner, job.sigma);
+      ++result_.faults_effective;
+      const core::ExpectedTimeModel::Rollback back = model_.rollback(
+          owner, job.sigma, job.alpha, job.baseline, fault.time);
+      job.alpha = back.alpha;
+      job.baseline = back.restart;
       job.proj_end =
-          job.baseline + model.simulated_duration(owner, job.sigma, job.alpha);
+          job.baseline + model_.simulated_duration(owner, job.sigma, job.alpha);
+      if (on_fault) on_fault(owner);
       continue;
     }
 
-    // ---- Release / blackout-exit event ---------------------------------
-    // Releases win a tie with a completion (the admission pass sees the
-    // completing job as still running, harmlessly); a blackout exit tying
-    // a completion defers to it — the completion reschedules anyway.
     if (t_wake < end_time || t_release <= end_time) {
       now = t_wake;
-      while (next_arrival < static_cast<std::size_t>(n) &&
-             release_times[static_cast<std::size_t>(arrivals[next_arrival])] <=
+      while (next_arrival < n &&
+             releases_[static_cast<std::size_t>(arrivals[next_arrival])] <=
                  t_wake) {
-        waiting.push_back(arrivals[next_arrival]);
+        waiting_.push_back(arrivals[next_arrival]);
         ++next_arrival;
       }
       reschedule(t_wake);
       continue;
     }
 
-    // ---- Completion event ----------------------------------------------
     now = end_time;
-    Job& job = jobs[static_cast<std::size_t>(ending)];
+    Job& job = jobs_[static_cast<std::size_t>(ending)];
     job.done = true;
-    result.completion_times[static_cast<std::size_t>(ending)] = end_time;
-    result.final_allocation[static_cast<std::size_t>(ending)] = job.sigma;
-    result.busy_processor_seconds +=
+    result_.completion_times[static_cast<std::size_t>(ending)] = end_time;
+    result_.final_allocation[static_cast<std::size_t>(ending)] = job.sigma;
+    result_.busy_processor_seconds +=
         static_cast<double>(job.sigma) * (end_time - job.busy_mark);
-    result.makespan = std::max(result.makespan, end_time);
+    result_.makespan = std::max(result_.makespan, end_time);
     --remaining;
     if (remaining > 0) reschedule(end_time);
   }
 
   double wait = 0.0;
-  for (int i = 0; i < n; ++i)
-    wait += result.start_times[static_cast<std::size_t>(i)] -
-            release_times[static_cast<std::size_t>(i)];
-  result.mean_queue_wait = n > 0 ? wait / static_cast<double>(n) : 0.0;
-  return result;
+  for (std::size_t i = 0; i < n; ++i)
+    wait += result_.start_times[i] - releases_[i];
+  result_.mean_queue_wait = n_ > 0 ? wait / static_cast<double>(n_) : 0.0;
+  return std::move(result_);
 }
 
 }  // namespace coredis::extensions

@@ -20,15 +20,22 @@
 ///
 /// Faults roll the struck job back to its last checkpoint with the
 /// engine's arithmetic, but never trigger a redistribution here: the
-/// online scheduler re-plans at arrivals and completions only.
+/// online scheduler re-plans at arrivals and completions only. Every
+/// online scheduler — run_online and the adaptive policies
+/// (policy/adaptive.hpp) — runs on the one event loop of OnlineSim and
+/// differs only in its replanning callback.
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "checkpoint/model.hpp"
 #include "core/expected_time.hpp"
 #include "core/pack.hpp"
+#include "core/types.hpp"
 #include "fault/generator.hpp"
 #include "util/rng.hpp"
 
@@ -81,6 +88,129 @@ struct OnlineResult {
   double redistribution_cost = 0.0;      ///< total RC seconds paid
   double busy_processor_seconds = 0.0;   ///< for energy accounting
   double mean_queue_wait = 0.0;          ///< mean (start - release)
+};
+
+/// The policy registry's view of an online run: makespan, effective
+/// faults, redistributions, completion times and final allocations.
+[[nodiscard]] core::RunResult to_run_result(OnlineResult result);
+
+/// The one online event loop (DESIGN.md section 8.2) and the job
+/// lifecycle the online schedulers share. A scheduler is the
+/// `reschedule` callback it hands to run(), built from admit_live,
+/// tentative_alpha, regrow and place/resize/commit. Per iteration the
+/// loop resolves, in this order:
+///
+///  * a fault strictly before every other event: processor indices are
+///    laid out over the admitted jobs in index order, idle slots last; a
+///    fault on an idle slot or inside a blackout window is dropped, any
+///    other rolls its job back (ExpectedTimeModel::rollback) and calls
+///    `on_fault`. Faults never replan;
+///  * a release, or the end of a blackout window while jobs wait: the
+///    released jobs queue in arrival order (release date, ties by index)
+///    and the loop replans. A release wins a tie with a completion (the
+///    admission pass sees the completing job as still running,
+///    harmlessly); a blackout exit tying a completion defers to it;
+///  * the earliest completion (ties to the smallest index), which
+///    replans while jobs remain.
+class OnlineSim {
+ public:
+  /// Runtime state of one online job.
+  struct Job {
+    bool admitted = false;
+    bool done = false;
+    double alpha = 1.0;     ///< remaining work fraction, committed at baseline
+    int sigma = 0;          ///< current (even) allocation; 0 before placement
+    double baseline = 0.0;  ///< start of the current checkpoint pattern;
+                            ///< also the end of any blackout window
+    double proj_end = 0.0;  ///< fault-free projected completion
+    double busy_mark = 0.0; ///< last allocation change (busy accounting)
+  };
+
+  /// A regrow cap that never binds.
+  static constexpr int kUncapped = std::numeric_limits<int>::max();
+
+  /// Replans at a release, blackout-exit or completion time.
+  using Reschedule = std::function<void(double t)>;
+  /// Sees the job a fault just rolled back.
+  using OnFault = std::function<void(int job)>;
+
+  /// One job per pack task of `model`, released at `release_times`
+  /// (non-negative). `processors` is rounded down to even (allocations
+  /// are buddy pairs). Every referent must outlive the simulation.
+  OnlineSim(const core::ExpectedTimeModel& model, core::TrEvaluator& evaluator,
+            int processors, const std::vector<double>& release_times);
+
+  /// Simulate to the last completion; deterministic in (release dates,
+  /// fault stream, callbacks). Call once.
+  [[nodiscard]] OnlineResult run(fault::Generator& faults,
+                                 const Reschedule& reschedule,
+                                 const OnFault& on_fault = {});
+
+  /// The admission pass at time t. `live` receives the admitted,
+  /// unfinished jobs outside any blackout window — none under
+  /// `hold_running`, which keeps every running allocation as it is —
+  /// then released jobs in arrival order while one pair per live job
+  /// still fits; sorted by index. `alpha_now` receives each live job's
+  /// tentative_alpha at t. Returns the processors left beyond one pair
+  /// per live job.
+  int admit_live(double t, std::vector<int>& live,
+                 std::vector<double>& alpha_now, bool hold_running = false);
+
+  /// Remaining work fraction of job i at time t (Eq. 8).
+  [[nodiscard]] double tentative_alpha(int i, double t) const {
+    const Job& job = jobs_[static_cast<std::size_t>(i)];
+    return model_.remaining_after(i, job.sigma, job.alpha, t - job.baseline);
+  }
+
+  /// Algorithm 1 over `live` at remaining fractions `alpha_now`: start
+  /// at one pair each, then grant a pair to the longest job while its
+  /// expected time can still decrease within `available` and its cap; a
+  /// capped-out job is skipped (the next-longest gets its chance), an
+  /// unimprovable longest job stops the pass. `caps` is per live job,
+  /// empty for none. The from-scratch rebuild: a fresh heap, one grant
+  /// per pop.
+  void regrow(const std::vector<int>& live,
+              const std::vector<double>& alpha_now, int available,
+              const std::vector<int>& caps, std::vector<int>& target);
+
+  /// First placement at t: no data to move, the pattern starts here.
+  void place(int i, int sigma, double t);
+
+  /// Malleable resize at t: commit `alpha_now`, pay the Eq. 9
+  /// redistribution plus an initial checkpoint on the new allocation, and
+  /// black out until both complete.
+  void resize(int i, int sigma, double alpha_now, double t);
+
+  /// Commit a re-pack: place each fresh live job, resize each one whose
+  /// target differs.
+  void commit(double t, const std::vector<int>& live,
+              const std::vector<double>& alpha_now,
+              const std::vector<int>& target);
+
+  [[nodiscard]] const Job& job(int i) const {
+    return jobs_[static_cast<std::size_t>(i)];
+  }
+  [[nodiscard]] int processors() const noexcept { return p_; }
+  [[nodiscard]] int size() const noexcept { return n_; }
+  [[nodiscard]] const core::ExpectedTimeModel& model() const noexcept {
+    return model_;
+  }
+  [[nodiscard]] core::TrEvaluator& evaluator() const noexcept {
+    return evaluator_;
+  }
+
+ private:
+  const core::ExpectedTimeModel& model_;
+  core::TrEvaluator& evaluator_;
+  const std::vector<double>& releases_;
+  int p_ = 0;
+  int n_ = 0;
+  std::vector<Job> jobs_;
+  /// Released, not yet admitted, in arrival order: a consumed-prefix
+  /// cursor instead of front-erasure (quadratic in queue depth).
+  std::vector<int> waiting_;
+  std::size_t waiting_head_ = 0;
+  OnlineResult result_;
 };
 
 /// Replanning knobs of run_online (DESIGN.md section 8.2). The default is

@@ -12,38 +12,6 @@ namespace coredis::policy {
 
 namespace {
 
-OptionSpec enum_option(std::string name, std::string default_value,
-                       std::vector<std::string> choices, std::string doc) {
-  OptionSpec spec;
-  spec.name = std::move(name);
-  spec.type = OptionType::Enum;
-  spec.default_value = std::move(default_value);
-  spec.choices = std::move(choices);
-  spec.doc = std::move(doc);
-  return spec;
-}
-
-OptionSpec bool_option(std::string name, bool default_value, std::string doc) {
-  OptionSpec spec;
-  spec.name = std::move(name);
-  spec.type = OptionType::Bool;
-  spec.default_value = default_value ? "true" : "false";
-  spec.doc = std::move(doc);
-  return spec;
-}
-
-OptionSpec int_option(std::string name, std::string default_value,
-                      double min_value, double max_value, std::string doc) {
-  OptionSpec spec;
-  spec.name = std::move(name);
-  spec.type = OptionType::Int;
-  spec.default_value = std::move(default_value);
-  spec.doc = std::move(doc);
-  spec.min_value = min_value;
-  spec.max_value = max_value;
-  return spec;
-}
-
 // --- pack: the paper's engine --------------------------------------------
 
 const std::vector<OptionSpec>& pack_options() {
@@ -93,17 +61,9 @@ class PackPolicy final : public Policy {
 class MalleablePolicy final : public Policy {
  public:
   core::RunResult run(const CellContext& ctx) const override {
-    extensions::OnlineResult r = extensions::run_online(
+    return extensions::to_run_result(extensions::run_online(
         ctx.pack, ctx.resilience, ctx.processors, ctx.release_times(),
-        ctx.faults, ctx.model, ctx.evaluator);
-    core::RunResult out;
-    out.makespan = r.makespan;
-    out.faults_effective = r.faults_effective;
-    out.redistributions = r.redistributions;
-    out.redistribution_cost = r.redistribution_cost;
-    out.completion_times = std::move(r.completion_times);
-    out.final_allocation = std::move(r.final_allocation);
-    return out;
+        ctx.faults, ctx.model, ctx.evaluator));
   }
 };
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 namespace coredis::policy {
 
@@ -106,6 +107,46 @@ std::string canonicalize_value(const std::string& policy,
 }
 
 }  // namespace
+
+OptionSpec int_option(std::string name, std::string default_value,
+                      double min_value, double max_value, std::string doc) {
+  OptionSpec spec;
+  spec.name = std::move(name);
+  spec.type = OptionType::Int;
+  spec.default_value = std::move(default_value);
+  spec.doc = std::move(doc);
+  spec.min_value = min_value;
+  spec.max_value = max_value;
+  return spec;
+}
+
+OptionSpec double_option(std::string name, std::string default_value,
+                         double min_value, double max_value, std::string doc) {
+  OptionSpec spec = int_option(std::move(name), std::move(default_value),
+                               min_value, max_value, std::move(doc));
+  spec.type = OptionType::Double;
+  return spec;
+}
+
+OptionSpec bool_option(std::string name, bool default_value, std::string doc) {
+  OptionSpec spec;
+  spec.name = std::move(name);
+  spec.type = OptionType::Bool;
+  spec.default_value = default_value ? "true" : "false";
+  spec.doc = std::move(doc);
+  return spec;
+}
+
+OptionSpec enum_option(std::string name, std::string default_value,
+                       std::vector<std::string> choices, std::string doc) {
+  OptionSpec spec;
+  spec.name = std::move(name);
+  spec.type = OptionType::Enum;
+  spec.default_value = std::move(default_value);
+  spec.choices = std::move(choices);
+  spec.doc = std::move(doc);
+  return spec;
+}
 
 std::size_t OptionSet::index_of(const std::string& name) const {
   const std::vector<OptionSpec>& specs = *specs_;

@@ -47,6 +47,23 @@ struct OptionSpec {
   [[nodiscard]] bool bounded() const noexcept { return min_value <= max_value; }
 };
 
+/// OptionSpec builders, one per type: name, default, the type's
+/// constraint (bounds or choices), then the one-line doc.
+[[nodiscard]] OptionSpec int_option(std::string name,
+                                    std::string default_value,
+                                    double min_value, double max_value,
+                                    std::string doc);
+[[nodiscard]] OptionSpec double_option(std::string name,
+                                       std::string default_value,
+                                       double min_value, double max_value,
+                                       std::string doc);
+[[nodiscard]] OptionSpec bool_option(std::string name, bool default_value,
+                                     std::string doc);
+[[nodiscard]] OptionSpec enum_option(std::string name,
+                                     std::string default_value,
+                                     std::vector<std::string> choices,
+                                     std::string doc);
+
 /// A validated assignment of values to one policy's OptionSpecs. Values
 /// are stored as canonical text aligned with the spec vector; the typed
 /// accessors re-parse (cheap, and the single source of truth stays the

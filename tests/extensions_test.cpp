@@ -10,6 +10,7 @@
 #include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -318,6 +319,38 @@ TEST(OnlineArrivals, TraceLawLoadsScalesAndValidates) {
   const core::Pack big = make_pack({2.0e6, 1.0e6, 2.5e6, 1.5e6});
   EXPECT_THROW((void)make_release_times(spec, big, resilience, 8, rng),
                std::runtime_error);
+
+  // Every token must be a whole finite, non-negative number; the error
+  // names the token and its line instead of ending the read early.
+  const core::Pack two = make_pack({2.0e6, 1.0e6});
+  const struct {
+    const char* text;
+    const char* token;
+    const char* line;
+  } malformed[] = {
+      {"100 50 abc 75\n", "'abc'", "line 1"},
+      {"100\n1e999\n", "'1e999'", "line 2"},
+      {"100 xyz 75\n", "'xyz'", "line 1"},
+      {"100 inf\n", "'inf'", "line 1"},
+      {"nan 100\n", "'nan'", "line 1"},
+      {"100 50x\n", "'50x'", "line 1"},
+      {"100\n\n-5\n", "'-5'", "line 3"},
+  };
+  for (const auto& row : malformed) {
+    SCOPED_TRACE(row.text);
+    {
+      std::ofstream file(path);
+      file << row.text;
+    }
+    try {
+      (void)make_release_times(spec, two, resilience, 8, rng);
+      ADD_FAILURE() << "malformed trace accepted";
+    } catch (const std::runtime_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(row.token), std::string::npos) << message;
+      EXPECT_NE(message.find(row.line), std::string::npos) << message;
+    }
+  }
   spec.trace_path = "/nonexistent/coredis_trace";
   EXPECT_THROW((void)make_release_times(spec, pack, resilience, 8, rng),
                std::runtime_error);

@@ -34,10 +34,13 @@
 #include "exp/scenario.hpp"
 #include "exp/scenario_file.hpp"
 #include "extensions/batch.hpp"
+#include "fault/exponential.hpp"
 #include "fault/generator.hpp"
 #include "policy/registry.hpp"
 #include "speedup/synthetic.hpp"
 #include "speedup/table_profile.hpp"
+#include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace coredis::exp {
 namespace {
@@ -364,6 +367,51 @@ TEST(PolicyAdaptiveGolden, CampaignBytesMatchPinnedDigest) {
   expect_pinned(campaign_bytes(parse_campaign(kAdaptiveGoldenCampaign),
                                "adaptive_golden"),
                 kAdaptiveGoldenDigest);
+}
+
+TEST(PolicyAdaptiveDegeneracy, ExactlyMalleableAtVanishingLoad) {
+  // Releases 1e9 s apart: every job runs alone, so the bandit's two arms
+  // place it identically and reshape never resizes it (DESIGN.md
+  // section 10.3). Under a faulty stream every adaptive policy must then
+  // replay malleable double for double.
+  constexpr int kJobs = 8;
+  constexpr int kProcessors = 64;
+  const checkpoint::Model resilience({units::years(0.5), 60.0, 1.0,
+                                      checkpoint::PeriodRule::Young, 0.0});
+  std::vector<double> releases;
+  for (int i = 0; i < kJobs; ++i)
+    releases.push_back(1.0e9 * static_cast<double>(i));
+  const std::function<const std::vector<double>&()> release_times =
+      [&]() -> const std::vector<double>& { return releases; };
+  const char* const adaptive[] = {"bandit(window=10, explore=0.25)",
+                                  "bandit", "reshape(gain=0.5)",
+                                  "reshape(gain=1)"};
+  int faults = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SCOPED_TRACE(::testing::Message() << "seed=" << seed);
+    Rng pack_rng(seed);
+    const core::Pack pack = core::Pack::uniform_random(
+        kJobs, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+        pack_rng);
+    core::Engine engine(pack, resilience, kProcessors);
+    const auto run = [&](const char* text) {
+      fault::ExponentialGenerator stream(
+          kProcessors, 1.0 / units::years(0.5), Rng(seed ^ 0xFA17ULL));
+      const policy::CellContext ctx{pack,           resilience,
+                                    kProcessors,    stream,
+                                    engine.model(), engine.evaluator(),
+                                    engine,         release_times,
+                                    seed};
+      return policy::resolve(text).make()->run(ctx);
+    };
+    const core::RunResult malleable = run("malleable");
+    faults += malleable.faults_effective;
+    for (const char* text : adaptive) {
+      SCOPED_TRACE(text);
+      expect_identical(run(text), malleable);
+    }
+  }
+  EXPECT_GT(faults, 1000);  // a genuinely faulty stream
 }
 
 TEST(PolicyAdaptiveDeterminism, OfflineWorkloadsRunToo) {

@@ -5,7 +5,9 @@
 #     file or directory (http(s)/mailto/pure-anchor links are skipped);
 #  2. every `DESIGN.md section N[.M]` citation in sources and docs must
 #     resolve to an actual `## N.` / `### N.M` heading of DESIGN.md —
-#     so renumbering DESIGN.md cannot silently strand the citations.
+#     so renumbering DESIGN.md cannot silently strand the citations;
+#  3. every directory under src/ must be a `name/` row of the layer block
+#     in DESIGN.md section 1, so a new layer cannot go undocumented.
 #
 # Exits non-zero listing every violation.
 
@@ -56,6 +58,18 @@ done < <(grep -rnoE --include='*.hpp' --include='*.cpp' --include='*.md' \
            --exclude-dir=build --exclude-dir=.git --exclude-dir=_deps \
            --exclude-dir=Testing \
            'DESIGN\.md section [0-9]+(\.[0-9]+)?' "$root")
+
+# --- 3. undocumented layers -------------------------------------------------
+layers="$(awk '/^## 1\./ { section = 1; next } /^## / { section = 0 }
+               section && /^```/ { block = !block; next }
+               section && block' "$design")"
+for dir in "$root"/src/*/; do
+  name="$(basename "$dir")"
+  if ! grep -qE "^${name}/([[:space:]]|$)" <<<"$layers"; then
+    echo "layer missing from DESIGN.md section 1: src/$name/"
+    fail=1
+  fi
+done
 
 if [ "$fail" -ne 0 ]; then
   echo "docs hygiene FAILED"
