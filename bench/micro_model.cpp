@@ -118,10 +118,10 @@ void BM_SimulatedDurationUncached(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatedDurationUncached);
 
-// SIMD-vs-scalar counters for the batched Eq. 4 paths (DESIGN.md
-// section 6.6): each pair runs the vector entry point against the exact
+// SIMD-vs-scalar counters for the batched Eq. 4 path (DESIGN.md
+// section 6.6): the pair runs the vector entry point against the exact
 // scalar reference it must match bit-for-bit, over a warm row. Items/s
-// is probes per second — the ratio of a pair is the lane win — and the
+// is probes per second — the ratio of the pair is the lane win — and the
 // label records whether the vector path was actually live in this
 // build/process (scalar-only builds still run the pair; the two then
 // simply measure the same loop).
@@ -158,63 +158,6 @@ void BM_ProbeManyScalarReference(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * len);
 }
 BENCHMARK(BM_ProbeManyScalarReference)->Arg(8)->Arg(64)->Arg(512);
-
-// The cross-task gather batch against the equivalent scalar loop — the
-// shape Algorithm 5's Weibull regrow issues when it refreshes many
-// (task, j) keys at once.
-void BM_ProbeTasksGather(benchmark::State& state) {
-  const core::Pack pack = bench_pack(8);
-  const checkpoint::Model resilience = bench_model();
-  const core::ExpectedTimeModel model(pack, resilience);
-  const auto count = static_cast<std::size_t>(state.range(0));
-  std::vector<int> tasks(count), js(count);
-  std::vector<double> alphas(count), out(count);
-  Rng rng(11);
-  for (std::size_t k = 0; k < count; ++k) {
-    tasks[k] = static_cast<int>(rng.uniform_int(0, 7));
-    js[k] = 2 * static_cast<int>(rng.uniform_int(1, 64));
-    alphas[k] = rng.uniform01();
-  }
-  model.probe_tasks(tasks.data(), js.data(), alphas.data(), count,
-                    out.data());  // warm every touched row
-  for (auto _ : state) {
-    model.probe_tasks(tasks.data(), js.data(), alphas.data(), count,
-                      out.data());
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(count));
-  state.SetLabel(core::detail::eq4_simd_active() ? "eq4=vector"
-                                                 : "eq4=scalar");
-}
-BENCHMARK(BM_ProbeTasksGather)->Arg(16)->Arg(256);
-
-void BM_ProbeTasksScalarLoop(benchmark::State& state) {
-  const core::Pack pack = bench_pack(8);
-  const checkpoint::Model resilience = bench_model();
-  const core::ExpectedTimeModel model(pack, resilience);
-  const auto count = static_cast<std::size_t>(state.range(0));
-  std::vector<int> tasks(count), js(count);
-  std::vector<double> alphas(count), out(count);
-  Rng rng(11);
-  for (std::size_t k = 0; k < count; ++k) {
-    tasks[k] = static_cast<int>(rng.uniform_int(0, 7));
-    js[k] = 2 * static_cast<int>(rng.uniform_int(1, 64));
-    alphas[k] = rng.uniform01();
-  }
-  for (std::size_t k = 0; k < count; ++k)
-    out[k] = model.expected_time_raw(tasks[k], js[k], alphas[k]);
-  for (auto _ : state) {
-    for (std::size_t k = 0; k < count; ++k)
-      out[k] = model.expected_time_raw(tasks[k], js[k], alphas[k]);
-    benchmark::DoNotOptimize(out.data());
-    benchmark::ClobberMemory();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(count));
-}
-BENCHMARK(BM_ProbeTasksScalarLoop)->Arg(16)->Arg(256);
 
 void BM_TrEvaluatorWarm(benchmark::State& state) {
   const core::Pack pack = bench_pack(4);

@@ -1,5 +1,5 @@
 /// \file eq4_simd.cpp
-/// AVX2+FMA bodies of the exact vector kernels (see eq4_simd.hpp for the
+/// AVX2+FMA body of the exact vector kernel (see eq4_simd.hpp for the
 /// bit-identity contract). This file is compiled with
 /// -mavx2 -mfma -ffp-contract=off (CMake per-source options) on x86-64
 /// GCC/Clang builds and defines COREDIS_EQ4_AVX2 there; elsewhere the
@@ -45,8 +45,9 @@ namespace {
 inline double eq4_scalar(const Eq4Lanes& lanes, double alpha,
                          std::size_t k) {
   const double work = alpha * lanes.t_ij[k];
-  const double n_ff = std::floor(work / lanes.tau_minus_cost[k]);  // Eq. 2
-  const double tau_last = work - n_ff * lanes.tau_minus_cost[k];   // Eq. 3
+  const double period_work = lanes.tau[k] - lanes.cost[k];  // tau - C
+  const double n_ff = std::floor(work / period_work);        // Eq. 2
+  const double tau_last = work - n_ff * period_work;         // Eq. 3
   COREDIS_ASSERT(tau_last >= -1e-9);
   return lanes.factor[k] *
          (n_ff * lanes.expm1_tau[k] +
@@ -108,21 +109,20 @@ inline __m256d expm1_4(__m256d x) {
   return result;
 }
 
-/// Shared 4-wide Eq. 4 body; PerLaneAlpha selects broadcast vs gathered
-/// alpha. The outer arithmetic uses *separate* multiply/add/subtract
-/// intrinsics — no FMA — because the scalar raw_kernel build has none to
-/// fuse; only the replicated libm polynomial above carries FMAs.
-template <bool PerLaneAlpha>
-void eq4_avx2(const Eq4Lanes& lanes, double alpha, const double* alphas,
-              std::size_t count, double* out) {
+/// 4-wide Eq. 4 body. The outer arithmetic uses *separate*
+/// multiply/add/subtract intrinsics — no FMA — because the scalar
+/// raw_kernel build has none to fuse; only the replicated libm
+/// polynomial above carries FMAs.
+void eq4_avx2(const Eq4Lanes& lanes, double alpha, std::size_t count,
+              double* out) {
   const __m256d zero = _mm256_setzero_pd();
-  const __m256d va_broadcast = _mm256_set1_pd(alpha);
+  const __m256d va = _mm256_set1_pd(alpha);
   std::size_t k = 0;
   for (; k + 4 <= count; k += 4) {
-    const __m256d va =
-        PerLaneAlpha ? _mm256_loadu_pd(alphas + k) : va_broadcast;
     const __m256d t_ij = _mm256_loadu_pd(lanes.t_ij + k);
-    const __m256d tmc = _mm256_loadu_pd(lanes.tau_minus_cost + k);
+    // tau - C, the fill's own subtraction.
+    const __m256d tmc = _mm256_sub_pd(_mm256_loadu_pd(lanes.tau + k),
+                                      _mm256_loadu_pd(lanes.cost + k));
     const __m256d work = _mm256_mul_pd(va, t_ij);
     const __m256d n_ff = _mm256_floor_pd(_mm256_div_pd(work, tmc));
     const __m256d tau_last = _mm256_sub_pd(work, _mm256_mul_pd(n_ff, tmc));
@@ -140,8 +140,7 @@ void eq4_avx2(const Eq4Lanes& lanes, double alpha, const double* alphas,
                       em));
     _mm256_storeu_pd(out + k, res);
   }
-  for (; k < count; ++k)
-    out[k] = eq4_scalar(lanes, PerLaneAlpha ? alphas[k] : alpha, k);
+  for (; k < count; ++k) out[k] = eq4_scalar(lanes, alpha, k);
 }
 
 #endif  // COREDIS_EQ4_AVX2
@@ -151,19 +150,9 @@ void eq4_avx2(const Eq4Lanes& lanes, double alpha, const double* alphas,
 void eq4_probe_row(const Eq4Lanes& lanes, double alpha, std::size_t count,
                    double* out) {
 #if defined(COREDIS_EQ4_AVX2)
-  eq4_avx2<false>(lanes, alpha, nullptr, count, out);
+  eq4_avx2(lanes, alpha, count, out);
 #else
   for (std::size_t k = 0; k < count; ++k) out[k] = eq4_scalar(lanes, alpha, k);
-#endif
-}
-
-void eq4_probe_gather(const Eq4Lanes& lanes, const double* alphas,
-                      std::size_t count, double* out) {
-#if defined(COREDIS_EQ4_AVX2)
-  eq4_avx2<true>(lanes, 0.0, alphas, count, out);
-#else
-  for (std::size_t k = 0; k < count; ++k)
-    out[k] = eq4_scalar(lanes, alphas[k], k);
 #endif
 }
 

@@ -1,22 +1,22 @@
 #pragma once
 
 /// \file eq4_simd.hpp
-/// Vector-lane kernels over the structure-of-arrays coefficient mirror
-/// (DESIGN.md section 6.6). Internal to core; include only from
-/// core/*.cpp and white-box tests.
+/// Vector-lane kernel over the coefficient lanes (DESIGN.md section 6.6).
+/// Internal to core: core/*.cpp and white-box tests call the kernel, and
+/// core/expected_time.hpp borrows the Eq4Lanes view for its rows.
 ///
-/// The exported kernels are *exact*: for every input they must produce
-/// the same bits as the scalar expression they replace
-/// (ExpectedTimeModel::raw_kernel). The floating-point body is
-/// therefore pinned down twice:
+/// The exported kernel is *exact*: for every input it must produce the
+/// same bits as the scalar expression it replaces
+/// (ExpectedTimeModel::raw_kernel). The floating-point body is therefore
+/// pinned down twice:
 ///
 ///  - This translation unit is compiled with -ffp-contract=off, so the
 ///    compiler cannot fuse the explicit multiply/add intrinsics into
-///    FMAs the scalar build never performs; every FMA in the kernels is
+///    FMAs the scalar build never performs; every FMA in the kernel is
 ///    spelled out by hand, and only where the replicated libm routine
 ///    itself uses one.
 ///  - eq4_simd_active() (expected_time.cpp) runs a one-time process-wide
-///    self-check of every kernel against its scalar counterpart over a
+///    self-check of the kernel against its scalar counterpart over a
 ///    deterministic probe set; any mismatch — another libm, another
 ///    multiarch dispatch, another architecture — permanently disables
 ///    the vector path, and callers fall back to the scalar loops. That
@@ -30,21 +30,25 @@
 /// extreme lambda·tau corners inherit the libm bits by construction.
 /// Residual tails (count mod 4) run a scalar loop in this same
 /// translation unit, term for term the raw_kernel expression.
+///
+/// This header declares no inline function on purpose: the -mavx2
+/// translation unit includes it, and an inline function it shared with
+/// the baseline build could reach the linker as an AVX2 copy.
 
 #include <cstddef>
 
 namespace coredis::core::detail {
 
-/// Structure-of-arrays view of one task's even-allocation coefficient
-/// row: entry h of every array describes j = 2 (h + 1) and holds exactly
-/// the five raw_kernel inputs. Pointers alias ExpectedTimeModel's SoA
-/// mirror (or a transposed gather scratch for cross-task batches).
+/// The six coefficient lanes of Eqs. 1-4, everything except alpha: entry
+/// k of every lane describes the same (task, j). Pointers alias one
+/// ExpectedTimeModel row, so a task's even row is read here in place.
 struct Eq4Lanes {
-  const double* t_ij;
-  const double* tau_minus_cost;
-  const double* lambda_j;
-  const double* factor;
-  const double* expm1_tau;
+  const double* t_ij;       ///< fault-free time t_{i,j}
+  const double* tau;        ///< checkpointing period tau_{i,j} (Eq. 1)
+  const double* cost;       ///< C_{i,j}, which is also R_{i,j}
+  const double* lambda_j;   ///< j * lambda
+  const double* factor;     ///< e^{lambda_j R} (1/lambda_j + D)
+  const double* expm1_tau;  ///< e^{lambda_j tau} - 1
 };
 
 /// True when this TU was built with the AVX2+FMA code path at all
@@ -55,22 +59,17 @@ struct Eq4Lanes {
 /// eq4_simd_compiled(); safe to call regardless.
 [[nodiscard]] bool eq4_simd_cpu_supported() noexcept;
 
-/// Whether the vector kernels are live in this process: compiled in,
+/// Whether the vector kernel is live in this process: compiled in,
 /// CPU-supported, not disabled via COREDIS_NO_SIMD=1, and the one-time
-/// bitwise self-check against the scalar paths passed. Defined in
+/// bitwise self-check against the scalar path passed. Defined in
 /// expected_time.cpp next to the scalar reference it checks against.
 [[nodiscard]] bool eq4_simd_active();
 
 /// Batched exact Eq. 4 at one alpha over lanes [0, count):
-/// out[k] = raw_kernel(alpha, lanes entry k), bit for bit. Requires
+/// out[k] = raw_kernel(alpha, lanes, k), bit for bit. Requires
 /// eq4_simd_compiled() && eq4_simd_cpu_supported(); callers gate on
 /// eq4_simd_active().
 void eq4_probe_row(const Eq4Lanes& lanes, double alpha, std::size_t count,
                    double* out);
-
-/// Per-lane-alpha variant for cross-task batches (probe_tasks):
-/// out[k] = raw_kernel(alphas[k], lanes entry k). Same contract.
-void eq4_probe_gather(const Eq4Lanes& lanes, const double* alphas,
-                      std::size_t count, double* out);
 
 }  // namespace coredis::core::detail

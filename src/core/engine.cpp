@@ -122,6 +122,7 @@ RunResult Engine::run(fault::Generator& faults) {
   const bool profiling = config_.profile;
   if (profiling) state.profile = &profile;
   const std::uint64_t fills_before = evaluator.fills();
+  const std::uint64_t coefficient_fills_before = model.coefficient_fills();
   double mark = profiling ? profile_now() : 0.0;
   const auto phase = [&](double& sink) {
     if (!profiling) return;
@@ -318,6 +319,8 @@ RunResult Engine::run(fault::Generator& faults) {
     // probes (already counted, they bypass the evaluator).
     profile.column_fills +=
         static_cast<long long>(evaluator.fills() - fills_before);
+    profile.coefficient_fills = static_cast<long long>(
+        model.coefficient_fills() - coefficient_fills_before);
     result.profile = profile;
   }
   result.makespan = *std::max_element(result.completion_times.begin(),

@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <memory>
+#include <vector>
 
 #include "core/detail/eq4_simd.hpp"
 #include "util/contracts.hpp"
@@ -15,18 +19,19 @@ namespace coredis::core {
 namespace detail {
 namespace {
 
-/// One-time bitwise self-check of every vector kernel against the scalar
-/// expressions compiled in this (baseline) translation unit. The probe
-/// set is deterministic and spans the interesting regimes: lambda·tau
-/// across ~40 decades (denormal through overflow), expm1 arguments
-/// straddling both ends of the vectorized k == 0 domain, zero work,
-/// boundary-exact period multiples, and every residual tail length.
-/// Any mismatch retires the vector path for the process lifetime — the
-/// documented exact-fallback trigger (DESIGN.md section 6.6).
+/// One-time bitwise self-check of the vector kernel against the scalar
+/// raw_kernel compiled in this (baseline) translation unit. The probe set
+/// is deterministic and spans the interesting regimes: lambda·tau across
+/// ~40 decades (denormal through overflow), expm1 arguments straddling
+/// both ends of the vectorized k == 0 domain, zero work, boundary-exact
+/// period multiples, and every residual tail length. Any mismatch retires
+/// the vector path for the process lifetime — the documented exact-
+/// fallback trigger (DESIGN.md section 6.6).
 bool eq4_self_check() {
   constexpr std::size_t kCount = 512;
-  std::vector<double> t_ij(kCount), tmc(kCount), lam(kCount), fac(kCount),
-      emt(kCount), alpha(kCount);
+  constexpr std::size_t kBlock = 64;
+  std::vector<double> t_ij(kCount), tau(kCount), cost(kCount), lam(kCount),
+      fac(kCount), emt(kCount);
   std::uint64_t s = 0x9e3779b97f4a7c15ull;
   const auto uniform = [&s]() {
     s = s * 6364136223846793005ull + 1442695040888963407ull;
@@ -36,71 +41,71 @@ bool eq4_self_check() {
     // lambda spans ~40 decades so lambda * tau_last covers denormals,
     // both k == 0 domain boundaries (2^-54 and 0.5 ln 2) and overflow.
     lam[k] = std::exp((uniform() * 2.0 - 1.0) * 46.0);
-    const double tau = (0.5 + uniform()) / lam[k];
-    const double cost = tau * 0.1 * uniform();
-    tmc[k] = tau - cost;
-    t_ij[k] = tmc[k] * (uniform() * 40.0 + 1e-3);
-    alpha[k] = k % 7 == 0 ? 0.0 : uniform();
+    tau[k] = (0.5 + uniform()) / lam[k];
+    cost[k] = tau[k] * 0.1 * uniform();
+    t_ij[k] = (tau[k] - cost[k]) * (uniform() * 40.0 + 1e-3);
     if (k % 11 == 0)  // exact period multiple: tau_last underflows to ~0
-      t_ij[k] = tmc[k] * static_cast<double>(1 + k % 9);
-    if (k % 13 == 0) alpha[k] = 1.0;
-    fac[k] = std::exp(lam[k] * cost) * (1.0 / lam[k] + 60.0);
-    emt[k] = std::expm1(lam[k] * tau);
+      t_ij[k] = (tau[k] - cost[k]) * static_cast<double>(1 + k % 9);
+    fac[k] = std::exp(lam[k] * cost[k]) * (1.0 / lam[k] + 60.0);
+    emt[k] = std::expm1(lam[k] * tau[k]);
   }
-  // Pin lanes exactly onto the vector/libm boundary cases.
+  // Pin lanes exactly onto the vector/libm boundary cases; block 0 runs
+  // at alpha = 1, so each lane's lambda is its expm1 argument.
   const double edges[] = {0x1p-55,    0x1p-54,    0x1.8p-54, 0.34657,
                           0.34657359, 0.3466,     1.0,       709.0,
                           710.0,      5e-324,     1e-308,    0.0};
   for (std::size_t k = 0; k < std::size(edges); ++k) {
     t_ij[k] = 1.0;
-    tmc[k] = 2.0;  // n_ff = 0, tau_last = alpha * t_ij
-    alpha[k] = 1.0;
+    tau[k] = 3.0;
+    cost[k] = 1.0;  // tau - C = 2: n_ff = 0, tau_last = alpha * t_ij
     lam[k] = edges[k];
   }
 
-  const Eq4Lanes lanes{t_ij.data(), tmc.data(), lam.data(), fac.data(),
-                       emt.data()};
-  std::vector<double> got(kCount), want(kCount);
-  for (std::size_t k = 0; k < kCount; ++k) {
-    ExpectedTimeModel::Coeffs c;
-    c.t_ij = t_ij[k];
-    c.tau_minus_cost = tmc[k];
-    c.lambda_j = lam[k];
-    c.factor = fac[k];
-    c.expm1_tau = emt[k];
-    want[k] = ExpectedTimeModel::raw_kernel(alpha[k], c);
-  }
-  const auto identical = [](const double* a, const double* b, std::size_t n) {
-    return std::memcmp(a, b, n * sizeof(double)) == 0;
+  const auto lanes_from = [&](std::size_t at) {
+    return Eq4Lanes{t_ij.data() + at, tau.data() + at, cost.data() + at,
+                    lam.data() + at,  fac.data() + at, emt.data() + at};
   };
-  // Every residual tail length, then the full batch.
-  for (std::size_t count = 1; count <= 9; ++count) {
-    eq4_probe_row(lanes, alpha[0], count, got.data());
+  std::vector<double> got(kBlock);
+  const auto matches = [&got](const Eq4Lanes& lanes, double alpha,
+                              std::size_t count) {
+    eq4_probe_row(lanes, alpha, count, got.data());
     for (std::size_t k = 0; k < count; ++k) {
-      ExpectedTimeModel::Coeffs c;
-      c.t_ij = t_ij[k];
-      c.tau_minus_cost = tmc[k];
-      c.lambda_j = lam[k];
-      c.factor = fac[k];
-      c.expm1_tau = emt[k];
-      if (got[k] != ExpectedTimeModel::raw_kernel(alpha[0], c) &&
-          !(std::isnan(got[k]) &&
-            std::isnan(ExpectedTimeModel::raw_kernel(alpha[0], c))))
-        return false;
+      const double want = ExpectedTimeModel::raw_kernel(alpha, lanes, k);
+      if (std::memcmp(&got[k], &want, sizeof(double)) != 0) return false;
     }
+    return true;
+  };
+  // Every residual tail length, then the blocks at one alpha each: 1
+  // (the edge lanes' block), 0 (zero work) and interior fractions.
+  for (std::size_t count = 1; count <= 9; ++count)
+    if (!matches(lanes_from(0), 1.0, count)) return false;
+  for (std::size_t at = 0; at < kCount; at += kBlock) {
+    const double alpha = at % (3 * kBlock) == 0 ? 1.0
+                         : at == kBlock        ? 0.0
+                                               : uniform();
+    if (!matches(lanes_from(at), alpha, kBlock)) return false;
   }
-  eq4_probe_gather(lanes, alpha.data(), kCount, got.data());
-  return identical(got.data(), want.data(), kCount);
+  return true;
 }
 
 }  // namespace
 
 bool eq4_simd_active() {
   static const bool active = [] {
-    if (!eq4_simd_compiled() || !eq4_simd_cpu_supported()) return false;
-    if (const char* env = std::getenv("COREDIS_NO_SIMD"))
-      if (env[0] == '1' && env[1] == '\0') return false;
-    return eq4_self_check();
+    // COREDIS_NO_SIMD=1 forces the scalar loops and 0 keeps the default;
+    // any other value is named once on stderr and ignored, so a
+    // misspelt switch cannot pass a vector run off as a scalar one.
+    bool disabled = false;
+    if (const char* env = std::getenv("COREDIS_NO_SIMD")) {
+      disabled = std::strcmp(env, "1") == 0;
+      if (!disabled && std::strcmp(env, "0") != 0)
+        std::fprintf(stderr,
+                     "coredis: COREDIS_NO_SIMD='%s' is neither 0 nor 1; "
+                     "ignoring it\n",
+                     env);
+    }
+    return !disabled && eq4_simd_compiled() && eq4_simd_cpu_supported() &&
+           eq4_self_check();
   }();
   return active;
 }
@@ -114,60 +119,69 @@ ExpectedTimeModel::ExpectedTimeModel(const Pack& pack,
   seq_ckpt_.reserve(n);
   for (int i = 0; i < pack.size(); ++i)
     seq_ckpt_.push_back(resilience.sequential_cost(pack.task(i).data_size));
-  table_even_.resize(n);
-  table_odd_.resize(n);
+  even_.resize(n);
+  odd_.resize(n);
   even_dense_.assign(n, 0);
-  soa_even_.resize(n);
 }
 
-void ExpectedTimeModel::fill_coeffs(int task, int j, Coeffs& c) const {
+void ExpectedTimeModel::Row::resize(std::size_t n) {
+  COREDIS_EXPECTS(n > size);
+  if (n > capacity) {
+    // Geometric growth, as std::vector::resize does it: rows deepen a
+    // few entries at a time, and a capacity of exactly n would copy the
+    // whole row on every step. The buffer is left uninitialized, so each
+    // lane's slack past n is never touched and costs no resident memory.
+    const std::size_t grown = std::max(n, 2 * size);
+    auto next = std::make_unique_for_overwrite<double[]>(kLanes * grown);
+    for (std::size_t lane = 0; lane < kLanes; ++lane)
+      std::copy_n(buffer.get() + lane * capacity, size,
+                  next.get() + lane * grown);
+    buffer = std::move(next);
+    capacity = grown;
+  }
+  // t_ij < 0 flags an entry unfilled. The other lanes start at 0: a
+  // fault-free fill writes t_ij alone, and growth copies every lane.
+  for (std::size_t lane = 0; lane < kLanes; ++lane) {
+    double* const first = buffer.get() + lane * capacity;
+    std::fill(first + size, first + n, lane == 0 ? -1.0 : 0.0);
+  }
+  size = n;
+}
+
+void ExpectedTimeModel::fill_coeffs(int task, int j, Row& row,
+                                    std::size_t k) const {
   // The arithmetic mirrors the *_reference paths exactly so cached and
   // uncached evaluations agree bit for bit.
-  c.t_ij = pack_->fault_free_time(task, j);
-  if (!resilience_->fault_free()) {
-    const double seq = seq_ckpt_[static_cast<std::size_t>(task)];
-    c.lambda_j = resilience_->task_rate(j);
-    c.tau = resilience_->period(seq, j);
-    c.cost = resilience_->cost(seq, j);
-    c.recovery = resilience_->recovery(seq, j);
-    c.tau_minus_cost = c.tau - c.cost;
-    // The period rule must leave room for useful work (the seed asserted
-    // this on every query; once at fill time covers the same inputs).
-    COREDIS_ASSERT(c.tau_minus_cost > 0.0);
-    c.factor = std::exp(c.lambda_j * c.recovery) *
-               (1.0 / c.lambda_j + resilience_->downtime());
-    c.expm1_tau = std::expm1(c.lambda_j * c.tau);
-  }
+  ++fills_;
+  // Entry k of lane i, in Eq4Lanes order, is at[i * lane].
+  double* const at = row.buffer.get() + k;
+  const std::size_t lane = row.capacity;
+  at[0] = pack_->fault_free_time(task, j);
+  if (resilience_->fault_free()) return;
+  const double seq = seq_ckpt_[static_cast<std::size_t>(task)];
+  const double lambda_j = resilience_->task_rate(j);
+  const double tau = resilience_->period(seq, j);
+  const double cost = resilience_->cost(seq, j);
+  const double recovery = resilience_->recovery(seq, j);
+  // Readers take R_{i,j} from the cost lane, and tau - C from the same
+  // subtraction as here; the period rule must leave room for useful work.
+  COREDIS_ASSERT(recovery == cost);
+  COREDIS_ASSERT(tau - cost > 0.0);
+  at[lane] = tau;
+  at[2 * lane] = cost;
+  at[3 * lane] = lambda_j;
+  at[4 * lane] = std::exp(lambda_j * recovery) *
+                 (1.0 / lambda_j + resilience_->downtime());
+  at[5 * lane] = std::expm1(lambda_j * tau);
 }
 
 void ExpectedTimeModel::grow_even_row(int task, std::size_t h_count) const {
   const auto ti = static_cast<std::size_t>(task);
-  auto& row = table_even_[ti];
-  // Geometric growth comes from resize itself (see coeffs()).
-  if (row.size() <= h_count) row.resize(h_count + 1);
-  // The SoA mirror grows in lockstep with the dense prefix; reserve all
-  // five lanes up front so the per-entry appends never reallocate.
-  const bool mirror = !resilience_->fault_free();
-  SoaRow& soa = soa_even_[ti];
-  if (mirror && soa.t_ij.capacity() < h_count) {
-    const std::size_t cap = std::max(h_count, 2 * soa.t_ij.size());
-    soa.t_ij.reserve(cap);
-    soa.tau_minus_cost.reserve(cap);
-    soa.lambda_j.reserve(cap);
-    soa.factor.reserve(cap);
-    soa.expm1_tau.reserve(cap);
-  }
-  for (std::size_t h = even_dense_[ti]; h < h_count; ++h) {
-    Coeffs& c = row[h + 1];  // slot j/2: entry h covers j = 2(h+1)
-    if (c.t_ij < 0.0) fill_coeffs(task, 2 * (static_cast<int>(h) + 1), c);
-    if (mirror) {
-      soa.t_ij.push_back(c.t_ij);
-      soa.tau_minus_cost.push_back(c.tau_minus_cost);
-      soa.lambda_j.push_back(c.lambda_j);
-      soa.factor.push_back(c.factor);
-      soa.expm1_tau.push_back(c.expm1_tau);
-    }
-  }
+  Row& row = even_[ti];
+  if (row.size < h_count) row.resize(h_count);
+  for (std::size_t h = even_dense_[ti]; h < h_count; ++h)
+    if (row.lanes(h).t_ij[0] < 0.0)
+      fill_coeffs(task, 2 * (static_cast<int>(h) + 1), row, h);
   even_dense_[ti] = h_count;
 }
 
@@ -176,72 +190,29 @@ void ExpectedTimeModel::probe_many(int task, int h_begin, int h_end,
   COREDIS_EXPECTS(0 <= h_begin && h_begin <= h_end);
   COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
   if (h_begin == h_end) return;
-  const Coeffs* recs = row_records(task, static_cast<std::size_t>(h_end));
-  const auto lo = static_cast<std::size_t>(h_begin);
-  const auto hi = static_cast<std::size_t>(h_end);
+  ensure_even_row(task, static_cast<std::size_t>(h_end));
+  const detail::Eq4Lanes c = even_[static_cast<std::size_t>(task)].lanes(
+      static_cast<std::size_t>(h_begin));
+  const auto count = static_cast<std::size_t>(h_end - h_begin);
   if (alpha == 0.0) {  // expected_time_raw's early-out, batched
-    std::fill(out, out + (hi - lo), 0.0);
+    std::fill(out, out + count, 0.0);
     return;
   }
   if (resilience_->fault_free()) {
-    for (std::size_t h = lo; h < hi; ++h) out[h - lo] = alpha * recs[h].t_ij;
+    for (std::size_t k = 0; k < count; ++k) out[k] = alpha * c.t_ij[k];
     return;
   }
-  // Vector lanes over the SoA mirror when live (DESIGN.md section 6.6):
-  // bit-identical to the scalar loop below by the kernel's construction
-  // and the process self-check. Short batches stay scalar — below one
-  // vector width the AoS row is the cheaper read (one cache line per
-  // record against five lane touches).
-  if (hi - lo >= 4 && detail::eq4_simd_active()) {
-    const SoaRow& soa = soa_even_[static_cast<std::size_t>(task)];
-    const detail::Eq4Lanes lanes{
-        soa.t_ij.data() + lo, soa.tau_minus_cost.data() + lo,
-        soa.lambda_j.data() + lo, soa.factor.data() + lo,
-        soa.expm1_tau.data() + lo};
-    detail::eq4_probe_row(lanes, alpha, hi - lo, out);
+  // Vector lanes when live (DESIGN.md section 6.6): bit-identical to the
+  // scalar loop below by the kernel's construction and the process
+  // self-check. Short batches stay scalar: below one vector width the
+  // kernel's setup is not worth it.
+  if (count >= 4 && detail::eq4_simd_active()) {
+    detail::eq4_probe_row(c, alpha, count, out);
     return;
   }
-  // One raw_kernel per record: identical arithmetic to the scalar queries
-  // by construction (shared inline kernel over the same bits); the
-  // coefficient loads stream one cache line per allocation.
-  for (std::size_t h = lo; h < hi; ++h)
-    out[h - lo] = raw_kernel(alpha, recs[h]);
-}
-
-void ExpectedTimeModel::probe_tasks(const int* tasks, const int* js,
-                                    const double* alphas, std::size_t count,
-                                    double* out) const {
-  // Fault-free queries are a multiply each, and without live vector
-  // lanes the gather would only add a copy: both run the scalar query.
-  if (count == 0) return;
-  if (resilience_->fault_free() || !detail::eq4_simd_active()) {
-    for (std::size_t k = 0; k < count; ++k)
-      out[k] = expected_time_raw(tasks[k], js[k], alphas[k]);
-    return;
-  }
-  // Transpose the scattered records into contiguous lanes. alpha == 0
-  // elements need no special case: raw_kernel degenerates to
-  // factor * (0 * expm1_tau + expm1(0)) = +0.0, the early-out's exact
-  // bits.
-  gather_.resize(6 * count);
-  double* t_ij = gather_.data();
-  double* tmc = t_ij + count;
-  double* lam = tmc + count;
-  double* fac = lam + count;
-  double* emt = fac + count;
-  double* al = emt + count;
-  for (std::size_t k = 0; k < count; ++k) {
-    COREDIS_EXPECTS(alphas[k] >= 0.0 && alphas[k] <= 1.0);
-    const Coeffs& c = coeffs(tasks[k], js[k]);
-    t_ij[k] = c.t_ij;
-    tmc[k] = c.tau_minus_cost;
-    lam[k] = c.lambda_j;
-    fac[k] = c.factor;
-    emt[k] = c.expm1_tau;
-    al[k] = alphas[k];
-  }
-  const detail::Eq4Lanes lanes{t_ij, tmc, lam, fac, emt};
-  detail::eq4_probe_gather(lanes, al, count, out);
+  // One raw_kernel per entry: identical arithmetic to the scalar queries
+  // by construction (shared inline kernel over the same bits).
+  for (std::size_t k = 0; k < count; ++k) out[k] = raw_kernel(alpha, c, k);
 }
 
 void ExpectedTimeModel::probe_many_reference(int task, int h_begin, int h_end,
@@ -359,15 +330,6 @@ TrEvaluator::Column TrEvaluator::column(int task, double alpha) {
   slot->last_used = ++clock_;
   slot->epoch = epoch_;
   return Column(model_, slot, &fills_, task, alpha);
-}
-
-void TrEvaluator::invalidate(int task) {
-  COREDIS_EXPECTS(task >= 0 &&
-                  static_cast<std::size_t>(task) < slots_.size());
-  for (Slot& s : slots_[static_cast<std::size_t>(task)]) {
-    s.alpha = -1.0;
-    s.prefix_min.clear();
-  }
 }
 
 }  // namespace coredis::core

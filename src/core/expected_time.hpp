@@ -24,36 +24,30 @@
 /// model degenerates to alpha * t_{i,j} exactly (section 3.3.1).
 ///
 /// Everything in the formula except alpha is fixed per (task, j), so the
-/// model memoizes a lazily-built coefficient table: one row per task, one
-/// 64-byte record per probed j, holding t_{i,j}, tau, lambda_j, tau - C,
-/// the two precomputed transcendental factors e^{lambda_j R}(1/lambda_j+D)
-/// and e^{lambda_j tau} - 1, and C_{i,j}/R_{i,j} (DESIGN.md section 6). A
-/// warm query is a handful of flops plus at most one expm1 for the
-/// trailing partial period; the speedup-profile virtual call, sqrt
-/// (period) and exp only run the first time a (task, j) pair is seen over
-/// the model's lifetime. The cache is transparent: cached queries are
-/// arithmetic-identical (bit for bit) to the *_reference straight-line
-/// evaluations kept for tests and benches.
+/// model memoizes a lazily-built coefficient table (DESIGN.md section 6):
+/// one row per task, stored as six lanes — t_{i,j}, tau, C_{i,j} (which
+/// is also R_{i,j}), lambda_j and the two precomputed transcendental
+/// factors e^{lambda_j R}(1/lambda_j+D) and e^{lambda_j tau} - 1 — so a
+/// probed (task, j) costs 48 bytes. A warm query is a handful of flops
+/// plus at most one expm1 for the trailing partial period; the
+/// speedup-profile virtual call, sqrt (period) and exp only run the first
+/// time a (task, j) pair is seen over the model's lifetime. The cache is
+/// transparent: cached queries are arithmetic-identical (bit for bit) to
+/// the *_reference straight-line evaluations kept for tests and benches.
 ///
 /// The incremental-replanning machinery (DESIGN.md section 6.5) adds
-/// batched entry points over the same records: probe_many() evaluates a
-/// dense run of consecutive even allocations through the shared
-/// raw_kernel (bit-identical to the scalar query, locked by tests),
-/// probe_tasks() evaluates one exact Eq. 4 query per element across
-/// tasks, and row_records() exposes a task's dense record row so the
-/// heuristics' lazy bound passes can stream coefficients one cache line
-/// per allocation. Odd j (sequential baselines, tests) lives in a
-/// separate table that stays empty during simulations.
+/// batched entry points over the same lanes: probe_many() evaluates a
+/// dense run of consecutive even allocations, and row_lanes() exposes a
+/// task's densified even row to the heuristics' lazy bound passes. Odd j
+/// (sequential baselines, tests) lives in a separate row that stays empty
+/// during simulations.
 ///
-/// The batched paths run on vector lanes where the machine allows it
-/// (DESIGN.md section 6.6): the even rows are mirrored field-by-field
-/// into structure-of-arrays lanes as they densify, and the AVX2+FMA
-/// kernel of core/detail/eq4_simd evaluates Eq. 4 four allocations at a
-/// time — bit-identical to raw_kernel by construction and by a one-time
-/// process self-check that otherwise retires the vector path for good.
-/// The AoS records stay authoritative for every scalar accessor and for
-/// the cold paths; the mirror costs five extra doubles per probed even
-/// allocation in the fault-aware context only.
+/// The lanes are what the AVX2+FMA kernel of core/detail/eq4_simd reads
+/// (DESIGN.md section 6.6): probe_many evaluates Eq. 4 four allocations
+/// at a time straight off a task's even row — bit-identical to
+/// raw_kernel by construction and by a one-time process self-check that
+/// otherwise retires the vector path for good. The scalar accessors read
+/// the same lanes; there is no second copy.
 ///
 /// Thread-compatibility: the const query methods fill the table, so a
 /// single instance must not be probed from multiple threads concurrently.
@@ -66,9 +60,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "checkpoint/model.hpp"
+#include "core/detail/eq4_simd.hpp"
 #include "core/pack.hpp"
 #include "util/contracts.hpp"
 
@@ -76,20 +72,6 @@ namespace coredis::core {
 
 class ExpectedTimeModel {
  public:
-  /// Per-(task, j) coefficients of Eqs. 1-4; everything except alpha.
-  /// One 64-byte record: every hot accessor and the bound passes touch a
-  /// single cache line per (task, j).
-  struct Coeffs {
-    double t_ij = -1.0;     ///< fault-free time; < 0 flags an unfilled slot
-    double tau = 0.0;       ///< checkpointing period tau_{i,j} (Eq. 1)
-    double cost = 0.0;      ///< C_{i,j}
-    double recovery = 0.0;  ///< R_{i,j}
-    double lambda_j = 0.0;  ///< j * lambda
-    double tau_minus_cost = 0.0;  ///< tau - C, the useful work per period
-    double factor = 0.0;     ///< e^{lambda_j R} (1/lambda_j + D)
-    double expm1_tau = 0.0;  ///< e^{lambda_j tau} - 1
-  };
-
   /// Both referents must outlive the model.
   ExpectedTimeModel(const Pack& pack, const checkpoint::Model& resilience);
 
@@ -100,7 +82,7 @@ class ExpectedTimeModel {
 
   /// Fault-free time t_{i,j} of the full task.
   [[nodiscard]] double fault_free_time(int task, int j) const {
-    return coeffs(task, j).t_ij;
+    return coeffs(task, j).t_ij[0];
   }
 
   /// Sequential checkpoint footprint C_i = c * m_i.
@@ -112,55 +94,41 @@ class ExpectedTimeModel {
   /// C_{i,j} = C_i / j; 0 in the fault-free context (no checkpoints).
   [[nodiscard]] double checkpoint_cost(int task, int j) const {
     if (resilience_->fault_free()) return 0.0;  // no checkpoint ever taken
-    return coeffs(task, j).cost;
+    return coeffs(task, j).cost[0];
   }
 
-  /// R_{i,j} = C_{i,j}.
+  /// R_{i,j} = C_{i,j}: the cost lane (the fill asserts the equality).
   [[nodiscard]] double recovery_time(int task, int j) const {
     if (resilience_->fault_free()) return 0.0;
-    return coeffs(task, j).recovery;
+    return coeffs(task, j).cost[0];
   }
 
   /// Checkpointing period tau_{i,j} (Eq. 1); +infinity when fault-free.
   [[nodiscard]] double period(int task, int j) const {
     if (resilience_->fault_free())
       return std::numeric_limits<double>::infinity();
-    return coeffs(task, j).tau;
+    return coeffs(task, j).tau[0];
   }
 
-  /// N^ff_{i,j}(alpha), the checkpoint count of a fault-free execution of
-  /// the fraction alpha (Eq. 2). 0 when fault-free (no checkpoints).
-  [[nodiscard]] double checkpoint_count(int task, int j, double alpha) const {
-    COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
-    if (resilience_->fault_free() || alpha == 0.0) return 0.0;
-    const Coeffs& c = coeffs(task, j);
-    COREDIS_ASSERT(c.tau_minus_cost > 0.0);
-    return std::floor(alpha * c.t_ij / c.tau_minus_cost);  // Eq. 2
-  }
-
-  /// The exact Eq. 4 arithmetic shared by every cached evaluation path
-  /// (the scalar query below and the probe_many batch): callers pass the
-  /// cached coefficient bits, so any two paths agree bit for bit.
-  [[nodiscard]] static double raw_kernel(double alpha, const Coeffs& c) {
-    const double work = alpha * c.t_ij;
-    const double n_ff = std::floor(work / c.tau_minus_cost);  // Eq. 2
-    const double tau_last = work - n_ff * c.tau_minus_cost;   // Eq. 3
+  /// The exact Eq. 4 arithmetic on entry k of the lanes, shared by every
+  /// cached evaluation path (the scalar query below, the probe_many batch
+  /// and the vector kernel's self-check): callers pass the cached
+  /// coefficient bits, so any two paths agree bit for bit.
+  [[nodiscard]] static double raw_kernel(double alpha,
+                                         const detail::Eq4Lanes& c,
+                                         std::size_t k) {
+    const double work = alpha * c.t_ij[k];
+    const double period_work = c.tau[k] - c.cost[k];  // the fill's tau - C
+    const double n_ff = std::floor(work / period_work);  // Eq. 2
+    const double tau_last = work - n_ff * period_work;   // Eq. 3
     COREDIS_ASSERT(tau_last >= -1e-9);
     // Eq. 4 on the cached coefficients. exp arguments stay small in sane
     // regimes (lambda_j * tau does not grow with j because tau ~ 1/j);
     // extreme parameters may produce +inf, which propagates harmlessly
     // through the min-based heuristics.
-    return c.factor *
-           (n_ff * c.expm1_tau +
-            std::expm1(c.lambda_j * std::max(tau_last, 0.0)));
-  }
-
-  /// The (task, j) coefficient record itself — one cache line with every
-  /// alpha-independent quantity, filled on first access like the named
-  /// accessors. Meaningful only in the fault-aware context (fault-free
-  /// fills t_ij alone).
-  [[nodiscard]] const Coeffs& record(int task, int j) const {
-    return coeffs(task, j);
+    return c.factor[k] *
+           (n_ff * c.expm1_tau[k] +
+            std::expm1(c.lambda_j[k] * std::max(tau_last, 0.0)));
   }
 
   /// Raw Eq. 4 (no monotonicity clamp). O(1) on a warm coefficient row:
@@ -169,9 +137,9 @@ class ExpectedTimeModel {
     COREDIS_EXPECTS(j >= 1);
     COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
     if (alpha == 0.0) return 0.0;
-    const Coeffs& c = coeffs(task, j);
-    if (resilience_->fault_free()) return alpha * c.t_ij;  // section 3.3.1
-    return raw_kernel(alpha, c);
+    const detail::Eq4Lanes c = coeffs(task, j);
+    if (resilience_->fault_free()) return alpha * c.t_ij[0];  // sec. 3.3.1
+    return raw_kernel(alpha, c, 0);
   }
 
   /// Eq. 6: min over even j' <= j of the raw value. j must be even >= 2.
@@ -186,17 +154,18 @@ class ExpectedTimeModel {
                                           double alpha) const {
     COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
     if (alpha == 0.0) return 0.0;
-    const Coeffs& c = coeffs(task, j);
-    const double work = alpha * c.t_ij;
+    const detail::Eq4Lanes c = coeffs(task, j);
+    const double work = alpha * c.t_ij[0];
     if (resilience_->fault_free()) return work;
-    const double ratio = work / c.tau_minus_cost;
+    const double period_work = c.tau[0] - c.cost[0];
+    const double ratio = work / period_work;
     double full_periods = std::floor(ratio);
     // Snap floating-point noise around an exact boundary before deciding.
     if (ratio - full_periods > 1.0 - 1e-9) full_periods += 1.0;
-    const double remainder = work - full_periods * c.tau_minus_cost;
+    const double remainder = work - full_periods * period_work;
     // A run ending exactly on a period boundary skips the final checkpoint.
     if (remainder <= 1e-9 * work && full_periods > 0.0) full_periods -= 1.0;
-    return work + full_periods * c.cost;
+    return work + full_periods * c.cost[0];
   }
 
   /// Eq. 8: the remaining fraction of a task that kept `alpha` at its
@@ -204,18 +173,18 @@ class ExpectedTimeModel {
   /// since. Elapsed time minus the completed checkpoints counts as work
   /// (a redistribution starts with a checkpoint that saves the running
   /// period); `alpha` itself while elapsed <= 0 (a blackout window). One
-  /// record fetch.
+  /// slot fetch.
   [[nodiscard]] double remaining_after(int task, int j, double alpha,
                                        double elapsed) const {
     if (elapsed <= 0.0) return alpha;
-    const Coeffs& c = coeffs(task, j);
+    const detail::Eq4Lanes c = coeffs(task, j);
     double completed = 0.0;  // N_{i,j}, Eq. 8
     double cost = 0.0;
     if (!resilience_->fault_free()) {
-      completed = std::floor(elapsed / c.tau);
-      cost = c.cost;
+      completed = std::floor(elapsed / c.tau[0]);
+      cost = c.cost[0];
     }
-    const double done_fraction = (elapsed - completed * cost) / c.t_ij;
+    const double done_fraction = (elapsed - completed * cost) / c.t_ij[0];
     return std::clamp(alpha - done_fraction, 0.0, 1.0);
   }
 
@@ -231,19 +200,19 @@ class ExpectedTimeModel {
   /// Alg. 2 lines 23-26: a fault at `time` rolls a task that kept `alpha`
   /// at `baseline` and has run on j processors since back to its last
   /// checkpoint; the task restarts after the downtime and a recovery.
-  /// One record fetch.
+  /// One slot fetch.
   [[nodiscard]] Rollback rollback(int task, int j, double alpha,
                                   double baseline, double time) const {
-    const Coeffs& c = coeffs(task, j);
+    const detail::Eq4Lanes c = coeffs(task, j);
     Rollback back;
     double kept = 0.0;  // work seconds the completed checkpoints saved
     double recovery = 0.0;
     if (!resilience_->fault_free()) {
-      back.periods = std::floor((time - baseline) / c.tau);
-      kept = back.periods * c.tau_minus_cost;
-      recovery = c.recovery;
+      back.periods = std::floor((time - baseline) / c.tau[0]);
+      kept = back.periods * (c.tau[0] - c.cost[0]);
+      recovery = c.cost[0];  // R_{i,j} = C_{i,j}
     }
-    back.alpha = std::clamp(alpha - kept / c.t_ij, 0.0, 1.0);
+    back.alpha = std::clamp(alpha - kept / c.t_ij[0], 0.0, 1.0);
     back.restart = time + resilience_->downtime() + recovery;
     back.lost = (time - baseline) - kept + resilience_->downtime() + recovery;
     return back;
@@ -251,10 +220,10 @@ class ExpectedTimeModel {
 
   /// Batched Eq. 4 over consecutive even allocations: writes
   /// expected_time_raw(task, 2 * (h + 1), alpha) to out[h - h_begin] for
-  /// every h in [h_begin, h_end). The records are densified once and the
-  /// kernel streams them one cache line per allocation; the result is
-  /// bit-identical to the scalar loop (probe_many_reference, locked by
-  /// tests) because both run raw_kernel on the same coefficient bits.
+  /// every h in [h_begin, h_end). The row is densified once and the
+  /// kernel streams its lanes; the result is bit-identical to the scalar
+  /// loop (probe_many_reference, locked by tests) because both run the
+  /// raw_kernel arithmetic on the same coefficient bits.
   void probe_many(int task, int h_begin, int h_end, double alpha,
                   double* out) const;
 
@@ -262,26 +231,21 @@ class ExpectedTimeModel {
   void probe_many_reference(int task, int h_begin, int h_end, double alpha,
                             double* out) const;
 
-  /// Batched exact Eq. 4 across tasks: out[k] = expected_time_raw(
-  /// tasks[k], js[k], alphas[k]) for every k in [0, count), bit for bit
-  /// (locked by tests). The cross-task sibling of probe_many for the
-  /// heuristics' per-task setup sweeps: coefficients are gathered into
-  /// transposed lanes once and the vector kernel amortizes the Eq. 4
-  /// transcendentals over lane width; without live vector lanes it is
-  /// the scalar loop it replaces.
-  void probe_tasks(const int* tasks, const int* js, const double* alphas,
-                   std::size_t count, double* out) const;
-
-  /// Dense view of task's even-j records: entry h covers j = 2 * (h + 1),
-  /// filled through at least h_count entries. For the heuristics' lazy
-  /// bound passes (DESIGN.md section 6.5). The pointer is invalidated by
-  /// any query of a deeper j on the same task.
-  [[nodiscard]] const Coeffs* row_records(int task,
-                                          std::size_t h_count) const {
+  /// Lanes of task's even row: entry h covers j = 2 * (h + 1), filled
+  /// through at least h_count entries. For the heuristics' lazy bound
+  /// passes (DESIGN.md section 6.5). The pointers are invalidated by any
+  /// query of a deeper j on the same task.
+  [[nodiscard]] detail::Eq4Lanes row_lanes(int task,
+                                           std::size_t h_count) const {
     ensure_even_row(task, h_count);
-    // Even j = 2(h+1) lives at index h + 1 (index 0 is unused: it would
-    // be j = 0); the view starts at entry h = 0 <=> j = 2.
-    return table_even_[static_cast<std::size_t>(task)].data() + 1;
+    return even_[static_cast<std::size_t>(task)].lanes(0);
+  }
+
+  /// Coefficient slots filled over the model's lifetime, one per (task,
+  /// j) pair first seen: the engine reports a run's share as
+  /// EngineProfile::coefficient_fills.
+  [[nodiscard]] std::uint64_t coefficient_fills() const noexcept {
+    return fills_;
   }
 
   /// Straight-line Eq. 4 bypassing the coefficient table: re-derives every
@@ -297,74 +261,74 @@ class ExpectedTimeModel {
                                                     double alpha) const;
 
  private:
-  /// Row lookup, filling the slot on first access. Every hot-path probe
-  /// uses an even j (allocations are processor pairs), so even columns
-  /// live in a dense row indexed by j / 2 — half the footprint of a
-  /// j-indexed row. Rows grow to the deepest allocation any scan probed
+  /// One task's coefficient row: the six Eq4Lanes lanes, entry k covering
+  /// j = 2 (k + 1) in an even row and j = 2 k + 1 in an odd one. The
+  /// lanes share one buffer, lane after lane and `capacity` entries each,
+  /// so deepening a row is one allocation.
+  struct Row {
+    static constexpr std::size_t kLanes = 6;
+    std::unique_ptr<double[]> buffer;
+    std::size_t size = 0;      ///< entries in use per lane
+    std::size_t capacity = 0;  ///< entries per lane in the buffer
+
+    /// Grow every lane to n > size entries, the new ones flagged unfilled
+    /// (t_ij < 0).
+    void resize(std::size_t n);
+
+    /// The lanes from entry k on.
+    [[nodiscard]] detail::Eq4Lanes lanes(std::size_t k) const {
+      const double* at = buffer.get() + k;
+      return {at,                at + capacity,     at + 2 * capacity,
+              at + 3 * capacity, at + 4 * capacity, at + 5 * capacity};
+    }
+  };
+
+  /// The lanes at (task, j), entry 0 being that pair, filled on first
+  /// access. Every hot-path probe uses an even j (allocations are
+  /// processor pairs), so even columns live in a dense row indexed by
+  /// j / 2 - 1. Rows grow to the deepest allocation any scan probed
   /// (DESIGN.md section 6.2), a few entries at a time. Odd j (sequential
-  /// baselines, tests) goes to a separate table that stays empty during
+  /// baselines, tests) goes to a separate row that stays empty during
   /// simulations.
-  const Coeffs& coeffs(int task, int j) const {
+  detail::Eq4Lanes coeffs(int task, int j) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     COREDIS_EXPECTS(j >= 1);
-    auto& row = (j % 2 == 0 ? table_even_ : table_odd_)[
-        static_cast<std::size_t>(task)];
-    const auto slot = static_cast<std::size_t>(j) / 2;  // odd j=1 -> 0
-    // resize grows the capacity geometrically on its own; a reserve(2 *
-    // size()) here would always fall short of the next step's request
-    // and copy the whole row on every deepening.
-    if (row.size() <= slot) [[unlikely]] row.resize(slot + 1);
-    Coeffs& c = row[slot];
-    if (c.t_ij < 0.0) [[unlikely]]
-      fill_coeffs(task, j, c);
+    Row& row = (j % 2 == 0 ? even_ : odd_)[static_cast<std::size_t>(task)];
+    const auto k = static_cast<std::size_t>(j - 1) / 2;
+    if (row.size <= k) [[unlikely]] row.resize(k + 1);
+    const detail::Eq4Lanes c = row.lanes(k);
+    if (c.t_ij[0] < 0.0) [[unlikely]] fill_coeffs(task, j, row, k);
     return c;
   }
 
-  /// Densify even slots [1, h_count] (j = 2 .. 2 * h_count) of the
+  /// Densify even entries [0, h_count) (j = 2 .. 2 * h_count) of the
   /// task's row. The dense-prefix check is inline — the batched probes
   /// re-ask for the same densified prefix millions of times per run, so
   /// the warm case must be a load and a compare — and the cold growth
-  /// (which also appends the SoA mirror) stays out of line.
+  /// stays out of line.
   void ensure_even_row(int task, std::size_t h_count) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     if (even_dense_[static_cast<std::size_t>(task)] < h_count) [[unlikely]]
       grow_even_row(task, h_count);
   }
 
-  /// Cold path of ensure_even_row: fill [dense, h_count) and append the
-  /// SoA mirror alongside.
+  /// Cold path of ensure_even_row: fill the unfilled entries of
+  /// [dense, h_count).
   void grow_even_row(int task, std::size_t h_count) const;
 
   /// Cold path of coeffs(): derive every alpha-independent quantity of
-  /// Eqs. 1-4 once for this (task, j).
-  void fill_coeffs(int task, int j, Coeffs& c) const;
-
-  /// Structure-of-arrays mirror of one task's even row (DESIGN.md
-  /// section 6.6): entry h covers j = 2 (h + 1) — no unused slot 0,
-  /// unlike the AoS row — and the five arrays are exactly raw_kernel's
-  /// inputs, copied from the records as grow_even_row densifies them.
-  /// Dense to even_dense_[task]; fault-aware context only (the
-  /// fault-free batch is a plain multiply over t_ij).
-  struct SoaRow {
-    std::vector<double> t_ij;
-    std::vector<double> tau_minus_cost;
-    std::vector<double> lambda_j;
-    std::vector<double> factor;
-    std::vector<double> expm1_tau;
-  };
+  /// Eqs. 1-4 once for this (task, j) into entry k of its row.
+  void fill_coeffs(int task, int j, Row& row, std::size_t k) const;
 
   const Pack* pack_;
   const checkpoint::Model* resilience_;
   std::vector<double> seq_ckpt_;  ///< C_i per task, filled eagerly
-  /// [task][j/2] for even j, [task][(j-1)/2] for odd j; both lazy.
-  mutable std::vector<std::vector<Coeffs>> table_even_;
-  mutable std::vector<std::vector<Coeffs>> table_odd_;
-  /// Dense-prefix mark per task: even slots [1, mark] are known filled.
+  /// One even and one odd row per task; both lazy.
+  mutable std::vector<Row> even_;
+  mutable std::vector<Row> odd_;
+  /// Dense-prefix mark per task: even entries [0, mark) are known filled.
   mutable std::vector<std::size_t> even_dense_;
-  mutable std::vector<SoaRow> soa_even_;  ///< per-field vector lanes
-  /// Transposed coefficient scratch of probe_tasks (per-call contents;
-  /// single-threaded use per the thread-compatibility note above).
-  mutable std::vector<double> gather_;
+  mutable std::uint64_t fills_ = 0;  ///< coefficient_fills()
 };
 
 /// Incrementally cached evaluator of the Eq. 6 clamped expected time.
@@ -473,10 +437,6 @@ class TrEvaluator {
   /// Start a new simulation event: slots not reused since this call become
   /// the preferred eviction victims (see class comment).
   void begin_event() noexcept { ++epoch_; }
-
-  /// Drop cached values of one task (alpha changed in a way the alpha-keyed
-  /// slots cannot capture; cheap, slots rebuild lazily).
-  void invalidate(int task);
 
   /// Prefix-min entries filled over the evaluator's lifetime, one raw
   /// Eq. 4 evaluation each: the engine reports a run's share as

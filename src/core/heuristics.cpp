@@ -256,32 +256,34 @@ struct Carry {
 Carry carry_columns(const EngineState& s, int i, double t, double alpha_t,
                     int sigma, std::size_t h_lo, std::size_t h_hi,
                     double threat, const double* value) {
-  const ExpectedTimeModel::Coeffs* recs = s.model->row_records(i, h_hi);
+  const detail::Eq4Lanes c = s.model->row_lanes(i, h_hi);
   const bool fault_free = s.model->resilience().fault_free();
   constexpr double kInf = std::numeric_limits<double>::infinity();
 
   double span_alpha = kInf;
   for (std::size_t h = h_lo; h < h_hi; ++h) {
-    const ExpectedTimeModel::Coeffs& c = recs[h];
     const double budget = value[h - h_lo] - threat;
     if (budget <= 0.0) return {t, -kInf};  // no provable carry
+    const double t_ij = c.t_ij[h];
     if (fault_free) {
-      span_alpha = std::min(span_alpha, budget / c.t_ij);
+      span_alpha = std::min(span_alpha, budget / t_ij);
       continue;
     }
-    const double g = c.t_ij * c.factor * c.lambda_j * (c.expm1_tau + 1.0);
+    const double g =
+        t_ij * c.factor[h] * c.lambda_j[h] * (c.expm1_tau[h] + 1.0);
     double span = budget / g;
-    const double work = alpha_t * c.t_ij;
-    const double n_ff = std::floor(work / c.tau_minus_cost);
-    const double to_boundary = (work - n_ff * c.tau_minus_cost) / c.t_ij;
+    const double work = alpha_t * t_ij;
+    const double period_work = c.tau[h] - c.cost[h];  // the fill's tau - C
+    const double n_ff = std::floor(work / period_work);
+    const double to_boundary = (work - n_ff * period_work) / t_ij;
     if (span > to_boundary) {
-      const double drop = c.factor * c.expm1_tau;
+      const double drop = c.factor[h] * c.expm1_tau[h];
       const double after_first = budget - to_boundary * g - drop;
       if (after_first <= 0.0) {
         span = to_boundary;
       } else {
         // Smooth decay plus one amortized boundary drop per period.
-        const double per_alpha = g + drop * c.t_ij / c.tau_minus_cost;
+        const double per_alpha = g + drop * t_ij / period_work;
         span = to_boundary + after_first / per_alpha;
       }
     }

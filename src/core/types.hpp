@@ -99,6 +99,7 @@ struct EngineProfile {
   long long widen_fallbacks = 0;    ///< widenings refused (a full scan follows)
   long long floor_fallbacks = 0;    ///< ... of which on the floor check
   long long column_fills = 0;       ///< Eq. 4 column elements filled
+  long long coefficient_fills = 0;  ///< (task, j) coefficient slots filled
   long long regrows = 0;            ///< Algorithm 5 rebuilds (EndGreedy, IG)
   long long tournament_replays = 0; ///< regrow grants past the warm start
   long long walk_skips = 0;         ///< tasks the bound sent to sigma_init

@@ -288,7 +288,9 @@ TEST(EngineProfile, WorkCountersArePinned) {
   // p = 10n on a fresh engine: the fault-free context with RC, and
   // IteratedGreedy under exponential faults with EndLocal and with
   // EndGreedy. The cold Algorithm 5 climb replayed 158,545 tournament
-  // re-keys in the EndGreedy run; the warm start leaves 3,499.
+  // re-keys in the EndGreedy run; the warm start leaves 3,499. The last
+  // column, coefficient fills, pins the model's lazy fill policy: which
+  // (task, j) pairs a run ever prices.
   constexpr int n = 200;
   constexpr int p = 10 * n;
   Rng pack_rng(42);
@@ -305,7 +307,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
                                   w.widen_fallbacks, w.floor_fallbacks,
                                   w.column_fills,   w.regrows,
                                   w.tournament_replays, w.walk_skips,
-                                  w.walk_steps};
+                                  w.walk_steps,     w.coefficient_fills};
   };
   core::EngineConfig config;
   config.end_policy = core::EndPolicy::Local;
@@ -317,7 +319,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(none);
   EXPECT_EQ(counters(rc_ff.profile),
             (std::vector<long long>{200, 199, 128, 1772, 816, 2189, 259, 236,
-                                    100464, 0, 0, 0, 0}))
+                                    100464, 0, 0, 0, 0, 28032}))
       << "fault-free context with RC";
 
   config.failure_policy = core::FailurePolicy::IteratedGreedy;
@@ -326,7 +328,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(faults);
   EXPECT_EQ(counters(ig_local.profile),
             (std::vector<long long>{210, 196, 34, 1997, 10688, 3286, 234, 231,
-                                    114693, 8, 2511, 316, 3130}))
+                                    114693, 8, 2511, 316, 3130, 12313}))
       << "IteratedGreedy-EndLocal";
 
   config.end_policy = core::EndPolicy::Greedy;
@@ -335,7 +337,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(greedy_faults);
   EXPECT_EQ(counters(ig_greedy.profile),
             (std::vector<long long>{210, 196, 17, 0, 0, 0, 0, 0, 188551, 196,
-                                    3499, 16666, 3506}))
+                                    3499, 16666, 3506, 2989}))
       << "IteratedGreedy-EndGreedy";
 }
 

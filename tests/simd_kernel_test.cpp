@@ -1,15 +1,14 @@
 /// Bitwise-equivalence wall for the vector Eq. 4 pass (DESIGN.md
-/// section 6.6): the SoA/SIMD probe_many and the cross-task batched
-/// probe_tasks must produce the exact bits of their scalar references —
-/// probe_many_reference and expected_time_raw — over randomized grids,
+/// section 6.6): the SIMD probe_many must produce the exact bits of its
+/// scalar reference, probe_many_reference, over randomized grids,
 /// fault-aware and fault-free resilience, denormal/extreme lambda·tau
 /// corners, and every residual vector-tail length. The same contract is
-/// asserted against the detail kernels directly on hand-built lanes.
+/// asserted against the detail kernel directly on hand-built lanes.
 ///
 /// Every test here passes on any build: when the vector path is not
 /// live (non-x86-64 build, unsupported CPU, COREDIS_NO_SIMD=1, or a
-/// failed process self-check) the batched entry points are the scalar
-/// loops and equality is trivial. The suite prints which case it
+/// failed process self-check) the batched entry point is the scalar
+/// loop and equality is trivial. The suite prints which case it
 /// exercised so a CI log shows whether the vector lanes were actually
 /// under test.
 
@@ -114,41 +113,6 @@ TEST(SimdKernel, ProbeManyMatchesReferenceFaultFree) {
       }
 }
 
-TEST(SimdKernel, ProbeTasksMatchesScalarEq4) {
-  Rng rng(0xBADC0DEULL);
-  std::vector<double> sizes;
-  for (int i = 0; i < 16; ++i) sizes.push_back(rng.uniform(1.0e5, 5.0e6));
-  const Pack pack = make_pack(std::move(sizes));
-  for (const bool fault_free : {false, true}) {
-    const checkpoint::Model resilience =
-        fault_free ? fault_free_model() : faulty_model();
-    const ExpectedTimeModel model(pack, resilience);
-    // Batch sizes cover zero, every tail length and a large batch.
-    for (const std::size_t count : {std::size_t{0}, std::size_t{1},
-                                    std::size_t{2}, std::size_t{3},
-                                    std::size_t{4}, std::size_t{5},
-                                    std::size_t{7}, std::size_t{64},
-                                    std::size_t{257}}) {
-      std::vector<int> tasks(count), js(count);
-      std::vector<double> alphas(count), got(count), want(count);
-      for (std::size_t k = 0; k < count; ++k) {
-        tasks[k] = static_cast<int>(rng.uniform_int(0, 15));
-        js[k] = 2 * static_cast<int>(rng.uniform_int(1, 40));
-        const std::uint64_t kind = rng.uniform_int(0, 9);
-        alphas[k] = kind == 0 ? 0.0 : kind == 1 ? 1.0 : rng.uniform01();
-      }
-      model.probe_tasks(tasks.data(), js.data(), alphas.data(), count,
-                        got.data());
-      for (std::size_t k = 0; k < count; ++k)
-        want[k] = model.expected_time_raw(tasks[k], js[k], alphas[k]);
-      for (std::size_t k = 0; k < count; ++k)
-        ASSERT_TRUE(same_bits(got[k], want[k]))
-            << "fault_free=" << fault_free << " k=" << k << " task="
-            << tasks[k] << " j=" << js[k] << " alpha=" << alphas[k];
-    }
-  }
-}
-
 TEST(SimdKernel, ExtremeMtbfRegimesStayExact) {
   // Push lambda_j * tau toward both ends: near-immortal platforms drive
   // the expm1 argument under the vectorized domain's 2^-54 floor, and
@@ -176,10 +140,10 @@ TEST(SimdKernel, ExtremeMtbfRegimesStayExact) {
 }
 
 TEST(SimdKernel, DetailKernelsMatchRawKernelOnEdgeLanes) {
-  // Direct contract check on the detail entry points with hand-built
+  // Direct contract check on the detail entry point with hand-built
   // lanes pinned to the dispatch edges of the vectorized expm1 domain:
   // 2^-54 and 0.5 ln 2 from both sides, denormals, zero, and arguments
-  // large enough to overflow. With t_ij = 1 and tau_minus_cost = 2 the
+  // large enough to overflow. With t_ij = 1 and tau - C = 3 - 1 = 2 the
   // kernel reduces to factor * expm1(lambda * alpha), so each lane's
   // lambda *is* the expm1 argument at alpha = 1.
   const double edges[] = {0.0,       5e-324,     1e-308,  0x1p-55,
@@ -187,47 +151,33 @@ TEST(SimdKernel, DetailKernelsMatchRawKernelOnEdgeLanes) {
                           0.34657,   0.34657359, 0.3466,  1.0,
                           709.0,     710.0,      1e300,   0x1p-53};
   constexpr std::size_t kCount = std::size(edges);
-  std::vector<double> t_ij(kCount, 1.0), tmc(kCount, 2.0), lam(kCount),
-      fac(kCount, 1.5), emt(kCount, 0.25), alphas(kCount);
-  for (std::size_t k = 0; k < kCount; ++k) {
-    lam[k] = edges[k];
-    alphas[k] = k % 3 == 0 ? 1.0 : 1.0 / static_cast<double>(k + 1);
-  }
-  const detail::Eq4Lanes lanes{t_ij.data(), tmc.data(), lam.data(),
-                               fac.data(), emt.data()};
-
-  const auto want_at = [&](double alpha, std::size_t k) {
-    ExpectedTimeModel::Coeffs c;
-    c.t_ij = t_ij[k];
-    c.tau_minus_cost = tmc[k];
-    c.lambda_j = lam[k];
-    c.factor = fac[k];
-    c.expm1_tau = emt[k];
-    return ExpectedTimeModel::raw_kernel(alpha, c);
-  };
+  std::vector<double> t_ij(kCount, 1.0), tau(kCount, 3.0), cost(kCount, 1.0),
+      lam(std::begin(edges), std::end(edges)), fac(kCount, 1.5),
+      emt(kCount, 0.25);
+  const detail::Eq4Lanes lanes{t_ij.data(), tau.data(), cost.data(),
+                               lam.data(),  fac.data(), emt.data()};
 
   // Every count in [1, kCount] covers each residual tail length twice
-  // over for both entry points.
+  // over, at alpha = 1 and at the count's own alpha.
   for (std::size_t count = 1; count <= kCount; ++count) {
     std::vector<double> got(count);
-    detail::eq4_probe_row(lanes, 1.0, count, got.data());
-    for (std::size_t k = 0; k < count; ++k)
-      ASSERT_TRUE(same_bits(got[k], want_at(1.0, k)))
-          << "probe_row count=" << count << " lane=" << k
-          << " lambda=" << lam[k];
-    detail::eq4_probe_gather(lanes, alphas.data(), count, got.data());
-    for (std::size_t k = 0; k < count; ++k)
-      ASSERT_TRUE(same_bits(got[k], want_at(alphas[k], k)))
-          << "probe_gather count=" << count << " lane=" << k
-          << " lambda=" << lam[k];
+    const double count_alpha =
+        count % 3 == 0 ? 1.0 : 1.0 / static_cast<double>(count + 1);
+    for (const double alpha : {1.0, count_alpha}) {
+      detail::eq4_probe_row(lanes, alpha, count, got.data());
+      for (std::size_t k = 0; k < count; ++k)
+        ASSERT_TRUE(same_bits(got[k],
+                              ExpectedTimeModel::raw_kernel(alpha, lanes, k)))
+            << "count=" << count << " alpha=" << alpha << " lane=" << k
+            << " lambda=" << lam[k];
+    }
   }
 }
 
 TEST(SimdKernel, RowViewsSurviveDeepExtension) {
-  // Regression guard for the SoA mirror: growing a row (deeper j) must
-  // keep the already-filled prefix's bits identical — append-only, no
-  // recompute drift — and row_records pointers refreshed after growth
-  // must agree with the batch output.
+  // Growing a row (deeper j) must keep the already-filled prefix's bits
+  // identical — append-only, no recompute drift — and row_lanes views
+  // refreshed after growth must agree with the batch output.
   const Pack pack = make_pack({2.5e6});
   const checkpoint::Model resilience = faulty_model();
   const ExpectedTimeModel model(pack, resilience);
@@ -239,11 +189,9 @@ TEST(SimdKernel, RowViewsSurviveDeepExtension) {
   model.probe_many(0, 0, kDeep, 0.8, deep.data());
   EXPECT_EQ(0, std::memcmp(first.data(), deep.data(),
                            kShallow * sizeof(double)));
-  const ExpectedTimeModel::Coeffs* row = model.row_records(0, kDeep);
-  for (int h = 0; h < kDeep; ++h)
-    ASSERT_TRUE(same_bits(
-        deep[static_cast<std::size_t>(h)],
-        ExpectedTimeModel::raw_kernel(0.8, row[h])))
+  const detail::Eq4Lanes row = model.row_lanes(0, kDeep);
+  for (std::size_t h = 0; h < kDeep; ++h)
+    ASSERT_TRUE(same_bits(deep[h], ExpectedTimeModel::raw_kernel(0.8, row, h)))
         << "h=" << h;
 }
 

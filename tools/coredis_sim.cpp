@@ -240,7 +240,8 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
     row("event dispatch    ", prof.dispatch_seconds);
     row("probe scans + heap", prof.scan_seconds);
     row("commits           ", prof.commit_seconds);
-    std::cout << "work: " << prof.column_fills << " column fills; EndLocal "
+    std::cout << "work: " << prof.coefficient_fills << " coefficient fills, "
+              << prof.column_fills << " column fills; EndLocal "
               << prof.full_scans << " full scans, " << prof.verdict_drops
               << " verdict drops, " << prof.verdict_widenings
               << " widenings, " << prof.widen_fallbacks
