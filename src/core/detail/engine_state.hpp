@@ -56,6 +56,15 @@ class ProbeBase {
     return t_ + rc(target) + checkpoint(target);
   }
 
+  /// EndLocal's lazy pass over the targets first, first + 2, ... (all
+  /// above sigma_init): these terms, with C_{i,j} read from the task's
+  /// cost lane, `cost` at `first`. The caller sets the column, tU and the
+  /// stop rule; run it through scan_targets.
+  [[nodiscard]] TargetPass targets(int first, const double* cost) const {
+    return {t_, m_over_from_, /*tU=*/0.0, cost, /*col=*/nullptr,
+            /*col_stride=*/1, first, from_, zero_rc_, Stop::Below};
+  }
+
  private:
   double t_;
   int from_;
@@ -294,6 +303,25 @@ struct EngineState {
 /// Algorithm 3 (EndLocal): grow the currently-longest tasks with the k
 /// idle processors, pair by pair. Returns true if anything was committed.
 bool end_local(EngineState& state, double t);
+
+/// One EndLocal pass over `count` targets (TargetPass): in vector lanes
+/// (scan_targets_row, then the scalar loop for the tail) from 8 targets
+/// on while eq4_simd_active(), else the scalar loop alone. Same bits
+/// either way.
+[[nodiscard]] TargetScan scan_targets(const TargetPass& pass,
+                                      std::size_t count);
+
+/// The scalar loop scan_targets and its vector body are bit-identical to.
+[[nodiscard]] TargetScan scan_targets_scalar(const TargetPass& pass,
+                                             std::size_t count);
+
+/// carry_columns' span over `count` columns (CarryPass), dispatched like
+/// scan_targets.
+[[nodiscard]] CarrySpan carry_span(const CarryPass& pass, std::size_t count);
+
+/// The scalar loop carry_span and its vector body are bit-identical to.
+[[nodiscard]] CarrySpan carry_span_scalar(const CarryPass& pass,
+                                          std::size_t count);
 
 /// EndGreedy (section 5.2): full RC-aware rebuild at a task termination.
 bool end_greedy(EngineState& state, double t);

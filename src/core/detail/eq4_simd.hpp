@@ -1,14 +1,19 @@
 #pragma once
 
 /// \file eq4_simd.hpp
-/// Vector-lane kernel over the coefficient lanes (DESIGN.md section 6.6).
-/// Internal to core: core/*.cpp and white-box tests call the kernel, and
+/// Vector-lane kernels over the coefficient lanes (DESIGN.md section 6.6).
+/// Internal to core: core/*.cpp and white-box tests call the kernels, and
 /// core/expected_time.hpp borrows the Eq4Lanes view for its rows.
 ///
-/// The exported kernel is *exact*: for every input it must produce the
-/// same bits as the scalar expression it replaces
-/// (ExpectedTimeModel::raw_kernel). The floating-point body is therefore
-/// pinned down twice:
+/// Every exported kernel is *exact*: for every input it must produce the
+/// same bits as the scalar loop it replaces. The two EndLocal kernels
+/// (scan_targets_row, carry_span_row) use only correctly rounded or exact
+/// IEEE operations — add, subtract, multiply, divide, floor, compares,
+/// blends and a min that picks like std::min — so they match their scalar
+/// loops in heuristics.cpp by construction, on any x86-64 with AVX2, and
+/// need no self-check (DESIGN.md section 6.6). The Eq. 4
+/// kernel (eq4_probe_row) must also reproduce libm's expm1, and its
+/// floating-point body is therefore pinned down twice:
 ///
 ///  - This translation unit is compiled with -ffp-contract=off, so the
 ///    compiler cannot fuse the explicit multiply/add intrinsics into
@@ -28,8 +33,11 @@
 /// (2^-54 <= |x| <= 0.5 ln 2); lanes outside it — zero, denormal, large
 /// and non-finite arguments — are delegated to std::expm1 itself, so
 /// extreme lambda·tau corners inherit the libm bits by construction.
-/// Residual tails (count mod 4) run a scalar loop in this same
-/// translation unit, term for term the raw_kernel expression.
+/// Eq. 4's residual tails (count mod 4) run a scalar loop in this same
+/// translation unit, term for term the raw_kernel expression. The
+/// EndLocal kernels take whole blocks of 4 only: their scalar loops in
+/// heuristics.cpp, built with the baseline flags (no FMA to contract
+/// into on x86-64), run the tails.
 ///
 /// This header declares no inline function on purpose: the -mavx2
 /// translation unit includes it, and an inline function it shared with
@@ -71,5 +79,70 @@ struct Eq4Lanes {
 /// eq4_simd_active().
 void eq4_probe_row(const Eq4Lanes& lanes, double alpha, std::size_t count,
                    double* out);
+
+/// Which probe ends a pass over EndLocal targets.
+enum class Stop {
+  Below,       ///< the first x_k < tU: a scan's improving target
+  NotAtLeast,  ///< the first !(x_k >= tU): a widening's refusal (NaN too)
+};
+
+/// One EndLocal pass over the consecutive even targets j_k = first + 2k
+/// of a task (DESIGN.md section 6.5). Each probe is
+///
+///   x_k = ((t + RC_k) + C_k) + col_k,
+///
+/// term for term as CandidateProber adds them: RC_k is Eq. 9 from
+/// sigma_init = from to j_k (ProbeBase::rc), C_k the task's cost lane at
+/// j_k (fill_coeffs stores C_i / j there with ProbeBase's division) and
+/// col_k a column entry, or one floor at every target.
+struct TargetPass {
+  double t;                ///< probe time
+  double m_over_from;      ///< m_i / sigma_init, Eq. 9's cached factor
+  double tU;               ///< the task's expected finish
+  const double* cost;      ///< C_k = cost[k]
+  const double* col;       ///< col_k = col[k * col_stride]
+  std::size_t col_stride;  ///< 1 for a column, 0 for a floor
+  int first;               ///< j_0: even and above `from`
+  int from;                ///< sigma_init
+  bool zero_rc;            ///< RC_k = 0 (Theorem 2 ablation)
+  Stop stop;
+};
+
+/// Where a TargetPass ended, and what it priced on the way.
+struct TargetScan {
+  std::size_t stop;  ///< the entry that ended the pass; the count if none
+  double first_x;    ///< x_0, which a grant reuses
+  double min_rc_c;   ///< min_k (RC_k + C_k) when nothing stopped, else +inf
+};
+
+/// Vector body of scan_targets (heuristics.cpp) over entries [0, count),
+/// count a multiple of 4: the scalar loop's result, bit for bit. RC_k + C_k
+/// is never -0 or NaN, so the lanes' minimum equals the loop's.
+/// Requires eq4_simd_active().
+[[nodiscard]] TargetScan scan_targets_row(const TargetPass& pass,
+                                          std::size_t count);
+
+/// carry_columns' per-column pass (heuristics.cpp) over columns [0, count):
+/// the alpha span over which column h provably keeps value[h] above the
+/// threat, charged at Eq. 4's slope bound plus its checkpoint drops.
+struct CarryPass {
+  Eq4Lanes lanes;       ///< the columns' coefficients, entry 0 first
+  const double* value;  ///< value[h] <= the raw Eq. 4 of column h
+  double threat;        ///< the level every column has to stay above
+  double alpha;         ///< the tentative alpha of the scan
+  bool fault_free;      ///< then the slope is t_ij and nothing drops
+};
+
+/// The smallest span over a CarryPass's columns.
+struct CarrySpan {
+  double span;   ///< min over the columns; +inf for none, 0 when refused
+  bool refused;  ///< some budget value[h] - threat was <= 0
+};
+
+/// Vector body of carry_span (heuristics.cpp) over columns [0, count),
+/// count a multiple of 4: the scalar loop's result, bit for bit. Requires
+/// eq4_simd_active().
+[[nodiscard]] CarrySpan carry_span_row(const CarryPass& pass,
+                                       std::size_t count);
 
 }  // namespace coredis::core::detail

@@ -201,15 +201,78 @@ void heap_drop_top(std::vector<HeapEntry>& heap) {
   heap.pop_back();
 }
 
-/// min over the even targets sigma + q, q in [q_lo, q_hi], of RC_q +
-/// C_{i,sigma+q}: flops only (Eq. 9 and C_i / j need no Eq. 4
-/// evaluation), on the prober's own arithmetic. Any consistent evaluation
-/// of the same math makes a valid bound, and this is the exact one.
-double min_rc_c(const ProbeBase& base, int sigma, int q_lo, int q_hi) {
-  double best = std::numeric_limits<double>::infinity();
-  for (int q = q_lo; q <= q_hi; q += 2)
-    best = std::min(best, base.rc(sigma + q) + base.checkpoint(sigma + q));
-  return best;
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Passes over fewer targets or columns than this stay scalar: on small
+/// pools (p = 16) the vector set-up costs more than it saves.
+constexpr std::size_t kVectorMin = 8;
+
+/// The scalar loop of scan_targets over entries [k, count), continuing
+/// `r` past a vector body that covered [0, k).
+void scan_targets_from(const TargetPass& p, std::size_t k, std::size_t count,
+                       TargetScan& r) {
+  for (; k < count; ++k) {
+    const int j = p.first + 2 * static_cast<int>(k);
+    // ProbeBase::rc above sigma_init: max(min(from, j), j - from) rounds.
+    const double rounds = static_cast<double>(std::max(p.from, j - p.from));
+    const double rc =
+        p.zero_rc ? 0.0
+                  : rounds * (1.0 / static_cast<double>(j)) * p.m_over_from;
+    const double x = p.t + rc + p.cost[k] + p.col[k * p.col_stride];
+    if (k == 0) r.first_x = x;
+    if (p.stop == Stop::Below ? x < p.tU : !(x >= p.tU)) {
+      r.stop = k;
+      r.min_rc_c = kInf;
+      return;
+    }
+    r.min_rc_c = std::min(r.min_rc_c, rc + p.cost[k]);
+  }
+  r.stop = count;
+}
+
+/// The scalar loop of carry_span over columns [h, count), continuing `r`
+/// past a vector body that covered [0, h). See carry_columns for the
+/// bound it prices.
+void carry_span_from(const CarryPass& p, std::size_t h, std::size_t count,
+                     CarrySpan& r) {
+  const Eq4Lanes& c = p.lanes;
+  for (; h < count; ++h) {
+    const double budget = p.value[h] - p.threat;
+    if (budget <= 0.0) {
+      r = {0.0, true};
+      return;
+    }
+    const double t_ij = c.t_ij[h];
+    if (p.fault_free) {
+      r.span = std::min(r.span, budget / t_ij);
+      continue;
+    }
+    const double g =
+        t_ij * c.factor[h] * c.lambda_j[h] * (c.expm1_tau[h] + 1.0);
+    double span = budget / g;
+    const double work = p.alpha * t_ij;
+    const double period_work = c.tau[h] - c.cost[h];  // the fill's tau - C
+    const double n_ff = std::floor(work / period_work);
+    const double to_boundary = (work - n_ff * period_work) / t_ij;
+    if (span > to_boundary) {
+      const double drop = c.factor[h] * c.expm1_tau[h];
+      const double after_first = budget - to_boundary * g - drop;
+      if (after_first <= 0.0) {
+        span = to_boundary;
+      } else {
+        // Smooth decay plus one amortized boundary drop per period.
+        const double per_alpha = g + drop * t_ij / period_work;
+        span = to_boundary + after_first / per_alpha;
+      }
+    }
+    r.span = std::min(r.span, span);
+  }
+}
+
+/// The lanes of `row` from entry k on.
+Eq4Lanes lanes_from(const Eq4Lanes& row, std::size_t k) {
+  return {row.t_ij + k,     row.tau + k,    row.cost + k,
+          row.lambda_j + k, row.factor + k, row.expm1_tau + k};
 }
 
 /// What a failed EndLocal scan carries to later events: until `horizon`,
@@ -256,41 +319,12 @@ struct Carry {
 Carry carry_columns(const EngineState& s, int i, double t, double alpha_t,
                     int sigma, std::size_t h_lo, std::size_t h_hi,
                     double threat, const double* value) {
-  const detail::Eq4Lanes c = s.model->row_lanes(i, h_hi);
-  const bool fault_free = s.model->resilience().fault_free();
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-
-  double span_alpha = kInf;
-  for (std::size_t h = h_lo; h < h_hi; ++h) {
-    const double budget = value[h - h_lo] - threat;
-    if (budget <= 0.0) return {t, -kInf};  // no provable carry
-    const double t_ij = c.t_ij[h];
-    if (fault_free) {
-      span_alpha = std::min(span_alpha, budget / t_ij);
-      continue;
-    }
-    const double g =
-        t_ij * c.factor[h] * c.lambda_j[h] * (c.expm1_tau[h] + 1.0);
-    double span = budget / g;
-    const double work = alpha_t * t_ij;
-    const double period_work = c.tau[h] - c.cost[h];  // the fill's tau - C
-    const double n_ff = std::floor(work / period_work);
-    const double to_boundary = (work - n_ff * period_work) / t_ij;
-    if (span > to_boundary) {
-      const double drop = c.factor[h] * c.expm1_tau[h];
-      const double after_first = budget - to_boundary * g - drop;
-      if (after_first <= 0.0) {
-        span = to_boundary;
-      } else {
-        // Smooth decay plus one amortized boundary drop per period.
-        const double per_alpha = g + drop * t_ij / period_work;
-        span = to_boundary + after_first / per_alpha;
-      }
-    }
-    span_alpha = std::min(span_alpha, span);
-  }
+  const CarryPass pass{lanes_from(s.model->row_lanes(i, h_hi), h_lo), value,
+                       threat, alpha_t, s.model->resilience().fault_free()};
+  const CarrySpan span_alpha = carry_span(pass, h_hi - h_lo);
+  if (span_alpha.refused) return {t, -kInf};  // no provable carry
   const double w_sigma = s.model->fault_free_time(i, sigma);
-  const double span = span_alpha * w_sigma;
+  const double span = span_alpha.span * w_sigma;
   if (!std::isfinite(span)) return {kInf, threat};
   return {t + span * (1.0 - 1e-9), threat};
 }
@@ -312,7 +346,6 @@ Carry carry_columns(const EngineState& s, int i, double t, double alpha_t,
 bool widen_verdict(EngineState& s, int i, double t, double alpha_t,
                    double tU, int k, EngineState::ScanCache& cache) {
   const int sigma = s.task(i).sigma;
-  const ProbeBase base(s, t, i);
   const int q_first = cache.k / 2 * 2 + 2;
   const auto refuse = [&s](bool on_floor) {
     if (s.profile != nullptr) {
@@ -321,27 +354,38 @@ bool widen_verdict(EngineState& s, int i, double t, double alpha_t,
     }
     return false;
   };
-  // (a) against the covered columns' floor: flops only, so first.
-  for (int q = q_first; q <= k; q += 2)
-    if (!(base(sigma + q) + cache.floor >= tU)) return refuse(true);
-  // (b) against the new columns alone, one probe_many batch.
+  // The new columns (sigma + cache.k, sigma + k]; the first new target,
+  // sigma + q_first, is column lo. Densifying the row through hi up front
+  // fills no extra coefficient: (b) probes that range, and a refusal
+  // hands over to the full scan, which prefills it.
   const auto lo = static_cast<std::size_t>(sigma + cache.k) / 2;
   const auto hi = static_cast<std::size_t>(sigma + k) / 2;
+  const std::size_t count =
+      q_first <= k ? static_cast<std::size_t>((k - q_first) / 2 + 1) : 0;
+  TargetPass pass = ProbeBase(s, t, i).targets(
+      sigma + q_first, s.model->row_lanes(i, hi).cost + lo);
+  pass.tU = tU;
+  pass.stop = Stop::NotAtLeast;
+  // (a) against the covered columns' floor: flops only, so first. The
+  // same pass prices min (RC + C) over the new targets for the carry.
+  pass.col = &cache.floor;
+  pass.col_stride = 0;
+  const TargetScan floor_pass = scan_targets(pass, count);
+  if (floor_pass.stop < count) return refuse(true);
+  // (b) against the new columns alone, one probe_many batch.
   std::vector<double>& m = s.scratch.widened;
   m.resize(hi - lo);
   s.model->probe_many(i, static_cast<int>(lo), static_cast<int>(hi), alpha_t,
                       m.data());
-  double running = std::numeric_limits<double>::infinity();
+  double running = kInf;
   for (double& v : m) v = running = std::min(running, v);
   if (s.profile != nullptr)
     s.profile->column_fills += static_cast<long long>(hi - lo);
-  for (int q = q_first; q <= k; q += 2) {
-    const double new_min = m[static_cast<std::size_t>(sigma + q) / 2 - 1 - lo];
-    if (!(base(sigma + q) + new_min >= tU)) return refuse(false);
-  }
-  const Carry carry =
-      carry_columns(s, i, t, alpha_t, sigma, lo, hi,
-                    tU - t - min_rc_c(base, sigma, q_first, k), m.data());
+  pass.col = m.data();
+  pass.col_stride = 1;
+  if (scan_targets(pass, count).stop < count) return refuse(false);
+  const Carry carry = carry_columns(s, i, t, alpha_t, sigma, lo, hi,
+                                    tU - t - floor_pass.min_rc_c, m.data());
   cache.k = k;
   cache.horizon = std::min(cache.horizon, carry.horizon);
   cache.floor = std::min(cache.floor, carry.floor);
@@ -368,6 +412,36 @@ inline double regrow_key(const EngineState::Scratch::RegrowRow& row,
 }
 
 }  // namespace
+
+TargetScan scan_targets_scalar(const TargetPass& pass, std::size_t count) {
+  TargetScan r{count, 0.0, kInf};
+  scan_targets_from(pass, 0, count, r);
+  return r;
+}
+
+TargetScan scan_targets(const TargetPass& pass, std::size_t count) {
+  if (count < kVectorMin || !eq4_simd_active())
+    return scan_targets_scalar(pass, count);
+  const std::size_t body = count / 4 * 4;
+  TargetScan r = scan_targets_row(pass, body);
+  if (r.stop == body) scan_targets_from(pass, body, count, r);
+  return r;
+}
+
+CarrySpan carry_span_scalar(const CarryPass& pass, std::size_t count) {
+  CarrySpan r{kInf, false};
+  carry_span_from(pass, 0, count, r);
+  return r;
+}
+
+CarrySpan carry_span(const CarryPass& pass, std::size_t count) {
+  if (count < kVectorMin || !eq4_simd_active())
+    return carry_span_scalar(pass, count);
+  const std::size_t body = count / 4 * 4;
+  CarrySpan r = carry_span_row(pass, body);
+  if (!r.refused) carry_span_from(pass, body, count, r);
+  return r;
+}
 
 bool end_local(EngineState& s, double t) {
   const int n = s.n();
@@ -435,37 +509,49 @@ bool end_local(EngineState& s, double t) {
       continue;
     }
     if (s.profile != nullptr) ++s.profile->full_scans;
-    // Prefill the whole scan range in one probe_many batch (lazy path):
-    // the surviving scans are overwhelmingly full-width failures, and a
-    // batched fill streams independent expm1 calls at several times the
-    // throughput of the one-step-per-probe fill. Value-neutral.
-    if (!s.eager_scans)
-      (void)s.tr->column(i, alpha_t[idx])(new_sigma[idx] + k);
-    const CandidateProber probe(s, t, i, alpha_t[idx]);
     // Improvability probe (Alg. 3 lines 10-15): first q that helps.
     bool improvable = false;
     double first_tE = 0.0;  // tE at new_sigma + 2, reused on grant
-    for (int q = 2; q <= k; q += 2) {
-      const double tE = probe(new_sigma[idx] + q);
-      if (q == 2) first_tE = tE;
-      if (tE < tU[idx]) {
-        improvable = true;
-        break;
+    if (s.eager_scans) {
+      const CandidateProber probe(s, t, i, alpha_t[idx]);
+      for (int q = 2; q <= k; q += 2) {
+        const double tE = probe(new_sigma[idx] + q);
+        if (q == 2) first_tE = tE;
+        if (tE < tU[idx]) {
+          improvable = true;
+          break;
+        }
+      }
+    } else {
+      // Prefill the whole scan range in one probe_many batch: the
+      // surviving scans are overwhelmingly full-width failures, and a
+      // batched fill streams independent expm1 calls at several times the
+      // throughput of the one-step-per-probe fill. Value-neutral. Then
+      // one pass prices every target, min (RC + C) included.
+      const int sigma = new_sigma[idx];
+      const auto h_first = static_cast<std::size_t>(sigma) / 2;  // sigma + 2
+      const auto slots = static_cast<std::size_t>(sigma + k) / 2;
+      const auto count = static_cast<std::size_t>(k / 2);
+      const TrEvaluator::Column column = s.tr->column(i, alpha_t[idx]);
+      (void)column(sigma + k);
+      const double* pm = column.prefix().data();
+      TargetPass pass = ProbeBase(s, t, i).targets(
+          sigma + 2, s.model->row_lanes(i, slots).cost + h_first);
+      pass.tU = tU[idx];
+      pass.col = pm + h_first;
+      const TargetScan scan = scan_targets(pass, count);
+      improvable = scan.stop < count;
+      first_tE = scan.first_x;
+      if (!improvable && at_committed) {
+        // The scan filled this (task, alpha_t) column to (sigma + k) / 2;
+        // its prefix-min and the coefficient lanes price the horizon.
+        const Carry carry = carry_columns(s, i, t, alpha_t[idx], sigma, 0,
+                                          slots, tU[idx] - t - scan.min_rc_c,
+                                          pm);
+        cache = {s.version[idx], k, carry.horizon, carry.floor};
       }
     }
     if (!improvable) {  // dropped for good; try the next-longest task
-      if (!s.eager_scans && at_committed) {
-        // The scan filled this (task, alpha_t) column to (sigma + k) / 2;
-        // its prefix-min and the coefficient records price the horizon.
-        const int sigma = new_sigma[idx];
-        const auto slots = static_cast<std::size_t>(sigma + k) / 2;
-        const std::vector<double>& pm = s.tr->column(i, alpha_t[idx]).prefix();
-        COREDIS_ASSERT(pm.size() >= slots);
-        const Carry carry = carry_columns(
-            s, i, t, alpha_t[idx], sigma, 0, slots,
-            tU[idx] - t - min_rc_c(probe.base(), sigma, 2, k), pm.data());
-        cache = {s.version[idx], k, carry.horizon, carry.floor};
-      }
       heap_drop_top(heap);
       continue;
     }

@@ -30,7 +30,7 @@ struct Scenario {
   double m_inf = 1'500'000.0;  ///< workload heterogeneity window (section 6.1)
   double m_sup = 2'500'000.0;
   double sequential_fraction = 0.08;  ///< the paper's f
-  double mtbf_years = 100.0;  ///< per-processor MTBF; <= 0 means fault-free
+  double mtbf_years = 100.0;  ///< per-processor MTBF; 0 means fault-free
   double downtime_seconds = 60.0;          ///< D (platform constant)
   double checkpoint_unit_cost = 1.0;       ///< c in C_i = c * m_i
   checkpoint::PeriodRule period_rule = checkpoint::PeriodRule::Young;

@@ -79,14 +79,27 @@ double parse_number(const std::string& key, const std::string& value) {
 /// Integer-valued keys (n, p, runs, bulk_phases) parse through the double
 /// path for the file format's scientific notation, then range-check
 /// before the cast — a value like 3e9 must fail loudly, not wrap through
-/// undefined behaviour into a negative task count.
+/// undefined behaviour into a negative task count, and 6.5 is not 6.
 int parse_int(const std::string& key, const std::string& value) {
   const double parsed = parse_number(key, value);
   constexpr double kMax = std::numeric_limits<int>::max();
   if (!(parsed >= -kMax && parsed <= kMax))
     fail("key '" + key + "': value '" + value +
          "' does not fit a 32-bit integer");
+  if (parsed != std::floor(parsed))
+    fail("key '" + key + "': value '" + value + "' is not an integer");
   return static_cast<int>(parsed);
+}
+
+/// A real-valued key outside its domain, named with its alias if it has
+/// one: the value parsed, but the model would abort on it (a contract
+/// deep in a run) or misread it (a NaN MTBF runs fault-free).
+void require(bool in_domain, const std::string& key, const char* domain,
+             double value) {
+  if (in_domain) return;
+  std::ostringstream got;
+  got << value;
+  fail("key " + key + " must be " + domain + ", got " + got.str());
 }
 
 /// Seeds are 64-bit and must round-trip exactly, so they are parsed as a
@@ -182,8 +195,28 @@ bool apply_scenario_key(Scenario& scenario, const std::string& key,
 void validate_scenario(const Scenario& scenario) {
   if (scenario.n < 1 || scenario.p < 2 * scenario.n)
     fail("platform cannot hold the pack (need p >= 2n)");
+  require(std::isfinite(scenario.m_inf), "'m_inf'", "finite", scenario.m_inf);
+  require(std::isfinite(scenario.m_sup), "'m_sup'", "finite", scenario.m_sup);
   if (scenario.m_inf <= 1.0 || scenario.m_sup < scenario.m_inf)
     fail("invalid data-size window");
+  const double f = scenario.sequential_fraction;
+  require(f >= 0.0 && f <= 1.0, "'sequential_fraction' (alias 'f')",
+          "in [0, 1]", f);
+  // 0 is the fault-free spelling.
+  require(std::isfinite(scenario.mtbf_years) && scenario.mtbf_years >= 0.0,
+          "'mtbf_years'", "finite and >= 0 (0 = fault-free)",
+          scenario.mtbf_years);
+  require(std::isfinite(scenario.downtime_seconds) &&
+              scenario.downtime_seconds >= 0.0,
+          "'downtime_seconds' (alias 'd')", "finite and >= 0",
+          scenario.downtime_seconds);
+  require(std::isfinite(scenario.checkpoint_unit_cost) &&
+              scenario.checkpoint_unit_cost > 0.0,
+          "'checkpoint_unit_cost' (alias 'c')", "finite and > 0",
+          scenario.checkpoint_unit_cost);
+  require(std::isfinite(scenario.weibull_shape) &&
+              scenario.weibull_shape > 0.0,
+          "'weibull_shape'", "finite and > 0", scenario.weibull_shape);
   if (scenario.runs < 1) fail("runs must be >= 1");
   if (!(scenario.load_factor > 0.0)) fail("load_factor must be > 0");
   if (scenario.bulk_phases < 1) fail("bulk_phases must be >= 1");

@@ -300,6 +300,49 @@ TEST(ScenarioFile, IntegerKeysRefuseToWrap) {
   EXPECT_NE(error.find("key 'runs'"), std::string::npos) << error;
 }
 
+TEST(ScenarioFile, IntegerKeysRefuseFractions) {
+  const std::string error = parse_error_of("n = 6.5\n");
+  EXPECT_NE(error.find("key 'n'"), std::string::npos) << error;
+  EXPECT_NE(error.find("not an integer"), std::string::npos) << error;
+  EXPECT_EQ(parse_scenario("n = 6e0\np = 24\n").n, 6);
+}
+
+TEST(ScenarioFile, OutOfDomainValuesAreRejectedByKey) {
+  // Each value parses as a number, and each would abort a run on a
+  // contract deep in the model, or (a NaN MTBF) silently run fault-free.
+  // The error names the key the file spelled, alias or not.
+  const struct {
+    const char* text;
+    const char* key;
+  } rows[] = {
+      {"c = 0\n", "'c'"},
+      {"checkpoint_unit_cost = -1\n", "'checkpoint_unit_cost'"},
+      {"c = inf\n", "'c'"},
+      {"f = 2\n", "'f'"},
+      {"f = -0.25\n", "'f'"},
+      {"sequential_fraction = nan\n", "'sequential_fraction'"},
+      {"d = -1\n", "'d'"},
+      {"downtime_seconds = inf\n", "'downtime_seconds'"},
+      {"m_inf = nan\n", "'m_inf'"},
+      {"m_sup = inf\n", "'m_sup'"},
+      {"fault_law = weibull\nweibull_shape = 0\n", "'weibull_shape'"},
+      {"weibull_shape = nan\n", "'weibull_shape'"},
+      {"mtbf_years = nan\n", "'mtbf_years'"},
+      {"mtbf_years = -1\n", "'mtbf_years'"},
+      {"mtbf_years = inf\n", "'mtbf_years'"},
+  };
+  for (const auto& row : rows) {
+    const std::string error = parse_error_of(row.text);
+    EXPECT_NE(error.find(row.key), std::string::npos)
+        << row.text << " -> " << error;
+  }
+  // The domains' edges are in, and 0 stays the fault-free spelling.
+  const Scenario edges =
+      parse_scenario("mtbf_years = 0\nf = 0\nd = 0\nc = 1e-9\n");
+  EXPECT_DOUBLE_EQ(edges.mtbf_years, 0.0);
+  EXPECT_DOUBLE_EQ(parse_scenario("f = 1\n").sequential_fraction, 1.0);
+}
+
 TEST(ScenarioFile, SeedRejectionsNameTheKeyAndConstraint) {
   const std::string error = parse_error_of("n = 1\np = 2\nseed = -3\n");
   EXPECT_NE(error.find("seed"), std::string::npos) << error;

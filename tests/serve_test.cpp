@@ -550,6 +550,54 @@ TEST(Server, EndToEndOverTempSocket) {
       << "a graceful stop must unlink the socket";
 }
 
+TEST(Server, OutOfDomainScenarioIsAnErrorLineNotAnAbort) {
+  // Each scenario parses, and each used to abort the whole process on a
+  // contract once evaluated. Now each is an ok:false line naming its key
+  // on a live connection, and the service keeps answering.
+  ServerOptions options;
+  options.socket_path = unique_socket_path() + ".domain";
+  options.pool_capacity = 2;
+  options.replace_stale_socket = true;
+  Server server(options);
+  std::thread daemon([&server] { server.run(); });
+  const int fd = connect_to(options.socket_path);
+  ASSERT_GE(fd, 0);
+
+  const struct {
+    const char* scenario;
+    const char* key;
+  } rows[] = {
+      {"n = 6; p = 24; c = 0", "'c'"},
+      {"n = 6; p = 24; f = 2", "'f'"},
+      {"n = 6; p = 24; d = -1", "'d'"},
+      {"n = 6; p = 24; m_inf = nan", "'m_inf'"},
+      {"n = 6; p = 24; fault_law = weibull; weibull_shape = 0",
+       "'weibull_shape'"},
+      {"n = 6; p = 24; mtbf_years = nan", "'mtbf_years'"},
+  };
+  std::uint64_t id = 10;
+  for (const auto& row : rows) {
+    const std::string reply = request_reply(
+        fd, "{\"id\":" + std::to_string(id) +
+                ",\"op\":\"what_if\",\"scenario\":\"" + row.scenario +
+                "\",\"configs\":\"ig_local\"}");
+    EXPECT_NE(reply.find("\"id\":" + std::to_string(id) + ",\"ok\":false"),
+              std::string::npos)
+        << reply;
+    EXPECT_NE(reply.find(row.key), std::string::npos) << reply;
+    ++id;
+  }
+  const std::string answered = request_reply(
+      fd, R"({"id":20,"op":"what_if","scenario":"n = 6; p = 24; c = 0.5",)"
+          R"("configs":"ig_local"})");
+  EXPECT_NE(answered.find("\"ok\":true"), std::string::npos) << answered;
+
+  EXPECT_EQ(request_reply(fd, R"({"id":21,"op":"shutdown"})"),
+            R"({"id":21,"ok":true,"op":"shutdown"})");
+  ::close(fd);
+  daemon.join();
+}
+
 TEST(Server, ConcurrentClients) {
   ServerOptions options;
   options.socket_path = unique_socket_path() + ".many";

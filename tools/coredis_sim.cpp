@@ -456,28 +456,30 @@ int main(int argc, char** argv) {
     scenario.runs = 10;
     const std::string file = cli.get_string("scenario", "");
     if (!file.empty()) scenario = exp::load_scenario(file, scenario);
-    scenario.n = static_cast<int>(cli.get_int("n", scenario.n));
-    scenario.p = static_cast<int>(cli.get_int("p", scenario.p));
-    scenario.mtbf_years = cli.get_double("mtbf", scenario.mtbf_years);
-    scenario.checkpoint_unit_cost =
-        cli.get_double("c", scenario.checkpoint_unit_cost);
-    scenario.sequential_fraction =
-        cli.get_double("f", scenario.sequential_fraction);
-    scenario.m_inf = cli.get_double("m-inf", scenario.m_inf);
-    scenario.m_sup = cli.get_double("m-sup", scenario.m_sup);
-    scenario.runs = static_cast<int>(cli.get_int("runs", scenario.runs));
-    scenario.seed = static_cast<std::uint64_t>(
-        cli.get_int("seed", static_cast<long>(scenario.seed)));
-    // Arrival flags route through the scenario-file key semantics, so the
-    // accepted values (and their error messages) match campaign files.
-    if (const auto arrival = cli.get("arrival"))
-      exp::apply_scenario_key(scenario, "arrival_law", *arrival);
-    if (const auto load = cli.get("load"))
-      exp::apply_scenario_key(scenario, "load_factor", *load);
-    if (const auto phases = cli.get("bulk-phases"))
-      exp::apply_scenario_key(scenario, "bulk_phases", *phases);
-    if (const auto trace = cli.get("arrival-trace"))
-      exp::apply_scenario_key(scenario, "arrival_trace", *trace);
+    // Scenario flags route through the scenario-file key semantics, so the
+    // accepted values, and the errors that name the key, match scenario
+    // and campaign files: no value wraps or narrows on its way in.
+    const struct {
+      const char* flag;
+      const char* key;
+    } scenario_flags[] = {
+        {"n", "n"},
+        {"p", "p"},
+        {"mtbf", "mtbf_years"},
+        {"c", "c"},
+        {"f", "f"},
+        {"m-inf", "m_inf"},
+        {"m-sup", "m_sup"},
+        {"runs", "runs"},
+        {"seed", "seed"},
+        {"arrival", "arrival_law"},
+        {"load", "load_factor"},
+        {"bulk-phases", "bulk_phases"},
+        {"arrival-trace", "arrival_trace"},
+    };
+    for (const auto& [flag, key] : scenario_flags)
+      if (const auto value = cli.get(flag))
+        exp::apply_scenario_key(scenario, key, *value);
 
     const Workload workload =
         parse_workload(cli.get_string("workload", "pack"));
