@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -236,144 +234,6 @@ std::string render_experiments_markdown(
     }
   }
   return out.str();
-}
-
-namespace {
-
-/// Extract `"key": <number>` scoped to the scenario object named `name`
-/// (bench_json's own schema; mirrors its baseline_value scanner).
-double scenario_value(const std::string& json, const std::string& name,
-                      const std::string& key) {
-  std::string anchor = "\"name\": \"";
-  anchor += name;
-  anchor += '"';
-  const std::size_t at = json.find(anchor);
-  if (at == std::string::npos) return -1.0;
-  const std::size_t end = json.find('}', at);
-  std::string field = "\"";
-  field += key;
-  field += "\":";
-  const std::size_t k = json.find(field, at);
-  if (k == std::string::npos || k > end) return -1.0;
-  return std::strtod(json.c_str() + k + field.size(), nullptr);
-}
-
-/// Every scenario name, in file order of first appearance.
-std::vector<std::string> scenario_names(
-    const std::vector<BenchBaseline>& files) {
-  std::vector<std::string> names;
-  for (const BenchBaseline& file : files) {
-    std::size_t pos = 0;
-    const std::string anchor = "\"name\": \"";
-    while ((pos = file.json.find(anchor, pos)) != std::string::npos) {
-      pos += anchor.size();
-      const std::size_t quote = file.json.find('"', pos);
-      const std::string name = file.json.substr(pos, quote - pos);
-      bool known = false;
-      for (const std::string& existing : names) known |= existing == name;
-      if (!known) names.push_back(name);
-      pos = quote;
-    }
-  }
-  return names;
-}
-
-std::string format_ms(double seconds) {
-  char buffer[32];
-  std::snprintf(buffer, sizeof buffer, "%.2f", seconds * 1e3);
-  return buffer;
-}
-
-}  // namespace
-
-std::string render_bench_trend(const std::vector<BenchBaseline>& files) {
-  // Normalize every file to the last file's machine speed: t * (cal_last
-  // / cal_file) is what the run would have taken there, to first order.
-  const double cal_ref = files.empty() ? 0.0 : files.back().calibration;
-
-  std::vector<std::string> headers{"scenario"};
-  for (const BenchBaseline& file : files)
-    headers.push_back(file.label + " (ms)");
-  headers.push_back("speedup");
-  TextTable table(std::move(headers));
-  for (const std::string& name : scenario_names(files)) {
-    std::vector<std::string> row{name};
-    double first = -1.0, last = -1.0;
-    for (const BenchBaseline& file : files) {
-      double value = scenario_value(file.json, name, "seconds_per_run_min");
-      if (value <= 0.0)  // pre-min schema: fall back to the mean
-        value = scenario_value(file.json, name, "seconds_per_run");
-      if (value <= 0.0) {
-        row.push_back("-");
-        continue;
-      }
-      if (file.calibration > 0.0 && cal_ref > 0.0)
-        value *= cal_ref / file.calibration;
-      if (first < 0.0) first = value;
-      last = value;
-      row.push_back(format_ms(value));
-    }
-    if (first > 0.0 && last > 0.0 && first != last) {
-      char buffer[32];
-      std::snprintf(buffer, sizeof buffer, "%.2fx", first / last);
-      row.push_back(buffer);
-    } else {
-      row.push_back("-");
-    }
-    table.add_row(row);
-  }
-
-  // Machine-probe table: the per-file calibration numbers behind the
-  // normalization above. The memory-bandwidth column appeared in PR 10;
-  // files without a probe show "-".
-  std::string machine;
-  bool any_probe = false;
-  for (const BenchBaseline& file : files)
-    any_probe |= file.calibration > 0.0 || file.mem_calibration > 0.0;
-  if (any_probe) {
-    TextTable probes({"file", "compute probe (ms)", "membw probe (ms)"});
-    for (const BenchBaseline& file : files) {
-      std::vector<std::string> row{file.label};
-      row.push_back(file.calibration > 0.0 ? format_ms(file.calibration)
-                                           : "-");
-      row.push_back(file.mem_calibration > 0.0
-                        ? format_ms(file.mem_calibration)
-                        : "-");
-      probes.add_row(row);
-    }
-    machine = "\n" + probes.to_string();
-  }
-
-  // Peak-RSS series, appended only when some baseline recorded it
-  // (bench_json gained per-scenario `peak_rss_kb` in PR 7) — older
-  // trajectories render the unchanged timing table. Memory is not
-  // machine-speed, so no calibration normalization here.
-  bool any_rss = false;
-  for (const BenchBaseline& file : files)
-    any_rss |= file.json.find("\"peak_rss_kb\":") != std::string::npos;
-  if (!any_rss) return table.to_string() + machine;
-
-  std::vector<std::string> rss_headers{"scenario"};
-  for (const BenchBaseline& file : files)
-    rss_headers.push_back(file.label + " (peak MB)");
-  TextTable rss_table(std::move(rss_headers));
-  for (const std::string& name : scenario_names(files)) {
-    std::vector<std::string> row{name};
-    bool any = false;
-    for (const BenchBaseline& file : files) {
-      const double kb = scenario_value(file.json, name, "peak_rss_kb");
-      if (kb <= 0.0) {
-        row.push_back("-");
-        continue;
-      }
-      any = true;
-      char buffer[32];
-      std::snprintf(buffer, sizeof buffer, "%.1f", kb / 1024.0);
-      row.push_back(buffer);
-    }
-    if (any) rss_table.add_row(row);
-  }
-  return table.to_string() + "\n" + rss_table.to_string() + machine;
 }
 
 double mean_normalized(const Sweep& sweep, std::size_t config) {

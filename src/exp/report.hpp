@@ -80,34 +80,6 @@ void append_check_records(const std::string& path, const CheckReport& report);
 [[nodiscard]] std::string render_experiments_markdown(
     const std::vector<CheckReport>& reports);
 
-/// One committed BENCH_*.json perf baseline, already loaded into memory:
-/// a short label (the file stem), the raw JSON text as bench_json wrote
-/// it, and the file's machine probes (0 when the file predates them) —
-/// `calibration` the single-core compute spin, `mem_calibration` the
-/// memory-bandwidth sweep added in PR 10.
-struct BenchBaseline {
-  std::string label;
-  std::string json;
-  double calibration = 0.0;
-  double mem_calibration = 0.0;
-};
-
-/// Render the BENCH_* trajectory table (tools/bench_trend): one row per
-/// scenario in order of first appearance, each file's min-over-runs
-/// seconds normalized to the last file's machine via the calibration
-/// probes, and the first-to-last speedup. When any baseline records
-/// per-scenario `peak_rss_kb` (bench_json since PR 7), a second table
-/// with the peak-RSS trajectory in MB follows — scenarios without the
-/// field show "-", files without it change nothing. When any baseline
-/// carries a machine probe, a final "machine" table lists each file's
-/// compute and memory-bandwidth probes (ms), so the normalization the
-/// timing table applied is auditable at a glance. An empty baseline
-/// list is not an error — it renders the header-only seed table, so a
-/// fresh clone (or a CI job whose baselines were pruned) still gets a
-/// well-formed report.
-[[nodiscard]] std::string render_bench_trend(
-    const std::vector<BenchBaseline>& files);
-
 /// Mean of a configuration's normalized makespan across all sweep points.
 [[nodiscard]] double mean_normalized(const Sweep& sweep, std::size_t config);
 

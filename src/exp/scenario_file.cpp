@@ -193,8 +193,12 @@ bool apply_scenario_key(Scenario& scenario, const std::string& key,
 }
 
 void validate_scenario(const Scenario& scenario) {
-  if (scenario.n < 1 || scenario.p < 2 * scenario.n)
-    fail("platform cannot hold the pack (need p >= 2n)");
+  require(scenario.n >= 1, "'n'", ">= 1", scenario.n);
+  // In 64 bits: 2n overflows int from n = 2^30 on.
+  if (scenario.p < 2 * std::int64_t{scenario.n})
+    fail("keys 'n' and 'p': platform cannot hold the pack (need p >= 2n), "
+         "got n = " + std::to_string(scenario.n) +
+         ", p = " + std::to_string(scenario.p));
   require(std::isfinite(scenario.m_inf), "'m_inf'", "finite", scenario.m_inf);
   require(std::isfinite(scenario.m_sup), "'m_sup'", "finite", scenario.m_sup);
   if (scenario.m_inf <= 1.0 || scenario.m_sup < scenario.m_inf)
@@ -217,9 +221,10 @@ void validate_scenario(const Scenario& scenario) {
   require(std::isfinite(scenario.weibull_shape) &&
               scenario.weibull_shape > 0.0,
           "'weibull_shape'", "finite and > 0", scenario.weibull_shape);
-  if (scenario.runs < 1) fail("runs must be >= 1");
+  require(scenario.runs >= 1, "'runs'", ">= 1", scenario.runs);
   if (!(scenario.load_factor > 0.0)) fail("load_factor must be > 0");
-  if (scenario.bulk_phases < 1) fail("bulk_phases must be >= 1");
+  require(scenario.bulk_phases >= 1, "'bulk_phases'", ">= 1",
+          scenario.bulk_phases);
   if (scenario.arrival_law == extensions::ArrivalLaw::Trace &&
       scenario.arrival_trace.empty())
     fail("arrival_law = trace requires arrival_trace = <file>");

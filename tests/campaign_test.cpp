@@ -927,6 +927,48 @@ TEST(CampaignDeal, PlanTilesTheCellSpaceLongestFirst) {
   }
 }
 
+TEST(CampaignDeal, PlanKeepsFourWorkersBusyOnAHeterogeneousGrid) {
+  // Cell priors span two orders of magnitude, and the two costliest
+  // points, (n = 1000, p = 10000) under both laws, fill the last
+  // quarter of the cells: an equal-count contiguous split hands them
+  // all to one worker.
+  const Campaign campaign = parse_campaign(
+      "n = 100, 1000\n"
+      "p = 2000, 10000\n"
+      "runs = 4\n"
+      "seed = 20260726\n"
+      "mtbf_years = 100\n"
+      "fault_law = exponential, weibull\n"
+      "configs = baseline, stf_local, ig_local\n");
+  const std::vector<Scenario> points = campaign_points(campaign);
+  const CellQueue queue(campaign_runs(points));
+  const CostModel model(points, campaign.configs);
+  constexpr std::size_t kWorkers = 4;
+  // Replay a deal at predicted costs: blocks in plan order, each to the
+  // earliest-free worker. Total work over the critical path is the
+  // speedup over one worker.
+  const auto speedup = [&](const std::vector<DealBlock>& blocks) {
+    std::vector<double> busy(kWorkers, 0.0);
+    double total = 0.0;
+    for (const DealBlock& block : blocks) {
+      double cost = 0.0;
+      for (std::size_t k = block.begin; k < block.end; ++k)
+        cost += model.predict(queue.at(k).point);
+      *std::min_element(busy.begin(), busy.end()) += cost;
+      total += cost;
+    }
+    return total / *std::max_element(busy.begin(), busy.end());
+  };
+  EXPECT_GE(speedup(plan_deal_blocks(model, queue, kWorkers)), 2.5);
+  // The bound separates the plan from the dealer degenerated to an
+  // equal-count contiguous split.
+  std::vector<DealBlock> equal_count;
+  for (std::size_t w = 0; w < kWorkers; ++w)
+    equal_count.push_back({queue.size() * w / kWorkers,
+                           queue.size() * (w + 1) / kWorkers});
+  EXPECT_LT(speedup(equal_count), 2.5);
+}
+
 TEST(CampaignDeal, DealtBlocksMergeByteIdenticalToSingleProcess) {
   const Campaign campaign = parse_campaign(kSmokeCampaign);
   const std::vector<Scenario> points = campaign_points(campaign);

@@ -13,15 +13,26 @@
 /// time and final allocation — is pinned by one FNV-1a digest per case,
 /// captured from the engine's O(n) linear event scans before they were
 /// deleted. The indexed event queues must reproduce them exactly.
+///
+/// The BenchGolden cases pin the paper-regime scenarios of the retired
+/// wall-time harness (p = 10n, MTBF 100 years, Young periods, EndLocal):
+/// each scenario's makespan_mean bits, as recorded in its last baseline
+/// file (BENCH_PR10.json, %.17g), and the exact EngineProfile work
+/// counters each engine scenario sums, so extra counted work fails here
+/// however noisy the machine.
 
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <gtest/gtest.h>
 #include <iterator>
 #include <memory>
+#include <vector>
 
 #include "core/engine.hpp"
+#include "exp/campaign.hpp"
+#include "extensions/online.hpp"
 #include "fault/exponential.hpp"
 #include "fault/weibull.hpp"
 #include "speedup/synthetic.hpp"
@@ -188,6 +199,191 @@ TEST(Golden, RepeatedRunsOfOneEngineAreIdentical) {
       EXPECT_EQ(r.makespan, first);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// BenchGolden: the retired harness's scenarios, rebuilt exactly. One pack
+// per scenario from kBenchSeed, one engine (or one shared model for the
+// online cells) warmed by an unpinned run at kBenchSeed ^ 0x5EED, then
+// `runs` runs at seeds kBenchSeed + r whose makespans are summed in run
+// order and divided by `runs`.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint64_t kBenchSeed = 20260726;
+constexpr double kBenchMtbfYears = 100.0;
+
+/// The 14 exact counters of EngineProfile.WorkCountersArePinned, in its
+/// order, summed over the warm-up and every run of one engine.
+using WorkCounters = std::array<long long, 14>;
+
+struct BenchCase {
+  const char* name;
+  int n;
+  int p;
+  core::FailurePolicy failure_policy;
+  bool weibull;
+  int runs;
+  double makespan_mean;  ///< BENCH_PR10.json, %.17g
+  WorkCounters work;
+};
+
+core::Pack bench_pack(int n) {
+  Rng pack_rng(kBenchSeed);
+  return core::Pack::uniform_random(
+      n, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
+      pack_rng);
+}
+
+const checkpoint::Model& bench_resilience() {
+  static const checkpoint::Model model({units::years(kBenchMtbfYears), 60.0,
+                                        1.0, checkpoint::PeriodRule::Young,
+                                        0.0});
+  return model;
+}
+
+void add_work(WorkCounters& sum, const core::EngineProfile& w) {
+  const WorkCounters run{w.events,          w.heuristic_calls,
+                         w.commits,         w.full_scans,
+                         w.verdict_drops,   w.verdict_widenings,
+                         w.widen_fallbacks, w.floor_fallbacks,
+                         w.column_fills,    w.regrows,
+                         w.tournament_replays, w.walk_skips,
+                         w.walk_steps,      w.coefficient_fills};
+  for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += run[i];
+}
+
+void expect_bench_case(const BenchCase& c) {
+  SCOPED_TRACE(c.name);
+  const core::Pack pack = bench_pack(c.n);
+  core::EngineConfig config;
+  config.end_policy = core::EndPolicy::Local;
+  config.failure_policy = c.failure_policy;
+  config.profile = true;
+  core::Engine engine(pack, bench_resilience(), c.p, config);
+  const double mtbf = units::years(kBenchMtbfYears);
+  const auto run = [&](std::uint64_t seed) {
+    if (c.weibull) {
+      fault::WeibullGenerator gen(c.p, mtbf, 0.7, seed);
+      return engine.run(gen);
+    }
+    fault::ExponentialGenerator gen(c.p, 1.0 / mtbf, Rng(seed));
+    return engine.run(gen);
+  };
+  WorkCounters work{};
+  add_work(work, run(kBenchSeed ^ 0x5EEDULL).profile);
+  double makespan_sum = 0.0;
+  for (int r = 0; r < c.runs; ++r) {
+    const core::RunResult result =
+        run(kBenchSeed + static_cast<std::uint64_t>(r));
+    makespan_sum += result.makespan;
+    add_work(work, result.profile);
+  }
+  EXPECT_EQ(makespan_sum / c.runs, c.makespan_mean);
+  EXPECT_EQ(work, c.work);
+}
+
+TEST(BenchGolden, SmokeCellsMatchTheirBitsAndWork) {
+  constexpr BenchCase kCases[] = {
+      {"n100_stf_exp", 100, 1000, core::FailurePolicy::ShortestTasksFirst,
+       false, 20, 21004989.144187625,
+       {2246, 2140, 1312, 24010, 11492, 5003, 2226, 2129, 439993, 0, 0, 0,
+        0, 17135}},
+      {"n100_ig_exp", 100, 1000, core::FailurePolicy::IteratedGreedy, false,
+       20, 20827925.3092141,
+       {2246, 2169, 929, 19937, 21870, 14492, 2328, 2226, 643982, 120, 21249,
+        2098, 27305, 25861}},
+      {"n100_stf_weib", 100, 1000, core::FailurePolicy::ShortestTasksFirst,
+       true, 20, 23396962.869762469,
+       {2873, 2320, 1374, 20296, 17959, 5813, 1767, 1649, 451593, 0, 0, 0,
+        0, 17532}},
+      {"n100_ig_weib", 100, 1000, core::FailurePolicy::IteratedGreedy, true,
+       20, 22827486.066949695,
+       {2865, 2403, 1182, 17472, 23231, 10537, 2293, 2184, 856020, 583,
+        76553, 16923, 122808, 21066}},
+  };
+  for (const BenchCase& c : kCases) expect_bench_case(c);
+}
+
+TEST(BenchGolden, PaperScaleCellsMatchTheirBitsAndWork) {
+  constexpr BenchCase kCases[] = {
+      {"n1000_stf_exp", 1000, 10000, core::FailurePolicy::ShortestTasksFirst,
+       false, 5, 22540774.028441243,
+       {6415, 4989, 2724, 91738, 588385, 52859, 17157, 16780, 5721350, 0, 0,
+        0, 0, 106383}},
+      {"n1000_ig_exp", 1000, 10000, core::FailurePolicy::IteratedGreedy,
+       false, 5, 22153390.533302568,
+       {6407, 5237, 1406, 59737, 1336905, 146386, 13421, 13027, 14136157,
+        315, 443951, 74820, 713491, 342437}},
+      {"n1000_stf_weib", 1000, 10000,
+       core::FailurePolicy::ShortestTasksFirst, true, 5, 25296369.663024854,
+       {8412, 3814, 2715, 44368, 243736, 17824, 5810, 5585, 4096078, 0, 0, 0,
+        0, 76074}},
+      {"n1000_ig_weib", 1000, 10000, core::FailurePolicy::IteratedGreedy,
+       true, 5, 24090272.245457999,
+       {8342, 4023, 2474, 35804, 340178, 25552, 7806, 7643, 13618790, 1675,
+        2069431, 473144, 3616910, 148545}},
+      // p = 2.4n, not 10n: a leaner pool keeps n = 5000 inside a few tens
+      // of MB while still exercising redistribution.
+      {"n5000_ig_exp", 5000, 12000, core::FailurePolicy::IteratedGreedy,
+       false, 5, 68175356.178971395,
+       {31544, 7146, 3219, 71453, 2358381, 114187, 15123, 14839, 15781191,
+        724, 739128, 71446, 636347, 289655}},
+  };
+  for (const BenchCase& c : kCases) expect_bench_case(c);
+}
+
+TEST(BenchGolden, OnlineCellsMatchTheirBits) {
+  // run_online over Poisson releases at two offered loads, on the model
+  // and evaluator of one engine shared by every run.
+  const struct {
+    double load;
+    double makespan_mean;  ///< n100_online_load{1,4}, BENCH_PR10.json
+  } kCases[] = {{1.0, 689866229.0338124}, {4.0, 180641316.16590473}};
+  constexpr int n = 100;
+  constexpr int p = 1000;
+  constexpr int runs = 20;
+  const core::Pack pack = bench_pack(n);
+  const double mtbf = units::years(kBenchMtbfYears);
+  for (const auto& c : kCases) {
+    SCOPED_TRACE(::testing::Message() << "load " << c.load);
+    core::Engine engine(pack, bench_resilience(), p, {});
+    extensions::ArrivalSpec spec;
+    spec.law = extensions::ArrivalLaw::Poisson;
+    spec.load_factor = c.load;
+    const auto run = [&](std::uint64_t seed) {
+      Rng arrivals(seed ^ 0xA881ULL);
+      const std::vector<double> releases = extensions::make_release_times(
+          spec, pack, bench_resilience(), p, arrivals, engine.model(),
+          engine.evaluator());
+      fault::ExponentialGenerator gen(p, 1.0 / mtbf, Rng(seed));
+      return extensions::run_online(pack, bench_resilience(), p, releases,
+                                    gen, engine.model(), engine.evaluator());
+    };
+    (void)run(kBenchSeed ^ 0x5EEDULL);
+    double makespan_sum = 0.0;
+    for (int r = 0; r < runs; ++r)
+      makespan_sum +=
+          run(kBenchSeed + static_cast<std::uint64_t>(r)).makespan;
+    EXPECT_EQ(makespan_sum / runs, c.makespan_mean);
+  }
+}
+
+TEST(BenchGolden, HeterogeneousCampaignPointZeroMatchesItsBits) {
+  // The heterogeneous campaign that
+  // CampaignDeal.PlanKeepsFourWorkersBusyOnAHeterogeneousGrid deals. Its
+  // first point (n = 100, p = 2000, exponential) is pinned by the mean
+  // baseline makespan of its four cells.
+  const exp::Campaign campaign = exp::parse_campaign(
+      "n = 100, 1000\n"
+      "p = 2000, 10000\n"
+      "runs = 4\n"
+      "seed = 20260726\n"
+      "mtbf_years = 100\n"
+      "fault_law = exponential, weibull\n"
+      "configs = baseline, stf_local, ig_local\n");
+  const exp::PointResult point =
+      exp::run_point(campaign.grid.point(0), campaign.configs);
+  EXPECT_EQ(point.baseline_makespan.mean(), 17503204.8035037);
 }
 
 }  // namespace

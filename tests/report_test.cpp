@@ -185,122 +185,6 @@ TEST(Report, CheckRecordsRejectMalformedLines) {
   std::filesystem::remove(path);
 }
 
-/// Minimal bench_json outputs for the trend renderer: the seed machine
-/// is twice as fast (calibration 0.005 vs 0.010), so its 10 ms run
-/// normalizes to 20 ms on the latest machine.
-BenchBaseline seed_baseline() {
-  return {"BENCH_PR2",
-          "{\n"
-          "  \"calibration_seconds\": 0.005,\n"
-          "  \"scenarios\": [\n"
-          "    { \"name\": \"smoke_a\", \"seconds_per_run_min\": 0.010 }\n"
-          "  ]\n"
-          "}\n",
-          0.005};
-}
-
-BenchBaseline latest_baseline() {
-  return {"BENCH_PR6",
-          "{\n"
-          "  \"calibration_seconds\": 0.010,\n"
-          "  \"scenarios\": [\n"
-          "    { \"name\": \"smoke_a\", \"seconds_per_run_min\": 0.012 },\n"
-          "    { \"name\": \"smoke_b\", \"seconds_per_run_min\": 0.020 }\n"
-          "  ]\n"
-          "}\n",
-          0.010};
-}
-
-TEST(Report, BenchTrendGolden) {
-  // smoke_a: 10 ms at cal 0.005 -> 20 ms normalized, vs 12 ms -> 1.67x.
-  // smoke_b only exists in the latest file, so its speedup is "-". The
-  // machine-probe table shows the calibrations behind the
-  // normalization; neither file records the PR 10 membw probe, so that
-  // column is all "-".
-  const std::string expected =
-      "scenario  BENCH_PR2 (ms)  BENCH_PR6 (ms)  speedup\n"
-      "-------------------------------------------------\n"
-      " smoke_a           20.00           12.00    1.67x\n"
-      " smoke_b               -           20.00        -\n"
-      "\n"
-      "     file  compute probe (ms)  membw probe (ms)\n"
-      "-----------------------------------------------\n"
-      "BENCH_PR2                5.00                 -\n"
-      "BENCH_PR6               10.00                 -\n";
-  EXPECT_EQ(render_bench_trend({seed_baseline(), latest_baseline()}),
-            expected);
-}
-
-TEST(Report, BenchTrendShowsTheMembwProbeWhenRecorded) {
-  // A PR 10-era baseline carries both probes; its membw cell renders in
-  // ms like the compute one while the pre-PR10 file keeps "-".
-  BenchBaseline with_membw = latest_baseline();
-  with_membw.label = "BENCH_PR10";
-  with_membw.mem_calibration = 0.0025;
-  const std::string rendered =
-      render_bench_trend({seed_baseline(), with_membw});
-  EXPECT_NE(rendered.find("BENCH_PR10               10.00              2.50"),
-            std::string::npos)
-      << rendered;
-  EXPECT_NE(rendered.find(" BENCH_PR2                5.00                 -"),
-            std::string::npos)
-      << rendered;
-}
-
-TEST(Report, BenchTrendAppendsThePeakRssSeriesWhenRecorded) {
-  // Only the newest file records peak_rss_kb (the field arrived with the
-  // PR 7 bench schema): the timing table is unchanged and the RSS table
-  // shows "-" for the older file, skipping scenarios nobody measured.
-  BenchBaseline with_rss{"BENCH_PR7",
-                         "{\n"
-                         "  \"calibration_seconds\": 0.010,\n"
-                         "  \"scenarios\": [\n"
-                         "    { \"name\": \"smoke_a\", "
-                         "\"seconds_per_run_min\": 0.012, "
-                         "\"peak_rss_kb\": 10240 },\n"
-                         "    { \"name\": \"grid_spill\", "
-                         "\"seconds_per_run_min\": 0.500, "
-                         "\"peak_rss_kb\": 39936 }\n"
-                         "  ]\n"
-                         "}\n",
-                         0.010};
-  const std::string expected =
-      "  scenario  BENCH_PR2 (ms)  BENCH_PR7 (ms)  speedup\n"
-      "---------------------------------------------------\n"
-      "   smoke_a           20.00           12.00    1.67x\n"
-      "grid_spill               -          500.00        -\n"
-      "\n"
-      "  scenario  BENCH_PR2 (peak MB)  BENCH_PR7 (peak MB)\n"
-      "----------------------------------------------------\n"
-      "   smoke_a                    -                 10.0\n"
-      "grid_spill                    -                 39.0\n"
-      "\n"
-      "     file  compute probe (ms)  membw probe (ms)\n"
-      "-----------------------------------------------\n"
-      "BENCH_PR2                5.00                 -\n"
-      "BENCH_PR7               10.00                 -\n";
-  EXPECT_EQ(render_bench_trend({seed_baseline(), with_rss}), expected);
-}
-
-TEST(Report, BenchTrendSeedOnlyAndEmptyListsAreNotErrors) {
-  // One file: values but no trend yet (the machine table still shows
-  // its probe).
-  const std::string seed_only =
-      "scenario  BENCH_PR2 (ms)  speedup\n"
-      "---------------------------------\n"
-      " smoke_a           10.00        -\n"
-      "\n"
-      "     file  compute probe (ms)  membw probe (ms)\n"
-      "-----------------------------------------------\n"
-      "BENCH_PR2                5.00                 -\n";
-  EXPECT_EQ(render_bench_trend({seed_baseline()}), seed_only);
-  // No files at all: the header-only seed table, not a throw — the CLI
-  // leans on this to keep `bench_trend` usable on a baseline-less clone.
-  EXPECT_EQ(render_bench_trend({}),
-            "scenario  speedup\n"
-            "-----------------\n");
-}
-
 TEST(Report, ExperimentsMarkdownGolden) {
   CheckReport pass;
   pass.figure = "fig07_impact_n";

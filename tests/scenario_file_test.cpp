@@ -1,10 +1,12 @@
 /// Tests of the scenario-file parser (exp/scenario_file.hpp).
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <gtest/gtest.h>
+#include <iterator>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -298,6 +300,56 @@ TEST(ScenarioFile, IntegerKeysRefuseToWrap) {
       << error;
   error = parse_error_of("n = 1\np = 2\nruns = 1e18\n");
   EXPECT_NE(error.find("key 'runs'"), std::string::npos) << error;
+}
+
+TEST(ScenarioFile, PlatformCheckHoldsWhereTwoNOverflowsInt) {
+  // 2n exceeds INT_MAX for both n: the p >= 2n check must not wrap into
+  // accepting a platform smaller than the pack needs.
+  for (const char* text : {"n = 1500000000\np = 2000000000\n",
+                           "n = 1073741824\np = 2000000000\n"}) {
+    const std::string error = parse_error_of(text);
+    EXPECT_NE(error.find("need p >= 2n"), std::string::npos)
+        << text << " -> " << error;
+  }
+}
+
+TEST(ScenarioFile, BoundaryIntegersAreAcceptedOrRefusedByKey) {
+  // Every integer key at 0, -1, 2^31 - 1, 2^31, 2^63 - 1 and 2^63, over
+  // the default scenario (n = 100, p = 1000); parse and validate only.
+  // 'A' marks a value that is accepted; any other is refused with an
+  // error naming its key.
+  const char* const values[] = {"0",
+                                "-1",
+                                "2147483647",
+                                "2147483648",
+                                "9223372036854775807",
+                                "9223372036854775808"};
+  const struct {
+    const char* key;
+    const char* verdicts;  ///< one per value
+  } rows[] = {
+      {"n", "RRRRRR"},    {"p", "RRARRR"},           {"runs", "RRARRR"},
+      {"seed", "ARAAAA"}, {"bulk_phases", "RRARRR"},
+  };
+  for (const auto& row : rows) {
+    for (std::size_t v = 0; v < std::size(values); ++v) {
+      const std::string text = std::string(row.key) + " = " + values[v];
+      SCOPED_TRACE(text);
+      std::string error;
+      try {
+        (void)parse_scenario(text);
+      } catch (const std::runtime_error& refused) {
+        error = refused.what();
+      }
+      if (row.verdicts[v] == 'A') {
+        EXPECT_EQ(error, "");
+      } else {
+        EXPECT_NE(error.find(std::string("'") + row.key + "'"),
+                  std::string::npos)
+            << error;
+      }
+    }
+  }
 }
 
 TEST(ScenarioFile, IntegerKeysRefuseFractions) {

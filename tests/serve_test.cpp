@@ -4,7 +4,8 @@
 /// the wire protocol (parse/render, errors naming fields), the batching
 /// determinism contract (batched == sequential byte-identity, under
 /// concurrency), and — on POSIX — an end-to-end server over a temp
-/// socket including graceful shutdown and socket unlink.
+/// socket including graceful shutdown and socket unlink, and the built
+/// coredis_serve daemon from boot to a clean exit.
 
 #include <algorithm>
 #include <chrono>
@@ -27,10 +28,15 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define COREDIS_SERVE_TEST_POSIX 1
+#include <csignal>
 #include <cstring>
+#include <spawn.h>
 #include <sys/socket.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
+
+extern char** environ;
 #endif
 
 namespace coredis::serve {
@@ -655,6 +661,67 @@ TEST(Server, RefusesExistingSocketWithoutReplace) {
   options.replace_stale_socket = true;
   Server replacing(options);
   EXPECT_THROW(replacing.run(), std::runtime_error);
+  std::filesystem::remove(path);
+}
+
+/// Reap `pid` within `seconds`; SIGKILL and reap it past that. Returns
+/// the wait status, or -1 when the child had to be killed.
+int reap_within(pid_t pid, int seconds) {
+  int status = 0;
+  for (int tick = 0; tick < 100 * seconds; ++tick) {
+    if (::waitpid(pid, &status, WNOHANG) == pid) return status;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ::kill(pid, SIGKILL);
+  ::waitpid(pid, &status, 0);
+  return -1;
+}
+
+TEST(ServeDaemon, BootsAnswersAPinnedWhatIfAndShutsDownClean) {
+  // The built coredis_serve binary, not an in-process Server: its
+  // option parsing, signal routing and exit path are what a supervisor
+  // runs.
+  const std::string path = unique_socket_path() + ".daemon";
+  std::filesystem::remove(path);
+  std::string binary = COREDIS_SERVE_BINARY;
+  std::string socket_flag = "--socket";
+  std::string socket_path = path;
+  char* argv[] = {binary.data(), socket_flag.data(), socket_path.data(),
+                  nullptr};
+  pid_t pid = -1;
+  ASSERT_EQ(::posix_spawn(&pid, binary.c_str(), nullptr, nullptr, argv,
+                          environ),
+            0)
+      << binary;
+
+  const int fd = connect_to(path);
+  if (fd < 0) {
+    (void)reap_within(pid, 0);
+    FAIL() << "the daemon never accepted on " << path;
+  }
+  // One what-if of the retired latency harness's request mix; its
+  // baseline makespan is pinned as that harness recorded it
+  // (BENCH_PR10.json, %.17g).
+  const std::string reply = request_reply(
+      fd, R"({"id":1,"op":"what_if","tenant":"bench",)"
+          R"("scenario":"n = 6; p = 24; mtbf_years = 5",)"
+          R"("configs":"paper","rep":0})");
+  const std::size_t at = reply.find("\"baseline_makespan\":");
+  ASSERT_NE(at, std::string::npos) << reply;
+  EXPECT_EQ(std::strtod(reply.c_str() + at + 20, nullptr),
+            55141459.956328712)
+      << reply;
+
+  // The shutdown op stops the daemon: it exits 0 and unlinks its socket.
+  EXPECT_EQ(request_reply(fd, R"({"id":2,"op":"shutdown"})"),
+            R"({"id":2,"ok":true,"op":"shutdown"})");
+  ::close(fd);
+  const int status = reap_within(pid, 10);
+  EXPECT_NE(status, -1) << "the daemon survived its shutdown op";
+  EXPECT_TRUE(status != -1 && WIFEXITED(status) && WEXITSTATUS(status) == 0)
+      << "wait status " << status;
+  EXPECT_FALSE(std::filesystem::exists(path))
+      << "a shutdown op must unlink the socket";
   std::filesystem::remove(path);
 }
 
