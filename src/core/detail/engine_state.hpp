@@ -8,7 +8,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -61,8 +60,8 @@ class ProbeBase {
   /// cost lane, `cost` at `first`. The caller sets the column, tU and the
   /// stop rule; run it through scan_targets.
   [[nodiscard]] TargetPass targets(int first, const double* cost) const {
-    return {t_, m_over_from_, /*tU=*/0.0, cost, /*col=*/nullptr,
-            /*col_stride=*/1, first, from_, zero_rc_, Stop::Below};
+    return {t_,    m_over_from_, /*tU=*/0.0, cost, /*col=*/nullptr,
+            first, from_,        zero_rc_,   Stop::Below};
   }
 
  private:
@@ -120,7 +119,7 @@ struct EngineState {
 
   /// --profile sink (engine-owned, null when profiling is off):
   /// commit_changes adds its wall time and batch count, EndLocal its
-  /// scan, verdict and widening counters, the Algorithm 5 regrow its
+  /// scan, verdict and bound counters, the Algorithm 5 regrow its
   /// rebuild, replay and warm-start counters.
   EngineProfile* profile = nullptr;
 
@@ -149,31 +148,33 @@ struct EngineState {
   // Lazy stale-bound scan state (DESIGN.md section 6.5). `version[i]`
   // counts mutations of task i's committed runtime (commit, rollback,
   // blackout restart); a cached no-improvement verdict is valid only at
-  // the version it was computed at. `scan_cache[i]` carries EndLocal's
-  // failed improvability scans across events: while the task's version is
-  // unchanged, the pool no larger and the time before the conservative
-  // horizon, the task is provably still unimprovable and is dropped in
-  // O(1) without probing anything. A larger pool only has to clear its
-  // new targets, against the floor the covered columns keep (widening).
+  // the version it was computed at. `scan_cache[i]` carries the EndLocal
+  // verdicts the fault-free bound proved: while the task's version is
+  // unchanged and the pool no larger, the task is provably still
+  // unimprovable at every later time and is dropped in O(1) without
+  // probing anything. A larger pool only has to clear its new targets.
   std::vector<std::uint32_t> version;
   struct ScanCache {
-    std::uint32_t version = 0;
-    int k = -1;  ///< pool size the failed scan covered; -1 = no verdict
-    double horizon = -std::numeric_limits<double>::infinity();
-    /// Every covered Eq. 4 column (j <= sigma + k) provably stays >= floor
-    /// until the horizon; -infinity when nothing is proven beyond now.
-    double floor = -std::numeric_limits<double>::infinity();
+    std::uint32_t version = ~0U;
+    /// Pool size the bound cleared: 0 once the version's minimum over
+    /// j <= sigma is priced, before any target is.
+    int k = 0;
+    /// min t_{i,j} over even j <= sigma + k (the bound's running minimum,
+    /// which a widening resumes)
+    double m = 0.0;
   };
   std::vector<ScanCache> scan_cache;
   /// IteratedGreedy's per-task committed-state constants — the free-return
-  /// tE (tlastR + Tr at the committed allocation and alpha) and Eq. 9's
-  /// m_i / sigma_init — memoized against the task version: stable between
-  /// commits, so the regrow setup skips one evaluator bind and one pack
-  /// record fetch per task per call.
+  /// tE (tlastR + Tr at the committed allocation and alpha), Eq. 9's
+  /// m_i / sigma_init and the minimum t_{i,j} over the warm-start walk's
+  /// targets — memoized against the task version: stable between
+  /// commits, so the regrow setup skips one evaluator bind, one pack
+  /// record fetch and one lane scan per task per call.
   struct FreeReturnCache {
     std::uint32_t version = ~0U;
     double tE = 0.0;
     double m_over = 0.0;
+    double t_min = 0.0;  ///< min t_{i,j} over even j <= sigma_init - 2
   };
   std::vector<FreeReturnCache> free_return;
 
@@ -194,7 +195,8 @@ struct EngineState {
     /// a warm grant-scan probe touches the row, the key array and one
     /// prefix-min entry and nothing else.
     struct RegrowRow {
-      const double* pm = nullptr;  ///< tentative column prefix-min data
+      const double* pm = nullptr;  ///< tentative column prefix-min data,
+                                   ///< null until a probe needs it
       double m_over = 0.0;         ///< m_i / sigma_init (Eq. 9 factor)
       double seq = 0.0;            ///< C_i (0 in the fault-free context)
       double free_tE = 0.0;        ///< key at sigma_init: the free return
@@ -205,8 +207,6 @@ struct EngineState {
     std::vector<RegrowRow> rows;
     std::vector<int> tourney;  ///< winner tree over included tasks
     std::vector<int> leaf_of;  ///< task -> tournament leaf slot
-    /// EndLocal widening: running minimum of the new columns' Eq. 4 values
-    std::vector<double> widened;
   };
   Scratch scratch;
 
@@ -304,24 +304,16 @@ struct EngineState {
 /// idle processors, pair by pair. Returns true if anything was committed.
 bool end_local(EngineState& state, double t);
 
-/// One EndLocal pass over `count` targets (TargetPass): in vector lanes
-/// (scan_targets_row, then the scalar loop for the tail) from 8 targets
-/// on while eq4_simd_active(), else the scalar loop alone. Same bits
-/// either way.
-[[nodiscard]] TargetScan scan_targets(const TargetPass& pass,
-                                      std::size_t count);
+/// One EndLocal pass over `count` targets (TargetPass): the entry that
+/// ended it, or count if none did. In vector lanes (scan_targets_row,
+/// then the scalar loop for the tail) from 8 targets on while
+/// eq4_simd_active(), else the scalar loop alone. Same result either way.
+[[nodiscard]] std::size_t scan_targets(const TargetPass& pass,
+                                       std::size_t count);
 
 /// The scalar loop scan_targets and its vector body are bit-identical to.
-[[nodiscard]] TargetScan scan_targets_scalar(const TargetPass& pass,
-                                             std::size_t count);
-
-/// carry_columns' span over `count` columns (CarryPass), dispatched like
-/// scan_targets.
-[[nodiscard]] CarrySpan carry_span(const CarryPass& pass, std::size_t count);
-
-/// The scalar loop carry_span and its vector body are bit-identical to.
-[[nodiscard]] CarrySpan carry_span_scalar(const CarryPass& pass,
-                                          std::size_t count);
+[[nodiscard]] std::size_t scan_targets_scalar(const TargetPass& pass,
+                                              std::size_t count);
 
 /// EndGreedy (section 5.2): full RC-aware rebuild at a task termination.
 bool end_greedy(EngineState& state, double t);

@@ -13,7 +13,6 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
-#include <limits>
 
 #include "util/contracts.hpp"
 
@@ -146,35 +145,18 @@ void eq4_avx2(const Eq4Lanes& lanes, double alpha, std::size_t count,
   for (; k < count; ++k) out[k] = eq4_scalar(lanes, alpha, k);
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// The smallest of the four lanes. Their order cannot show: accumulators
-/// never hold NaN, RC + C is never -0, and a -0 span (a negative
-/// tau_last that underflows) prices the same horizon as +0.
-inline double min_of_lanes(__m256d v) {
-  alignas(32) double lane[4];
-  _mm256_store_pd(lane, v);
-  double best = lane[0];
-  for (int l = 1; l < 4; ++l) best = lane[l] < best ? lane[l] : best;
-  return best;
-}
-
 /// 4-wide scan_targets body: the scalar loop's operations, lane by lane.
-/// Eq. 9's rounds max(min(from, j), j - from) are exact small integers,
-/// 1 / j is one correctly rounded divide, and _mm256_min_pd(v, acc)
-/// picks like std::min(acc, v).
+/// Eq. 9's rounds max(min(from, j), j - from) are exact small integers
+/// and 1 / j is one correctly rounded divide.
 template <Stop kStop>
-TargetScan scan_targets_avx2(const TargetPass& p, std::size_t count) {
+std::size_t scan_targets_avx2(const TargetPass& p, std::size_t count) {
   const __m256d t = _mm256_set1_pd(p.t);
   const __m256d m_over = _mm256_set1_pd(p.m_over_from);
   const __m256d tU = _mm256_set1_pd(p.tU);
   const __m256d from = _mm256_set1_pd(static_cast<double>(p.from));
   const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d col_floor = _mm256_set1_pd(p.col[0]);
   const auto first = static_cast<double>(p.first);
   __m256d j = _mm256_setr_pd(first, first + 2.0, first + 4.0, first + 6.0);
-  __m256d best = _mm256_set1_pd(kInf);
-  TargetScan r{count, 0.0, kInf};
   for (std::size_t k = 0; k < count; k += 4) {
     __m256d rc = _mm256_setzero_pd();
     if (!p.zero_rc) {
@@ -182,74 +164,20 @@ TargetScan scan_targets_avx2(const TargetPass& p, std::size_t count) {
       rc = _mm256_mul_pd(_mm256_mul_pd(rounds, _mm256_div_pd(one, j)),
                          m_over);
     }
-    const __m256d c = _mm256_loadu_pd(p.cost + k);
-    const __m256d col =
-        p.col_stride == 0 ? col_floor : _mm256_loadu_pd(p.col + k);
-    const __m256d x =
-        _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(t, rc), c), col);
-    if (k == 0) r.first_x = _mm256_cvtsd_f64(x);
+    const __m256d x = _mm256_add_pd(
+        _mm256_add_pd(_mm256_add_pd(t, rc), _mm256_loadu_pd(p.cost + k)),
+        _mm256_loadu_pd(p.col + k));
     __m256d stops;
     if constexpr (kStop == Stop::Below)
       stops = _mm256_cmp_pd(x, tU, _CMP_LT_OQ);
     else
       stops = _mm256_cmp_pd(x, tU, _CMP_NGE_UQ);
-    if (const int mask = _mm256_movemask_pd(stops); mask != 0) {
-      r.stop = k + static_cast<std::size_t>(__builtin_ctz(
-                       static_cast<unsigned>(mask)));
-      return r;
-    }
-    best = _mm256_min_pd(_mm256_add_pd(rc, c), best);
+    if (const int mask = _mm256_movemask_pd(stops); mask != 0)
+      return k + static_cast<std::size_t>(
+                     __builtin_ctz(static_cast<unsigned>(mask)));
     j = _mm256_add_pd(j, _mm256_set1_pd(8.0));
   }
-  r.min_rc_c = min_of_lanes(best);
-  return r;
-}
-
-/// 4-wide carry_span body: both branches of the scalar loop in every
-/// lane, then the blends its comparisons select.
-CarrySpan carry_span_avx2(const CarryPass& p, std::size_t count) {
-  const Eq4Lanes& c = p.lanes;
-  const __m256d zero = _mm256_setzero_pd();
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d threat = _mm256_set1_pd(p.threat);
-  const __m256d alpha = _mm256_set1_pd(p.alpha);
-  __m256d best = _mm256_set1_pd(kInf);
-  for (std::size_t h = 0; h < count; h += 4) {
-    const __m256d budget = _mm256_sub_pd(_mm256_loadu_pd(p.value + h), threat);
-    if (_mm256_movemask_pd(_mm256_cmp_pd(budget, zero, _CMP_LE_OQ)) != 0)
-      return {0.0, true};
-    const __m256d t_ij = _mm256_loadu_pd(c.t_ij + h);
-    __m256d span;
-    if (p.fault_free) {
-      span = _mm256_div_pd(budget, t_ij);
-    } else {
-      const __m256d factor = _mm256_loadu_pd(c.factor + h);
-      const __m256d expm1_tau = _mm256_loadu_pd(c.expm1_tau + h);
-      const __m256d g = _mm256_mul_pd(
-          _mm256_mul_pd(_mm256_mul_pd(t_ij, factor),
-                        _mm256_loadu_pd(c.lambda_j + h)),
-          _mm256_add_pd(expm1_tau, one));
-      const __m256d smooth = _mm256_div_pd(budget, g);
-      const __m256d work = _mm256_mul_pd(alpha, t_ij);
-      const __m256d period_work = _mm256_sub_pd(_mm256_loadu_pd(c.tau + h),
-                                                _mm256_loadu_pd(c.cost + h));
-      const __m256d n_ff = _mm256_floor_pd(_mm256_div_pd(work, period_work));
-      const __m256d to_boundary = _mm256_div_pd(
-          _mm256_sub_pd(work, _mm256_mul_pd(n_ff, period_work)), t_ij);
-      const __m256d drop = _mm256_mul_pd(factor, expm1_tau);
-      const __m256d after_first = _mm256_sub_pd(
-          _mm256_sub_pd(budget, _mm256_mul_pd(to_boundary, g)), drop);
-      const __m256d per_alpha = _mm256_add_pd(
-          g, _mm256_div_pd(_mm256_mul_pd(drop, t_ij), period_work));
-      const __m256d past = _mm256_blendv_pd(
-          _mm256_add_pd(to_boundary, _mm256_div_pd(after_first, per_alpha)),
-          to_boundary, _mm256_cmp_pd(after_first, zero, _CMP_LE_OQ));
-      span = _mm256_blendv_pd(smooth, past,
-                              _mm256_cmp_pd(smooth, to_boundary, _CMP_GT_OQ));
-    }
-    best = _mm256_min_pd(span, best);
-  }
-  return {min_of_lanes(best), false};
+  return count;
 }
 
 #endif  // COREDIS_EQ4_AVX2
@@ -265,23 +193,12 @@ void eq4_probe_row(const Eq4Lanes& lanes, double alpha, std::size_t count,
 #endif
 }
 
-TargetScan scan_targets_row(const TargetPass& pass, std::size_t count) {
+std::size_t scan_targets_row(const TargetPass& pass, std::size_t count) {
   COREDIS_EXPECTS(count % 4 == 0 && count > 0 && pass.first > pass.from);
 #if defined(COREDIS_EQ4_AVX2)
   return pass.stop == Stop::Below
              ? scan_targets_avx2<Stop::Below>(pass, count)
              : scan_targets_avx2<Stop::NotAtLeast>(pass, count);
-#else
-  (void)pass;
-  (void)count;
-  std::abort();  // unreachable: eq4_simd_active() is false on this build
-#endif
-}
-
-CarrySpan carry_span_row(const CarryPass& pass, std::size_t count) {
-  COREDIS_EXPECTS(count % 4 == 0);
-#if defined(COREDIS_EQ4_AVX2)
-  return carry_span_avx2(pass, count);
 #else
   (void)pass;
   (void)count;

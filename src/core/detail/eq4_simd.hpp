@@ -6,12 +6,11 @@
 /// core/expected_time.hpp borrows the Eq4Lanes view for its rows.
 ///
 /// Every exported kernel is *exact*: for every input it must produce the
-/// same bits as the scalar loop it replaces. The two EndLocal kernels
-/// (scan_targets_row, carry_span_row) use only correctly rounded or exact
-/// IEEE operations — add, subtract, multiply, divide, floor, compares,
-/// blends and a min that picks like std::min — so they match their scalar
-/// loops in heuristics.cpp by construction, on any x86-64 with AVX2, and
-/// need no self-check (DESIGN.md section 6.6). The Eq. 4
+/// same bits as the scalar loop it replaces. The EndLocal kernel
+/// (scan_targets_row) uses only correctly rounded or exact IEEE
+/// operations — add, subtract, multiply, divide, compares — so it matches
+/// its scalar loop in heuristics.cpp by construction, on any x86-64 with
+/// AVX2, and needs no self-check (DESIGN.md section 6.6). The Eq. 4
 /// kernel (eq4_probe_row) must also reproduce libm's expm1, and its
 /// floating-point body is therefore pinned down twice:
 ///
@@ -35,9 +34,9 @@
 /// extreme lambda·tau corners inherit the libm bits by construction.
 /// Eq. 4's residual tails (count mod 4) run a scalar loop in this same
 /// translation unit, term for term the raw_kernel expression. The
-/// EndLocal kernels take whole blocks of 4 only: their scalar loops in
+/// EndLocal kernel takes whole blocks of 4 only: its scalar loop in
 /// heuristics.cpp, built with the baseline flags (no FMA to contract
-/// into on x86-64), run the tails.
+/// into on x86-64), runs the tails.
 ///
 /// This header declares no inline function on purpose: the -mavx2
 /// translation unit includes it, and an inline function it shared with
@@ -83,7 +82,7 @@ void eq4_probe_row(const Eq4Lanes& lanes, double alpha, std::size_t count,
 /// Which probe ends a pass over EndLocal targets.
 enum class Stop {
   Below,       ///< the first x_k < tU: a scan's improving target
-  NotAtLeast,  ///< the first !(x_k >= tU): a widening's refusal (NaN too)
+  NotAtLeast,  ///< the first !(x_k >= tU): a bound pass's refusal (NaN too)
 };
 
 /// One EndLocal pass over the consecutive even targets j_k = first + 2k
@@ -94,55 +93,25 @@ enum class Stop {
 /// term for term as CandidateProber adds them: RC_k is Eq. 9 from
 /// sigma_init = from to j_k (ProbeBase::rc), C_k the task's cost lane at
 /// j_k (fill_coeffs stores C_i / j there with ProbeBase's division) and
-/// col_k a column entry, or one floor at every target.
+/// col_k a column entry (the exact Eq. 6 prefix-min) or its fault-free
+/// lower bound.
 struct TargetPass {
-  double t;                ///< probe time
-  double m_over_from;      ///< m_i / sigma_init, Eq. 9's cached factor
-  double tU;               ///< the task's expected finish
-  const double* cost;      ///< C_k = cost[k]
-  const double* col;       ///< col_k = col[k * col_stride]
-  std::size_t col_stride;  ///< 1 for a column, 0 for a floor
-  int first;               ///< j_0: even and above `from`
-  int from;                ///< sigma_init
-  bool zero_rc;            ///< RC_k = 0 (Theorem 2 ablation)
+  double t;            ///< probe time
+  double m_over_from;  ///< m_i / sigma_init, Eq. 9's cached factor
+  double tU;           ///< the task's expected finish
+  const double* cost;  ///< C_k = cost[k]
+  const double* col;   ///< col_k = col[k]
+  int first;           ///< j_0: even and above `from`
+  int from;            ///< sigma_init
+  bool zero_rc;        ///< RC_k = 0 (Theorem 2 ablation)
   Stop stop;
 };
 
-/// Where a TargetPass ended, and what it priced on the way.
-struct TargetScan {
-  std::size_t stop;  ///< the entry that ended the pass; the count if none
-  double first_x;    ///< x_0, which a grant reuses
-  double min_rc_c;   ///< min_k (RC_k + C_k) when nothing stopped, else +inf
-};
-
 /// Vector body of scan_targets (heuristics.cpp) over entries [0, count),
-/// count a multiple of 4: the scalar loop's result, bit for bit. RC_k + C_k
-/// is never -0 or NaN, so the lanes' minimum equals the loop's.
-/// Requires eq4_simd_active().
-[[nodiscard]] TargetScan scan_targets_row(const TargetPass& pass,
-                                          std::size_t count);
-
-/// carry_columns' per-column pass (heuristics.cpp) over columns [0, count):
-/// the alpha span over which column h provably keeps value[h] above the
-/// threat, charged at Eq. 4's slope bound plus its checkpoint drops.
-struct CarryPass {
-  Eq4Lanes lanes;       ///< the columns' coefficients, entry 0 first
-  const double* value;  ///< value[h] <= the raw Eq. 4 of column h
-  double threat;        ///< the level every column has to stay above
-  double alpha;         ///< the tentative alpha of the scan
-  bool fault_free;      ///< then the slope is t_ij and nothing drops
-};
-
-/// The smallest span over a CarryPass's columns.
-struct CarrySpan {
-  double span;   ///< min over the columns; +inf for none, 0 when refused
-  bool refused;  ///< some budget value[h] - threat was <= 0
-};
-
-/// Vector body of carry_span (heuristics.cpp) over columns [0, count),
-/// count a multiple of 4: the scalar loop's result, bit for bit. Requires
+/// count a multiple of 4: the scalar loop's result — the entry that
+/// ended the pass, or count if none did — bit for bit. Requires
 /// eq4_simd_active().
-[[nodiscard]] CarrySpan carry_span_row(const CarryPass& pass,
-                                       std::size_t count);
+[[nodiscard]] std::size_t scan_targets_row(const TargetPass& pass,
+                                           std::size_t count);
 
 }  // namespace coredis::core::detail

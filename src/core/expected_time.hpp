@@ -400,8 +400,8 @@ class TrEvaluator {
 
     /// Read-only view of the underlying Eq. 6 prefix-min array (entry h
     /// covers j = 2(h+1)), valid to the column's current fill depth. The
-    /// heuristics' verdict pricing (DESIGN.md section 6.5) walks it after
-    /// a failed scan instead of re-probing.
+    /// heuristics' exact scans and the regrow (DESIGN.md section 6.5)
+    /// read it in place instead of probing entry by entry.
     [[nodiscard]] const std::vector<double>& prefix() const {
       return slot_->prefix_min;
     }

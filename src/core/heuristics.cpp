@@ -17,18 +17,16 @@
 /// Scan strategy (DESIGN.md section 6.5): EndLocal's improvability scans
 /// dominate the event loop at scale — every completion re-verifies, for
 /// each still-longest task, that no grant of idle pairs would help, and
-/// the verdict is almost always the same as last time. The lazy path
-/// therefore *carries* a failed scan across events: when a scan proves a
-/// task unimprovable, a conservative validity horizon is computed from
-/// the scan's exact margins (how fast they can decay, and how soon a
-/// checkpoint-count boundary of Eq. 2 could discontinuously improve a
-/// candidate), and until that horizon — same committed state, no larger
-/// pool — the task is dropped in O(1) without probing anything. A larger
-/// pool (the idle pool grows at every completion) widens the verdict by
-/// clearing only the new targets, O(delta k) probes, against a floor the
-/// covered columns provably keep. Probes themselves are never
-/// approximated: any scan that actually runs is the from-scratch exact
-/// scan, which also survives unconditionally behind
+/// the verdict is almost always the same as last time. Eq. 4 is never
+/// below the fault-free time alpha t_ij of the same work, so the lazy path
+/// first clears targets with that bound: a few flops over the coefficient
+/// row's t_ij and cost lanes, no Eq. 4 column. A verdict the bound proves
+/// at the committed state holds at every later time until the task's next
+/// commit or rollback, so it is cached and the task is dropped in O(1)
+/// while the pool is no larger; a larger pool only clears its new
+/// targets. Probes themselves are never approximated: where the bound
+/// refuses a target, the exact probe and scan decide, and the
+/// from-scratch exact scan also survives unconditionally behind
 /// EngineConfig::eager_scans for the equivalence tests.
 
 #include <algorithm>
@@ -169,7 +167,7 @@ void EngineState::commit_changes(double t, int faulty,
     rt.tlastR = base + rc + model->checkpoint_cost(i, target);
     rt.tU = rt.tlastR + (*tr)(i, target, rt.alpha);
     refresh_projection(i);
-    touch(i);  // carried scan verdicts die with the old committed state
+    touch(i);  // cached scan verdicts die with the old committed state
     ++redistributions;
     redistribution_cost_total += rc;
   }
@@ -201,16 +199,14 @@ void heap_drop_top(std::vector<HeapEntry>& heap) {
   heap.pop_back();
 }
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-/// Passes over fewer targets or columns than this stay scalar: on small
+/// Passes over fewer targets than this stay scalar: on small
 /// pools (p = 16) the vector set-up costs more than it saves.
 constexpr std::size_t kVectorMin = 8;
 
-/// The scalar loop of scan_targets over entries [k, count), continuing
-/// `r` past a vector body that covered [0, k).
-void scan_targets_from(const TargetPass& p, std::size_t k, std::size_t count,
-                       TargetScan& r) {
+/// The scalar loop of scan_targets over entries [k, count), past a
+/// vector body that covered [0, k).
+std::size_t scan_targets_from(const TargetPass& p, std::size_t k,
+                              std::size_t count) {
   for (; k < count; ++k) {
     const int j = p.first + 2 * static_cast<int>(k);
     // ProbeBase::rc above sigma_init: max(min(from, j), j - from) rounds.
@@ -218,179 +214,49 @@ void scan_targets_from(const TargetPass& p, std::size_t k, std::size_t count,
     const double rc =
         p.zero_rc ? 0.0
                   : rounds * (1.0 / static_cast<double>(j)) * p.m_over_from;
-    const double x = p.t + rc + p.cost[k] + p.col[k * p.col_stride];
-    if (k == 0) r.first_x = x;
-    if (p.stop == Stop::Below ? x < p.tU : !(x >= p.tU)) {
-      r.stop = k;
-      r.min_rc_c = kInf;
-      return;
-    }
-    r.min_rc_c = std::min(r.min_rc_c, rc + p.cost[k]);
+    const double x = p.t + rc + p.cost[k] + p.col[k];
+    if (p.stop == Stop::Below ? x < p.tU : !(x >= p.tU)) return k;
   }
-  r.stop = count;
+  return count;
 }
 
-/// The scalar loop of carry_span over columns [h, count), continuing `r`
-/// past a vector body that covered [0, h). See carry_columns for the
-/// bound it prices.
-void carry_span_from(const CarryPass& p, std::size_t h, std::size_t count,
-                     CarrySpan& r) {
-  const Eq4Lanes& c = p.lanes;
-  for (; h < count; ++h) {
-    const double budget = p.value[h] - p.threat;
-    if (budget <= 0.0) {
-      r = {0.0, true};
-      return;
-    }
-    const double t_ij = c.t_ij[h];
-    if (p.fault_free) {
-      r.span = std::min(r.span, budget / t_ij);
-      continue;
-    }
-    const double g =
-        t_ij * c.factor[h] * c.lambda_j[h] * (c.expm1_tau[h] + 1.0);
-    double span = budget / g;
-    const double work = p.alpha * t_ij;
-    const double period_work = c.tau[h] - c.cost[h];  // the fill's tau - C
-    const double n_ff = std::floor(work / period_work);
-    const double to_boundary = (work - n_ff * period_work) / t_ij;
-    if (span > to_boundary) {
-      const double drop = c.factor[h] * c.expm1_tau[h];
-      const double after_first = budget - to_boundary * g - drop;
-      if (after_first <= 0.0) {
-        span = to_boundary;
-      } else {
-        // Smooth decay plus one amortized boundary drop per period.
-        const double per_alpha = g + drop * t_ij / period_work;
-        span = to_boundary + after_first / per_alpha;
-      }
-    }
-    r.span = std::min(r.span, span);
-  }
-}
+/// The fault-free bound's slack (DESIGN.md section 6.5): a bound pass
+/// compares alpha m (1 - 2^-30) against tU + |tU| 2^-30, which covers the
+/// rounding of raw_kernel and of every later evaluation of the probe.
+constexpr double kSlack = 0x1p-30;
 
-/// The lanes of `row` from entry k on.
-Eq4Lanes lanes_from(const Eq4Lanes& row, std::size_t k) {
-  return {row.t_ij + k,     row.tau + k,    row.cost + k,
-          row.lambda_j + k, row.factor + k, row.expm1_tau + k};
-}
+/// Chunk of a bound pass: an early refusal prices at most this many
+/// targets.
+constexpr std::size_t kBoundChunk = 64;
 
-/// What a failed EndLocal scan carries to later events: until `horizon`,
-/// every column it covered stays >= `floor` (DESIGN.md section 6.5).
-struct Carry {
-  double horizon;
-  double floor;
-};
-
-/// Conservative validity horizon of a failed EndLocal improvability scan
-/// over the Eq. 4 columns [h_lo, h_hi) of task i at alpha_t (DESIGN.md
-/// section 6.5). The scan just proved, with exact probes, that its even
-/// targets sigma + q satisfy
-///
-///   t + RC_q + C_{i,sigma+q} + Tr(i, sigma+q, alpha_t) >= tU.
-///
-/// Until when does that provably keep holding (same committed state, pool
-/// no larger)? Tr(sigma + q, .) is the Eq. 6 prefix-min over the raw
-/// Eq. 4 columns, so target q breaks only once some column h <= (sigma +
-/// q)/2 falls below its threat level tU - t' - RC_q - C_q; with t' only
-/// growing past t, every threat level is bounded by
-///
-///   L = tU - t - min_q (RC_q + C_q)   (the caller's `threat`).
-///
-/// Column h therefore has to burn the budget value[h] - L first, where
-/// value[h - h_lo] <= raw_h (the scan's freshly filled prefix-min, or a
-/// widening's running minimum of its new columns). It burns alpha at rate
-/// at most g_h = t_{i,j} factor lambda_j (expm1_tau + 1) — Eq. 4's slope
-/// bound, e^{lambda tau_last} <= e^{lambda tau}; exactly t_{i,j} in the
-/// fault-free context — plus one exact Eq. 4 drop of factor * expm1_tau
-/// each time the remaining work crosses an Eq. 2 completed-checkpoint
-/// boundary (every tau - C of work on that column; the first crossing
-/// sits tau_last of work away). Charging each drop continuously over the
-/// period *before* it falls due only shortens the horizon, so the
-/// per-column alpha span solves
-///
-///   span_h * g_h + drops(span_h) * factor * expm1_tau <= value[h] - L,
-///
-/// and since the tentative alpha falls at most 1 / t_{i,sigma} per
-/// wall-clock second, every column stays >= L until t + min_h span_h *
-/// t_{i,sigma}, shaved by 1e-9 to cover this computation's own rounding.
-/// A column already at or below L proves nothing beyond t: the verdict
-/// then holds at t only, with no floor.
-Carry carry_columns(const EngineState& s, int i, double t, double alpha_t,
-                    int sigma, std::size_t h_lo, std::size_t h_hi,
-                    double threat, const double* value) {
-  const CarryPass pass{lanes_from(s.model->row_lanes(i, h_hi), h_lo), value,
-                       threat, alpha_t, s.model->resilience().fault_free()};
-  const CarrySpan span_alpha = carry_span(pass, h_hi - h_lo);
-  if (span_alpha.refused) return {t, -kInf};  // no provable carry
-  const double w_sigma = s.model->fault_free_time(i, sigma);
-  const double span = span_alpha.span * w_sigma;
-  if (!std::isfinite(span)) return {kInf, threat};
-  return {t + span * (1.0 - 1e-9), threat};
-}
-
-/// Widen task i's carried verdict from its covered pool cache.k to the
-/// larger pool k by clearing only the new targets q in (cache.k, k]
-/// (DESIGN.md section 6.5). For such a q the eager scan computes
-///
-///   tE(q) = fl(base_q + min(A, M_q)) = min(fl(base_q + A), fl(base_q + M_q))
-///
-/// (IEEE addition is monotone), where base_q = t + RC_q + C_q is the
-/// prober's, A the covered columns' minimum at alpha_t and M_q the new
-/// columns' running minimum. A >= cache.floor until the horizon, so
-/// (a) fl(base_q + floor) >= tU and (b) fl(base_q + M_q) >= tU prove that
-/// no new target improves. On success the verdict covers k, priced from t
-/// over the new columns; on any failed check nothing changes and the
-/// caller runs the exact scan, which decides. No decision is ever taken
-/// here.
-bool widen_verdict(EngineState& s, int i, double t, double alpha_t,
-                   double tU, int k, EngineState::ScanCache& cache) {
-  const int sigma = s.task(i).sigma;
-  const int q_first = cache.k / 2 * 2 + 2;
-  const auto refuse = [&s](bool on_floor) {
-    if (s.profile != nullptr) {
-      ++s.profile->widen_fallbacks;
-      if (on_floor) ++s.profile->floor_fallbacks;
-    }
-    return false;
-  };
-  // The new columns (sigma + cache.k, sigma + k]; the first new target,
-  // sigma + q_first, is column lo. Densifying the row through hi up front
-  // fills no extra coefficient: (b) probes that range, and a refusal
-  // hands over to the full scan, which prefills it.
-  const auto lo = static_cast<std::size_t>(sigma + cache.k) / 2;
-  const auto hi = static_cast<std::size_t>(sigma + k) / 2;
-  const std::size_t count =
-      q_first <= k ? static_cast<std::size_t>((k - q_first) / 2 + 1) : 0;
-  TargetPass pass = ProbeBase(s, t, i).targets(
-      sigma + q_first, s.model->row_lanes(i, hi).cost + lo);
-  pass.tU = tU;
+/// Clear `count` targets of a task with the fault-free bound (DESIGN.md
+/// section 6.5). `pass` holds the targets' base terms, its cost lane and
+/// tU; `t_ij` is the task's t_ij lane at the first target. Eq. 4 at
+/// alpha is >= alpha t_ij, so the Eq. 6 prefix-min at target j is >=
+/// alpha m_j, m_j the running minimum of t_ij over even j' <= j; `m`
+/// enters as the minimum over the entries below the first target and
+/// leaves covering every target cleared. IEEE addition is monotone, so a
+/// target whose fl(base + alpha m_j (1 - 2^-30)) >= tU + |tU| 2^-30
+/// cannot improve, now or at any later time at the same committed state.
+/// Returns how many leading targets were cleared (`count` for all).
+std::size_t bound_clears(TargetPass pass, const double* t_ij,
+                         std::size_t count, double alpha, double& m) {
+  double y[kBoundChunk];
+  pass.tU += std::abs(pass.tU) * kSlack;
+  pass.col = y;
   pass.stop = Stop::NotAtLeast;
-  // (a) against the covered columns' floor: flops only, so first. The
-  // same pass prices min (RC + C) over the new targets for the carry.
-  pass.col = &cache.floor;
-  pass.col_stride = 0;
-  const TargetScan floor_pass = scan_targets(pass, count);
-  if (floor_pass.stop < count) return refuse(true);
-  // (b) against the new columns alone, one probe_many batch.
-  std::vector<double>& m = s.scratch.widened;
-  m.resize(hi - lo);
-  s.model->probe_many(i, static_cast<int>(lo), static_cast<int>(hi), alpha_t,
-                      m.data());
-  double running = kInf;
-  for (double& v : m) v = running = std::min(running, v);
-  if (s.profile != nullptr)
-    s.profile->column_fills += static_cast<long long>(hi - lo);
-  pass.col = m.data();
-  pass.col_stride = 1;
-  if (scan_targets(pass, count).stop < count) return refuse(false);
-  const Carry carry = carry_columns(s, i, t, alpha_t, sigma, lo, hi,
-                                    tU - t - floor_pass.min_rc_c, m.data());
-  cache.k = k;
-  cache.horizon = std::min(cache.horizon, carry.horizon);
-  cache.floor = std::min(cache.floor, carry.floor);
-  if (s.profile != nullptr) ++s.profile->verdict_widenings;
-  return true;
+  for (std::size_t done = 0; done < count; done += kBoundChunk) {
+    const std::size_t chunk = std::min(kBoundChunk, count - done);
+    for (std::size_t k = 0; k < chunk; ++k) {
+      m = std::min(m, t_ij[done + k]);
+      y[k] = alpha * m * (1.0 - kSlack);
+    }
+    const std::size_t stop = scan_targets(pass, chunk);
+    if (stop < chunk) return done + stop;
+    pass.first += 2 * static_cast<int>(chunk);
+    pass.cost += chunk;
+  }
+  return count;
 }
 
 /// The incremental regrow's key for moving the task of `row` to `target`
@@ -413,34 +279,16 @@ inline double regrow_key(const EngineState::Scratch::RegrowRow& row,
 
 }  // namespace
 
-TargetScan scan_targets_scalar(const TargetPass& pass, std::size_t count) {
-  TargetScan r{count, 0.0, kInf};
-  scan_targets_from(pass, 0, count, r);
-  return r;
+std::size_t scan_targets_scalar(const TargetPass& pass, std::size_t count) {
+  return scan_targets_from(pass, 0, count);
 }
 
-TargetScan scan_targets(const TargetPass& pass, std::size_t count) {
+std::size_t scan_targets(const TargetPass& pass, std::size_t count) {
   if (count < kVectorMin || !eq4_simd_active())
     return scan_targets_scalar(pass, count);
   const std::size_t body = count / 4 * 4;
-  TargetScan r = scan_targets_row(pass, body);
-  if (r.stop == body) scan_targets_from(pass, body, count, r);
-  return r;
-}
-
-CarrySpan carry_span_scalar(const CarryPass& pass, std::size_t count) {
-  CarrySpan r{kInf, false};
-  carry_span_from(pass, 0, count, r);
-  return r;
-}
-
-CarrySpan carry_span(const CarryPass& pass, std::size_t count) {
-  if (count < kVectorMin || !eq4_simd_active())
-    return carry_span_scalar(pass, count);
-  const std::size_t body = count / 4 * 4;
-  CarrySpan r = carry_span_row(pass, body);
-  if (!r.refused) carry_span_from(pass, body, count, r);
-  return r;
+  const std::size_t stop = scan_targets_row(pass, body);
+  return stop < body ? stop : scan_targets_from(pass, body, count);
 }
 
 bool end_local(EngineState& s, double t) {
@@ -464,14 +312,13 @@ bool end_local(EngineState& s, double t) {
     new_sigma[static_cast<std::size_t>(i)] = s.task(i).sigma;
     if (!s.included(i, t)) continue;
     if (!s.eager_scans) {
-      // A carried verdict that already covers this call's pool never
+      // A cached verdict that already covers this call's pool never
       // reaches a scan — its pop would drop it unprobed (k only shrinks
-      // within the call, so validity here implies validity at pop time).
-      // Skip the heap entirely.
+      // within the call). Skip the heap entirely.
       const EngineState::ScanCache& cache =
           s.scan_cache[static_cast<std::size_t>(i)];
-      if (cache.k >= k && cache.version == s.version[static_cast<std::size_t>(i)] &&
-          t <= cache.horizon) {
+      if (cache.k >= k &&
+          cache.version == s.version[static_cast<std::size_t>(i)]) {
         if (s.profile != nullptr) ++s.profile->verdict_drops;
         continue;
       }
@@ -485,70 +332,91 @@ bool end_local(EngineState& s, double t) {
   while (k >= 2 && !heap.empty()) {
     const int i = heap.front().second;  // peek; the entry stays in place
     const auto idx = static_cast<std::size_t>(i);
-    const bool at_committed = new_sigma[idx] == s.task(i).sigma;
-    // A verdict carried at the same committed state, before its horizon.
+    const int sigma = new_sigma[idx];
+    const bool at_committed = sigma == s.task(i).sigma;
+    // A verdict the bound proved at the same committed state.
     EngineState::ScanCache& cache = s.scan_cache[idx];
-    const bool carried = !s.eager_scans && at_committed &&
-                         cache.version == s.version[idx] &&
-                         t <= cache.horizon;
-
-    if (carried && cache.k >= k) {
-      // It covers a scan at least as wide: provably still unimprovable
-      // (see carry_columns above), dropped without probing anything.
+    if (!s.eager_scans && at_committed && cache.version == s.version[idx] &&
+        cache.k >= k) {
+      // It covers a scan at least as wide: provably still unimprovable,
+      // dropped without probing anything.
       if (s.profile != nullptr) ++s.profile->verdict_drops;
       heap_drop_top(heap);
       continue;
     }
 
     // Alg. 3 line 8, computed on first actual scan of the task: with the
-    // carried verdicts most pops never probe, so the per-event
+    // cached verdicts most pops never probe, so the per-event
     // all-included tentative-alpha sweep would be mostly dead work.
     alpha_t[idx] = s.alpha_tentative(i, t);
-    if (carried && widen_verdict(s, i, t, alpha_t[idx], tU[idx], k, cache)) {
-      heap_drop_top(heap);  // the pool grew, yet no new target helps
-      continue;
-    }
-    if (s.profile != nullptr) ++s.profile->full_scans;
     // Improvability probe (Alg. 3 lines 10-15): first q that helps.
     bool improvable = false;
     double first_tE = 0.0;  // tE at new_sigma + 2, reused on grant
     if (s.eager_scans) {
       const CandidateProber probe(s, t, i, alpha_t[idx]);
       for (int q = 2; q <= k; q += 2) {
-        const double tE = probe(new_sigma[idx] + q);
+        const double tE = probe(sigma + q);
         if (q == 2) first_tE = tE;
         if (tE < tU[idx]) {
           improvable = true;
           break;
         }
       }
+      if (s.profile != nullptr) ++s.profile->full_scans;
     } else {
-      // Prefill the whole scan range in one probe_many batch: the
-      // surviving scans are overwhelmingly full-width failures, and a
-      // batched fill streams independent expm1 calls at several times the
-      // throughput of the one-step-per-probe fill. Value-neutral. Then
-      // one pass prices every target, min (RC + C) included.
-      const int sigma = new_sigma[idx];
-      const auto h_first = static_cast<std::size_t>(sigma) / 2;  // sigma + 2
+      // The targets sigma + 2 .. sigma + k, entry h_first on.
+      const ProbeBase base(s, t, i);
+      const auto h_first = static_cast<std::size_t>(sigma) / 2;
       const auto slots = static_cast<std::size_t>(sigma + k) / 2;
       const auto count = static_cast<std::size_t>(k / 2);
+      const Eq4Lanes row = s.model->row_lanes(i, slots);
+      std::size_t cleared = 0;
+      if (at_committed) {
+        // First the fault-free bound over the targets no cached verdict
+        // covers (a widening only has the new ones). A fresh version
+        // starts from a verdict that covers none, whose running minimum
+        // over j <= sigma is priced once.
+        if (cache.version != s.version[idx])
+          cache = {s.version[idx], 0,
+                   *std::min_element(row.t_ij, row.t_ij + h_first)};
+        const auto from = static_cast<std::size_t>(cache.k / 2);
+        double m = cache.m;
+        TargetPass bound = base.targets(sigma + 2 + 2 * static_cast<int>(from),
+                                        row.cost + h_first + from);
+        bound.tU = tU[idx];
+        cleared = from + bound_clears(bound, row.t_ij + h_first + from,
+                                      count - from, alpha_t[idx], m);
+        if (cleared == count) {  // dropped for good, no Eq. 4 read
+          if (s.profile != nullptr) {
+            if (cache.k > 0)
+              ++s.profile->bound_widenings;
+            else
+              ++s.profile->bound_proofs;
+          }
+          cache = {s.version[idx], k, m};
+          heap_drop_top(heap);
+          continue;
+        }
+      }
+      // The bound refused a target, or the task was granted pairs this
+      // call (its column is warm). The exact probe at sigma + 2 comes
+      // first: a grant re-keys tU to it whichever target improves.
       const TrEvaluator::Column column = s.tr->column(i, alpha_t[idx]);
-      (void)column(sigma + k);
-      const double* pm = column.prefix().data();
-      TargetPass pass = ProbeBase(s, t, i).targets(
-          sigma + 2, s.model->row_lanes(i, slots).cost + h_first);
-      pass.tU = tU[idx];
-      pass.col = pm + h_first;
-      const TargetScan scan = scan_targets(pass, count);
-      improvable = scan.stop < count;
-      first_tE = scan.first_x;
-      if (!improvable && at_committed) {
-        // The scan filled this (task, alpha_t) column to (sigma + k) / 2;
-        // its prefix-min and the coefficient lanes price the horizon.
-        const Carry carry = carry_columns(s, i, t, alpha_t[idx], sigma, 0,
-                                          slots, tU[idx] - t - scan.min_rc_c,
-                                          pm);
-        cache = {s.version[idx], k, carry.horizon, carry.floor};
+      first_tE = base(sigma + 2) + column(sigma + 2);
+      improvable = first_tE < tU[idx];
+      // Then the exact scan from the refused target on: the ones before
+      // it are cleared. Its prefill streams the whole range in one
+      // probe_many batch (independent expm1 calls overlap); value-neutral.
+      const std::size_t rest = std::max<std::size_t>(cleared, 1);
+      if (!improvable && rest < count) {
+        if (s.profile != nullptr) ++s.profile->full_scans;
+        (void)column(sigma + k);
+        TargetPass pass = base.targets(
+            sigma + 2 + 2 * static_cast<int>(rest),
+            s.model->row_lanes(i, slots).cost + h_first + rest);
+        pass.tU = tU[idx];
+        pass.col = column.prefix().data() + h_first + rest;
+        improvable = scan_targets(pass, count - rest) < count - rest;
       }
     }
     if (!improvable) {  // dropped for good; try the next-longest task
@@ -690,10 +558,10 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     //  * Phase B. The tournament grant loop runs from that state and
     //    replays the identical remaining grant sequence.
     //
-    // Every walk key lies inside the committed-depth prefill, so the
-    // column fills are those of the cold climb. The rest is mechanics:
-    // each task's tentative column is prefilled to its committed depth in
-    // one probe_many batch, the scan state is packed into one RegrowRow
+    // Most tasks skip the walk on a column-free bound; the others
+    // prefill their tentative column to the committed depth in one
+    // probe_many batch, and every walk key lies inside that prefill. The
+    // rest is mechanics: the scan state is packed into one RegrowRow
     // cache line per task, and a tournament tree replaces the binary heap
     // (the regrow only ever takes the maximum by (key, task) and re-keys
     // it, so any structure returning that exact maximum yields the
@@ -715,9 +583,9 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
       row.sigma_init = sigma_init;
       row.seq = fault_free ? 0.0 : s.model->sequential_checkpoint(i);
       // Committed-state constants, memoized against the task version:
-      // the Eq. 9 factor and the free return to the committed allocation
-      // (Alg. 5 line 16; never read when sigma_init == 2 — targets start
-      // at 4).
+      // the Eq. 9 factor, the free return to the committed allocation
+      // (Alg. 5 line 16) and the walk's minimum t_ij (neither read when
+      // sigma_init == 2 — targets start at 4).
       EngineState::FreeReturnCache& fc = s.free_return[idx];
       if (fc.version != s.version[idx]) {
         fc.version = s.version[idx];
@@ -727,14 +595,18 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
                     ? s.task(i).tlastR +
                           (*s.tr)(i, sigma_init, s.task(i).alpha)
                     : 0.0;
+        if (sigma_init > 2) {
+          const auto walk = static_cast<std::size_t>(sigma_init / 2 - 1);
+          const double* t_ij = s.model->row_lanes(i, walk).t_ij;
+          fc.t_min = *std::min_element(t_ij, t_ij + walk);
+        }
       }
       row.m_over = fc.m_over;
       row.free_tE = sigma_init > 2 ? fc.tE : s.task(i).tU;  // F_i
-      // Batched prefill to the committed depth + flat column view.
-      const TrEvaluator::Column col = s.tr->column(i, alpha_t[idx]);
-      (void)col(sigma_init);
-      row.pm = col.prefix().data();
-      row.pm_len = static_cast<int>(col.prefix().size());
+      // No column yet: phase A binds one only where its column-free bound
+      // fails, phase B on a winner's first probe (the overshoot path).
+      row.pm = nullptr;
+      row.pm_len = 0;
       threshold = std::max(threshold, HeapEntry(row.free_tE, i));
     }
 
@@ -753,23 +625,35 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
     for (int i = 0; i < n; ++i) {
       const auto idx = static_cast<std::size_t>(i);
       if (!in[idx]) continue;
-      const EngineState::Scratch::RegrowRow& row = rows[idx];
+      EngineState::Scratch::RegrowRow& row = rows[idx];
       const int sigma_init = row.sigma_init;
       int sigma = sigma_init;
       double key = row.free_tE;
       if (sigma_init > 2) {
-        COREDIS_ASSERT(row.pm_len >= sigma_init / 2);
-        // Lower bound on every walk key (targets j <= sigma_init - 2),
+        // Lower bounds on every walk key (targets j <= sigma_init - 2),
         // term by term in the key's own order (IEEE addition is
         // monotone): shrinking to j, Eq. 9 charges at least j rounds of
         // m / (sigma_init j) (0.999999 absorbs the rounding of its three
         // products), C_i / j >= C_i / (sigma_init - 2), and the prefix
-        // minimum only falls with j.
+        // minimum only falls with j. Column-free first: Eq. 4 >= alpha
+        // t_ij, so the prefix minimum is >= alpha min_{j <= sigma_init -
+        // 2} t_ij, shaved by the bound's slack; where that fails, the
+        // exact prefix minimum at sigma_init - 2.
         const double rc_floor = zero_rc ? 0.0 : 0.999999 * row.m_over;
-        const double bound =
-            t + rc_floor + row.seq / static_cast<double>(sigma_init - 2) +
-            row.pm[sigma_init / 2 - 2];
-        if (bound > threshold.first) {
+        const double lead =
+            t + rc_floor + row.seq / static_cast<double>(sigma_init - 2);
+        bool skip = lead + alpha_t[idx] * s.free_return[idx].t_min *
+                               (1.0 - kSlack) >
+                    threshold.first;
+        if (!skip) {
+          // Batched prefill to the committed depth + flat column view.
+          const TrEvaluator::Column col = s.tr->column(i, alpha_t[idx]);
+          (void)col(sigma_init);
+          row.pm = col.prefix().data();
+          row.pm_len = static_cast<int>(col.prefix().size());
+          skip = lead + row.pm[sigma_init / 2 - 2] > threshold.first;
+        }
+        if (skip) {
           ++walk_skips;
         } else {
           sigma = 2;
@@ -826,7 +710,8 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
           tE = row.free_tE;
         } else {
           if (target / 2 > row.pm_len) [[unlikely]] {
-            // Scan overshot the prefill: extend the column by a chunk
+            // Scan overshot the prefill, or the task skipped its walk
+            // without one: bind and extend the column by a chunk
             // (consecutive overshoot probes then stay on the fast path)
             // and refresh the flat view (the vector may have
             // reallocated).

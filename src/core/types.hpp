@@ -94,10 +94,11 @@ struct EngineProfile {
   long long heuristic_calls = 0;    ///< end/failure policy invocations
   long long commits = 0;            ///< commit batches applied
   long long full_scans = 0;         ///< EndLocal exact O(sigma+k) scans
-  long long verdict_drops = 0;      ///< EndLocal tasks skipped on a carried verdict
-  long long verdict_widenings = 0;  ///< carried verdicts widened to a larger pool
-  long long widen_fallbacks = 0;    ///< widenings refused (a full scan follows)
-  long long floor_fallbacks = 0;    ///< ... of which on the floor check
+  long long verdict_drops = 0;      ///< EndLocal tasks dropped on a cached verdict
+  /// EndLocal failures the fault-free bound cleared, no Eq. 4 value read
+  long long bound_proofs = 0;
+  /// cached verdicts the bound widened to a larger pool (new targets only)
+  long long bound_widenings = 0;
   long long column_fills = 0;       ///< Eq. 4 column elements filled
   long long coefficient_fills = 0;  ///< (task, j) coefficient slots filled
   long long regrows = 0;            ///< Algorithm 5 rebuilds (EndGreedy, IG)

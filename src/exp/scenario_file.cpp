@@ -199,6 +199,10 @@ void validate_scenario(const Scenario& scenario) {
     fail("keys 'n' and 'p': platform cannot hold the pack (need p >= 2n), "
          "got n = " + std::to_string(scenario.n) +
          ", p = " + std::to_string(scenario.p));
+  // Platform::Platform alone holds three ints per processor, so p is
+  // bounded by what a run can hold; the largest pinned scenario uses
+  // 12,000.
+  require(scenario.p <= (1 << 20), "'p'", "<= 2^20 = 1048576", scenario.p);
   require(std::isfinite(scenario.m_inf), "'m_inf'", "finite", scenario.m_inf);
   require(std::isfinite(scenario.m_sup), "'m_sup'", "finite", scenario.m_sup);
   if (scenario.m_inf <= 1.0 || scenario.m_sup < scenario.m_inf)

@@ -1,27 +1,31 @@
 /// \file lazy_equivalence_test.cpp
 /// The incremental-replanning equivalence battery (DESIGN.md sections 6.5
-/// and 8.2): the lazy scan machinery (carried EndLocal verdicts, the
-/// warm-started flat IteratedGreedy regrow, the tournament tree) and the
-/// online scheduler's incremental repair must reproduce the from-scratch
-/// decision sequences byte for byte. Three layers:
+/// and 8.2): the lazy scan machinery (the fault-free bound's EndLocal
+/// verdicts, the warm-started flat IteratedGreedy regrow, the tournament
+/// tree) and the online scheduler's incremental repair must reproduce
+/// the from-scratch decision sequences byte for byte. Three layers:
 ///
 ///  * whole-run engine equivalence over randomized grids, both fault
 ///    laws, every policy pair — lazy (default) vs EngineConfig::
 ///    eager_scans in the same test run — plus a battery over large idle
-///    pools for the widened verdicts and one over large EndGreedy packs
+///    pools for the bound's verdicts and widenings, one over a
+///    non-monotone speedup profile, and one over large EndGreedy packs
 ///    for the warm-started regrow, whose work counters are pinned;
 ///  * online delta-replan vs full-replan (OnlineOptions::eager_replan)
 ///    over both generated arrival laws, plus the shared-workspace
 ///    overload vs the self-contained one;
-///  * white-box invariants of the carried-verdict cache (the "lazy
-///    queue"): a failed scan stores a verdict at the scanned pool and
-///    current version, commits invalidate it, and within its horizon the
-///    carried drop agrees with an eager re-scan.
+///  * white-box invariants of the verdict cache (the "lazy queue"): a
+///    failed scan the bound proves stores a verdict at the scanned pool
+///    and current version, commits invalidate it, the cached drop agrees
+///    with an eager re-scan at every later time, and near ties of the
+///    bound fall to the exact scan.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -112,15 +116,14 @@ TEST(LazyEquivalence, EngineMatchesEagerScansOnRandomizedGrids) {
 }
 
 TEST(LazyEquivalence, WidenedVerdictsMatchEagerScans) {
-  // Widened EndLocal verdicts (DESIGN.md section 6.5) only matter once
-  // the idle pool outgrows the allocations: large platforms (p up to
-  // 20n), the fault-free context with RC (no faults drawn, EndLocal at
-  // every completion, the pool growing each time), and checkpoint costs
-  // on both sides of c = 1. With c > 1, RC + C falls with the target, so
-  // new targets can sit below the covered columns' floor: the floor
-  // check must fail over to the exact scan. Lazy and eager must replay
-  // the same simulation double for double, and the counters prove every
-  // widening branch ran.
+  // The fault-free bound's EndLocal verdicts (DESIGN.md section 6.5) and
+  // their widenings only matter once the idle pool outgrows the
+  // allocations: large platforms (p up to 20n), the fault-free context
+  // with RC (no faults drawn, EndLocal at every completion, the pool
+  // growing each time), and checkpoint costs on both sides of c = 1.
+  // Lazy and eager must replay the same simulation double for double,
+  // and the counters prove every bound branch ran: a proof, a widening,
+  // and a refusal that the exact scan then decided.
   enum class Faults { None, Exponential, Weibull };
   struct Case {
     core::FailurePolicy fail;
@@ -176,17 +179,96 @@ TEST(LazyEquivalence, WidenedVerdictsMatchEagerScans) {
           };
           const core::RunResult lazy = run(false);
           expect_identical(lazy, run(true));
-          work.verdict_widenings += lazy.profile.verdict_widenings;
-          work.widen_fallbacks += lazy.profile.widen_fallbacks;
-          work.floor_fallbacks += lazy.profile.floor_fallbacks;
+          work.bound_proofs += lazy.profile.bound_proofs;
+          work.bound_widenings += lazy.profile.bound_widenings;
+          work.full_scans += lazy.profile.full_scans;
         }
       }
     }
   }
-  EXPECT_GT(work.verdict_widenings, 0);
-  EXPECT_GT(work.floor_fallbacks, 0);
-  EXPECT_GT(work.widen_fallbacks - work.floor_fallbacks, 0)
-      << "no widening failed on its new columns";
+  EXPECT_GT(work.bound_proofs, 0) << "the bound proved no failed scan";
+  EXPECT_GT(work.bound_widenings, 0) << "the bound widened no verdict";
+  EXPECT_GT(work.full_scans, 0) << "no refusal reached the exact scan";
+}
+
+/// A fault-free time that is not monotone in the allocation: every
+/// allocation divisible by 4 runs 30% slower than the synthetic profile,
+/// so past a few pairs t_{i,j} saw-tooths and the Eq. 6 clamp keeps an
+/// earlier allocation's value. speedup::TableModel repairs such samples
+/// at construction, so the profile is built here.
+class SawtoothModel final : public speedup::Model {
+ public:
+  [[nodiscard]] double time(double m, int q) const override {
+    const double base = inner_.time(m, q);
+    return q % 4 == 0 ? 1.3 * base : base;
+  }
+
+ private:
+  speedup::SyntheticModel inner_{0.08};
+};
+
+TEST(LazyEquivalence, NonMonotoneProfileMatchesEagerScans) {
+  // The bound must take the running minimum of t_ij over j' <= j, not
+  // t_ij at the target: on this profile the two differ at every other
+  // target, for EndLocal's proofs and widenings and for the regrow's
+  // walk skip alike. Faults on (exponential, IteratedGreedy or STF) and
+  // off (the fault-free context, no faults drawn), RC on and off, both
+  // end policies; lazy and eager must replay the same simulation double
+  // for double.
+  core::EngineProfile work;
+  Rng rng(0x5A77007ULL);
+  for (int trial = 0; trial < 6; ++trial) {
+    const int n = 8 + static_cast<int>(rng.uniform01() * 60);
+    const int p = 2 * n * (2 + static_cast<int>(rng.uniform01() * 8));
+    const auto seed = static_cast<std::uint64_t>(rng.uniform01() * 1e9);
+    const bool zero_rc = trial % 3 == 2;
+    Rng pack_rng(seed);
+    const core::Pack pack = core::Pack::uniform_random(
+        n, 1.5e6, 2.5e6, std::make_shared<SawtoothModel>(), pack_rng);
+    for (const double mtbf_years : {0.0, 10.0}) {
+      const double mtbf = units::years(mtbf_years);
+      const checkpoint::Model resilience(
+          {mtbf, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
+      for (const auto end : {core::EndPolicy::Local, core::EndPolicy::Greedy}) {
+        for (const auto fail : {core::FailurePolicy::IteratedGreedy,
+                                core::FailurePolicy::ShortestTasksFirst}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "n=" << n << " p=" << p << " mtbf=" << mtbf_years
+                       << " end=" << to_string(end)
+                       << " fail=" << to_string(fail)
+                       << " zero_rc=" << zero_rc << " seed=" << seed);
+          const auto run = [&](bool eager) {
+            core::EngineConfig config;
+            config.end_policy = end;
+            config.failure_policy = fail;
+            config.zero_redistribution_cost = zero_rc;
+            config.eager_scans = eager;
+            config.profile = !eager;
+            core::Engine engine(pack, resilience, p, config);
+            if (mtbf_years == 0.0) {
+              fault::NullGenerator gen(p);
+              return engine.run(gen);
+            }
+            fault::ExponentialGenerator gen(p, 1.0 / mtbf,
+                                            Rng(seed ^ 0x5A7ULL));
+            return engine.run(gen);
+          };
+          const core::RunResult lazy = run(false);
+          expect_identical(lazy, run(true));
+          work.bound_proofs += lazy.profile.bound_proofs;
+          work.bound_widenings += lazy.profile.bound_widenings;
+          work.full_scans += lazy.profile.full_scans;
+          work.walk_skips += lazy.profile.walk_skips;
+          work.walk_steps += lazy.profile.walk_steps;
+        }
+      }
+    }
+  }
+  EXPECT_GT(work.bound_proofs, 0);
+  EXPECT_GT(work.bound_widenings, 0);
+  EXPECT_GT(work.full_scans, 0);
+  EXPECT_GT(work.walk_skips, 0);
+  EXPECT_GT(work.walk_steps, 0);
 }
 
 TEST(LazyEquivalence, WarmRegrowMatchesEagerRebuild) {
@@ -301,13 +383,13 @@ TEST(EngineProfile, WorkCountersArePinned) {
   const checkpoint::Model resilience(
       {mtbf, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
   const auto counters = [](const core::EngineProfile& w) {
-    return std::vector<long long>{w.events,         w.heuristic_calls,
-                                  w.commits,        w.full_scans,
-                                  w.verdict_drops,  w.verdict_widenings,
-                                  w.widen_fallbacks, w.floor_fallbacks,
-                                  w.column_fills,   w.regrows,
-                                  w.tournament_replays, w.walk_skips,
-                                  w.walk_steps,     w.coefficient_fills};
+    return std::vector<long long>{w.events,          w.heuristic_calls,
+                                  w.commits,         w.full_scans,
+                                  w.verdict_drops,   w.bound_proofs,
+                                  w.bound_widenings, w.column_fills,
+                                  w.regrows,         w.tournament_replays,
+                                  w.walk_skips,      w.walk_steps,
+                                  w.coefficient_fills};
   };
   core::EngineConfig config;
   config.end_policy = core::EndPolicy::Local;
@@ -318,8 +400,8 @@ TEST(EngineProfile, WorkCountersArePinned) {
   const core::RunResult rc_ff =
       core::Engine(pack, resilience, p, config).run(none);
   EXPECT_EQ(counters(rc_ff.profile),
-            (std::vector<long long>{200, 199, 128, 1772, 816, 2189, 259, 236,
-                                    100464, 0, 0, 0, 0, 28032}))
+            (std::vector<long long>{200, 199, 128, 197, 1393, 180, 2475, 7148,
+                                    0, 0, 0, 0, 28032}))
       << "fault-free context with RC";
 
   config.failure_policy = core::FailurePolicy::IteratedGreedy;
@@ -327,8 +409,8 @@ TEST(EngineProfile, WorkCountersArePinned) {
   const core::RunResult ig_local =
       core::Engine(pack, resilience, p, config).run(faults);
   EXPECT_EQ(counters(ig_local.profile),
-            (std::vector<long long>{210, 196, 34, 1997, 10688, 3286, 234, 231,
-                                    114693, 8, 2511, 316, 3130, 12313}))
+            (std::vector<long long>{210, 196, 34, 233, 11676, 203, 2910, 84775,
+                                    8, 2511, 316, 3130, 12313}))
       << "IteratedGreedy-EndLocal";
 
   config.end_policy = core::EndPolicy::Greedy;
@@ -336,8 +418,8 @@ TEST(EngineProfile, WorkCountersArePinned) {
   const core::RunResult ig_greedy =
       core::Engine(pack, resilience, p, config).run(greedy_faults);
   EXPECT_EQ(counters(ig_greedy.profile),
-            (std::vector<long long>{210, 196, 17, 0, 0, 0, 0, 0, 188551, 196,
-                                    3499, 16666, 3506, 2989}))
+            (std::vector<long long>{210, 196, 17, 0, 0, 0, 0, 124453, 196,
+                                    3499, 16666, 3506, 2988}))
       << "IteratedGreedy-EndGreedy";
 }
 
@@ -423,20 +505,20 @@ TEST(OnlineDeltaEquivalence, RepairMatchesFullReplanAcrossArrivalLaws) {
   }
 }
 
-// ---- white-box invariants of the carried-verdict cache -------------------
+// ---- white-box invariants of the verdict cache --------------------------
 
 class ScanCacheTest : public ::testing::Test {
  protected:
   // Near-serial Amdahl profile: every task plateaus far below its 8
   // processors (Eq. 10's communication term would keep rewarding growth,
   // so the textbook profile isolates the plateau), and no EndLocal grant
-  // can pay the redistribution cost — scans fail deterministically and
-  // the carried verdicts are exercised.
+  // can pay the redistribution cost — scans fail deterministically. The
+  // fault-free context makes the bound exact up to its slack, so every
+  // failure is a proof and the cached verdicts are exercised.
   ScanCacheTest()
       : pack_({{2.0e6}, {1.6e6}, {2.4e6}, {1.9e6}},
               std::make_shared<speedup::AmdahlModel>(0.9995)),
-        resilience_({units::years(100.0), 60.0, 1.0,
-                     checkpoint::PeriodRule::Young, 0.0}),
+        resilience_({0.0, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0}),
         model_(pack_, resilience_),
         platform_(40),
         evaluator_(model_, 40) {
@@ -458,14 +540,14 @@ class ScanCacheTest : public ::testing::Test {
     state_.ensure_lazy_state();
   }
 
-  /// Clone the committed task state into a fresh eager EngineState (same
-  /// model/evaluator caches — pure values — but no verdict carry).
-  core::detail::EngineState eager_clone(platform::Platform& platform) {
+  /// Clone the committed task state into a fresh EngineState (same
+  /// model/evaluator caches — pure values — but no cached verdict).
+  core::detail::EngineState clone(platform::Platform& platform, bool eager) {
     core::detail::EngineState fresh;
     fresh.model = &model_;
     fresh.platform = &platform;
     fresh.tr = &evaluator_;
-    fresh.eager_scans = true;
+    fresh.eager_scans = eager;
     fresh.tasks = state_.tasks;
     fresh.build_event_index();
     for (int i = 0; i < fresh.n(); ++i) {
@@ -473,6 +555,14 @@ class ScanCacheTest : public ::testing::Test {
       fresh.refresh_projection(i);
     }
     return fresh;
+  }
+
+  /// The earliest fault-free completion of the four tasks.
+  [[nodiscard]] double first_end() const {
+    double end = std::numeric_limits<double>::infinity();
+    for (int i = 0; i < 4; ++i)
+      end = std::min(end, model_.fault_free_time(i, 8));
+    return end;
   }
 
   core::Pack pack_;
@@ -485,22 +575,25 @@ class ScanCacheTest : public ::testing::Test {
 
 TEST_F(ScanCacheTest, FailedScanStoresVerdictAtScannedPoolAndVersion) {
   // Pick a time late enough that growing any task cannot pay off against
-  // its committed expectation plus RC: the scan fails for every task and
-  // each failure must leave a carried verdict at the current version
-  // covering the scanned pool.
-  const double t = 0.05 * model_.fault_free_time(0, 8);
+  // its committed expectation plus RC: the bound proves every failure,
+  // and each proof must leave a verdict at the current version covering
+  // the scanned pool.
+  core::EngineProfile profile;
+  state_.profile = &profile;
+  const double t = 0.05 * first_end();
   const bool changed = core::detail::end_local(state_, t);
   ASSERT_FALSE(changed);
+  EXPECT_EQ(profile.bound_proofs, 4);
+  EXPECT_EQ(profile.full_scans, 0);
   for (int i = 0; i < state_.n(); ++i) {
     const auto idx = static_cast<std::size_t>(i);
     EXPECT_EQ(state_.scan_cache[idx].version, state_.version[idx]);
     EXPECT_EQ(state_.scan_cache[idx].k, 8);  // the idle pool it covered
-    EXPECT_GE(state_.scan_cache[idx].horizon, t);
   }
 }
 
 TEST_F(ScanCacheTest, CommitBumpsVersionAndKillsTheVerdict) {
-  const double t = 0.05 * model_.fault_free_time(0, 8);
+  const double t = 0.05 * first_end();
   ASSERT_FALSE(core::detail::end_local(state_, t));
   const auto cached_version = state_.scan_cache[0].version;
 
@@ -514,38 +607,152 @@ TEST_F(ScanCacheTest, CommitBumpsVersionAndKillsTheVerdict) {
   EXPECT_EQ(state_.scan_cache[1].version, state_.version[1]);  // untouched
 }
 
-TEST_F(ScanCacheTest, CarriedDropAgreesWithEagerWithinHorizon) {
-  // Prime the verdicts, then step forward inside every horizon: the lazy
-  // state (which drops on the carried verdicts without probing) and a
-  // fresh eager state over the same committed tasks must agree that no
-  // redistribution happens — and their task states must stay identical.
-  const double t0 = 0.2 * model_.fault_free_time(0, 8);
-  bool first = false;
+TEST_F(ScanCacheTest, CachedDropAgreesWithEagerAtEveryLaterTime) {
+  // A proven verdict has no horizon: prime the verdicts, then step
+  // forward up to the first task's end, far past any horizon a margin
+  // could price. At every step the lazy state drops all four tasks on
+  // their cached verdicts without probing, and a fresh eager state over
+  // the same committed tasks must agree that no redistribution happens.
+  const double end = first_end();
+  const double t0 = 0.05 * end;
   {
-    // Clone the committed state BEFORE the lazy call can mutate it: the
-    // first calls must agree, whatever the verdict.
     platform::Platform eager_platform(40);
-    core::detail::EngineState fresh = eager_clone(eager_platform);
-    first = core::detail::end_local(state_, t0);
-    ASSERT_EQ(first, core::detail::end_local(fresh, t0));
+    core::detail::EngineState fresh = clone(eager_platform, true);
+    ASSERT_FALSE(core::detail::end_local(state_, t0));
+    ASSERT_FALSE(core::detail::end_local(fresh, t0));
   }
-  double horizon = std::numeric_limits<double>::infinity();
-  for (int i = 0; i < state_.n(); ++i)
-    horizon = std::min(horizon, state_.scan_cache[static_cast<std::size_t>(i)].horizon);
-  if (first || !std::isfinite(horizon) || horizon <= t0) return;
-
-  for (const double frac : {0.25, 0.6, 1.0}) {
-    const double t1 = t0 + frac * (horizon - t0);
+  core::EngineProfile profile;
+  state_.profile = &profile;
+  int steps = 0;
+  for (const double frac : {0.1, 0.3, 0.5, 0.7, 0.9, 0.99, 0.9999}) {
+    const double t1 = frac * end;
     platform::Platform eager_platform(40);
-    core::detail::EngineState fresh = eager_clone(eager_platform);
+    core::detail::EngineState fresh = clone(eager_platform, true);
     const bool lazy_changed = core::detail::end_local(state_, t1);
     const bool eager_changed = core::detail::end_local(fresh, t1);
     ASSERT_EQ(lazy_changed, eager_changed) << "t1=" << t1;
+    ASSERT_FALSE(lazy_changed) << "t1=" << t1;
     for (int i = 0; i < state_.n(); ++i) {
       EXPECT_EQ(state_.task(i).sigma, fresh.task(i).sigma);
       EXPECT_EQ(state_.task(i).tU, fresh.task(i).tU);
     }
+    ++steps;
   }
+  EXPECT_EQ(steps, 7);
+  EXPECT_EQ(profile.verdict_drops, 4 * steps);
+  EXPECT_EQ(profile.bound_proofs + profile.full_scans, 0);
+}
+
+TEST_F(ScanCacheTest, NearTiesOfTheBoundFallToTheExactScan) {
+  // Put task 1's tU on fl(B_q + y_q) — the base terms of target 8 + q
+  // plus alpha m_q (1 - 2^-30), exactly as the bound pass sums them —
+  // and on its two neighbouring doubles. The bound must not prove target
+  // q there (its slack also scales tU up by 2^-30), and lazy and eager
+  // end_local must take the same decisions.
+  constexpr int kTask = 1;
+  const double t = 0.05 * first_end();
+  const double alpha = state_.alpha_tentative(kTask, t);
+  const core::detail::ProbeBase base(state_, t, kTask);
+  for (const int q : {2, 4, 8}) {
+    const core::detail::Eq4Lanes row =
+        model_.row_lanes(kTask, static_cast<std::size_t>(8 + q) / 2);
+    const double m = *std::min_element(
+        row.t_ij, row.t_ij + static_cast<std::size_t>(8 + q) / 2);
+    const double tie = base(8 + q) + alpha * m * (1.0 - 0x1p-30);
+    for (const double tU :
+         {std::nextafter(tie, 0.0), tie, std::nextafter(tie, 2.0 * tie)}) {
+      SCOPED_TRACE(::testing::Message() << "q=" << q << " tU=" << tU);
+      platform::Platform lazy_platform(40);
+      platform::Platform eager_platform(40);
+      core::detail::EngineState lazy = clone(lazy_platform, false);
+      core::detail::EngineState eager = clone(eager_platform, true);
+      for (core::detail::EngineState* s : {&lazy, &eager}) {
+        s->task(kTask).tU = tU;
+        s->refresh_projection(kTask);
+      }
+      const bool lazy_changed = core::detail::end_local(lazy, t);
+      ASSERT_EQ(lazy_changed, core::detail::end_local(eager, t));
+      for (int i = 0; i < lazy.n(); ++i) {
+        EXPECT_EQ(lazy.task(i).sigma, eager.task(i).sigma) << "task " << i;
+        EXPECT_EQ(lazy.task(i).tU, eager.task(i).tU) << "task " << i;
+      }
+      const auto& cache = lazy.scan_cache[static_cast<std::size_t>(kTask)];
+      EXPECT_FALSE(cache.version == lazy.version[kTask] && cache.k >= q)
+          << "the bound proved a target on its own tie";
+    }
+  }
+}
+
+/// One task whose fault-free time dips at 10 processors: 10^4 s x 8/q up
+/// to q = 8, 0.80 at q = 10 and 0.81 beyond, so every column past 10
+/// sits above the dip.
+class DipModel final : public speedup::Model {
+ public:
+  [[nodiscard]] double time(double /*m*/, int q) const override {
+    const double shape = q <= 8 ? 8.0 / q : q == 10 ? 0.80 : 0.81;
+    return 1.0e4 * shape;
+  }
+};
+
+TEST(ScanCacheWidening, ResumesTheRunningMinimumAcrossTheCachedTargets) {
+  // A task at 8 processors first sees a pool of 2: target 10 cannot pay
+  // its RC, and the bound caches that verdict. The pool then grows to 8.
+  // Targets 12..16 pay less RC, and with Eq. 6 they inherit the dip at
+  // 10: tU is put where 16 improves through the dip but would not on
+  // its own column. A widening that restarted its minimum at the new
+  // columns would clear them; lazy and eager must both grant.
+  const core::Pack pack({{1000.0}}, std::make_shared<DipModel>());
+  const checkpoint::Model resilience(
+      {0.0, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
+  const core::ExpectedTimeModel model(pack, resilience);
+  core::TrEvaluator evaluator(model, 16);
+  const auto make_state = [&](platform::Platform& platform, bool eager) {
+    core::detail::EngineState s;
+    s.model = &model;
+    s.platform = &platform;
+    s.tr = &evaluator;
+    s.eager_scans = eager;
+    s.tasks.resize(1);
+    s.build_event_index();
+    s.task(0).sigma = 8;
+    s.task(0).alpha = 1.0;
+    s.task(0).tlastR = 0.0;
+    platform.acquire(0, 8);
+    return s;
+  };
+  platform::Platform narrow(10);  // a pool of 2
+  core::detail::EngineState lazy = make_state(narrow, false);
+  core::EngineProfile profile;
+  lazy.profile = &profile;
+
+  const double t = 1.0;
+  const double alpha = lazy.alpha_tentative(0, t);
+  const core::detail::ProbeBase base(lazy, t, 0);
+  const double dip = alpha * model.fault_free_time(0, 10);
+  const double past = alpha * model.fault_free_time(0, 12);
+  const double lo = base(16) + dip;  // target 16's exact tE
+  const double hi = std::min(base(16) + past, base(10) + dip);
+  ASSERT_LT(lo, hi);
+  const double tU = 0.5 * (lo + hi);
+  lazy.task(0).tU = tU;
+  lazy.refresh_projection(0);
+
+  ASSERT_FALSE(core::detail::end_local(lazy, t));
+  ASSERT_EQ(profile.bound_proofs, 1);
+  ASSERT_EQ(lazy.scan_cache[0].k, 2);
+
+  platform::Platform wide(16);  // the same task, a pool of 8
+  wide.acquire(0, 8);
+  lazy.platform = &wide;
+  platform::Platform eager_platform(16);
+  core::detail::EngineState eager = make_state(eager_platform, true);
+  eager.task(0).tU = tU;
+  eager.refresh_projection(0);
+  EXPECT_TRUE(core::detail::end_local(eager, t));
+  EXPECT_TRUE(core::detail::end_local(lazy, t));
+  EXPECT_EQ(profile.bound_widenings, 0);
+  EXPECT_EQ(lazy.task(0).sigma, eager.task(0).sigma);
+  EXPECT_EQ(lazy.task(0).tU, eager.task(0).tU);
 }
 
 TEST(LazyEquivalence, WeibullHeavyIteratedGreedyBattery) {

@@ -317,7 +317,7 @@ TEST(ScenarioFile, BoundaryIntegersAreAcceptedOrRefusedByKey) {
   // Every integer key at 0, -1, 2^31 - 1, 2^31, 2^63 - 1 and 2^63, over
   // the default scenario (n = 100, p = 1000); parse and validate only.
   // 'A' marks a value that is accepted; any other is refused with an
-  // error naming its key.
+  // error naming its key. p = 2^31 - 1 passes p >= 2n but not p <= 2^20.
   const char* const values[] = {"0",
                                 "-1",
                                 "2147483647",
@@ -328,7 +328,7 @@ TEST(ScenarioFile, BoundaryIntegersAreAcceptedOrRefusedByKey) {
     const char* key;
     const char* verdicts;  ///< one per value
   } rows[] = {
-      {"n", "RRRRRR"},    {"p", "RRARRR"},           {"runs", "RRARRR"},
+      {"n", "RRRRRR"},    {"p", "RRRRRR"},           {"runs", "RRARRR"},
       {"seed", "ARAAAA"}, {"bulk_phases", "RRARRR"},
   };
   for (const auto& row : rows) {

@@ -604,6 +604,38 @@ TEST(Server, OutOfDomainScenarioIsAnErrorLineNotAnAbort) {
   daemon.join();
 }
 
+TEST(Server, OversizedPlatformIsAnErrorLineNotAnAllocation) {
+  // p = 2^21 passes p >= 2n, yet the platform ledger alone would take
+  // three ints per processor before a single event ran. The what_if gets
+  // an ok:false line naming 'p', and the connection keeps answering.
+  ServerOptions options;
+  options.socket_path = unique_socket_path() + ".platform";
+  options.pool_capacity = 2;
+  options.replace_stale_socket = true;
+  Server server(options);
+  std::thread daemon([&server] { server.run(); });
+  const int fd = connect_to(options.socket_path);
+  ASSERT_GE(fd, 0);
+
+  const std::string refused = request_reply(
+      fd, R"({"id":30,"op":"what_if","scenario":"n = 6; p = 2097152",)"
+          R"("configs":"baseline"})");
+  EXPECT_NE(refused.find("\"id\":30,\"ok\":false"), std::string::npos)
+      << refused;
+  EXPECT_NE(refused.find("'p'"), std::string::npos) << refused;
+  EXPECT_EQ(request_reply(fd, R"({"id":31,"op":"ping"})"),
+            R"({"id":31,"ok":true,"op":"ping"})");
+  const std::string answered = request_reply(
+      fd, R"({"id":32,"op":"what_if","scenario":"n = 6; p = 24",)"
+          R"("configs":"baseline"})");
+  EXPECT_NE(answered.find("\"ok\":true"), std::string::npos) << answered;
+
+  EXPECT_EQ(request_reply(fd, R"({"id":33,"op":"shutdown"})"),
+            R"({"id":33,"ok":true,"op":"shutdown"})");
+  ::close(fd);
+  daemon.join();
+}
+
 TEST(Server, ConcurrentClients) {
   ServerOptions options;
   options.socket_path = unique_socket_path() + ".many";

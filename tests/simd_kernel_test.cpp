@@ -4,8 +4,8 @@
 /// fault-aware and fault-free resilience, denormal/extreme lambda·tau
 /// corners, and every residual vector-tail length. The same contract is
 /// asserted against the detail kernel directly on hand-built lanes, and
-/// for EndLocal's two kernels (the target scan and the carry span)
-/// against their scalar loops, on model rows and on edge lanes.
+/// for EndLocal's target scan against its scalar loop, on model rows and
+/// on edge lanes.
 ///
 /// Every test here passes on any build: when the vector path is not
 /// live (non-x86-64 build, unsupported CPU, COREDIS_NO_SIMD=1, or a
@@ -201,77 +201,46 @@ TEST(SimdKernel, RowViewsSurviveDeepExtension) {
         << "h=" << h;
 }
 
-// ---- EndLocal's target scan and carry span ------------------------------
+// ---- EndLocal's target scan ---------------------------------------------
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
-std::string describe(const detail::TargetScan& r) {
-  return "{stop " + std::to_string(r.stop) + ", first " +
-         std::to_string(r.first_x) + ", min " + std::to_string(r.min_rc_c) +
-         "}";
-}
-
 /// The dispatching scan_targets (vector lanes from 8 targets when live)
 /// and, when the lanes are live, the kernel itself on the whole blocks,
-/// each against the scalar loop, bit for bit.
+/// each against the scalar loop.
 void expect_same_scan(const detail::TargetPass& pass, std::size_t count,
                       const std::string& where) {
-  const detail::TargetScan want = detail::scan_targets_scalar(pass, count);
-  const detail::TargetScan got = detail::scan_targets(pass, count);
-  EXPECT_EQ(0, std::memcmp(&got, &want, sizeof want))
-      << where << " count=" << count << ": got " << describe(got)
-      << " want " << describe(want);
+  EXPECT_EQ(detail::scan_targets(pass, count),
+            detail::scan_targets_scalar(pass, count))
+      << where << " count=" << count;
   const std::size_t body = count / 4 * 4;
   if (body == 0 || !detail::eq4_simd_active()) return;
-  const detail::TargetScan row = detail::scan_targets_row(pass, body);
-  const detail::TargetScan row_want = detail::scan_targets_scalar(pass, body);
-  EXPECT_EQ(0, std::memcmp(&row, &row_want, sizeof row_want))
-      << where << " kernel count=" << body << ": got " << describe(row)
-      << " want " << describe(row_want);
+  EXPECT_EQ(detail::scan_targets_row(pass, body),
+            detail::scan_targets_scalar(pass, body))
+      << where << " kernel count=" << body;
 }
 
-/// The same wall for the carry span (its struct has padding, so the two
-/// fields are compared one by one).
-void expect_same_span(const detail::CarryPass& pass, std::size_t count,
-                      const std::string& where) {
-  const auto check = [&](const detail::CarrySpan& got,
-                         const detail::CarrySpan& want, std::size_t n) {
-    EXPECT_EQ(got.refused, want.refused) << where << " count=" << n;
-    EXPECT_EQ(0, std::memcmp(&got.span, &want.span, sizeof want.span))
-        << where << " count=" << n << ": got " << got.span << " want "
-        << want.span;
-  };
-  check(detail::carry_span(pass, count), detail::carry_span_scalar(pass, count),
-        count);
-  const std::size_t body = count / 4 * 4;
-  if (body == 0 || !detail::eq4_simd_active()) return;
-  check(detail::carry_span_row(pass, body),
-        detail::carry_span_scalar(pass, body), body);
+/// The exact probe x_k of a pass, summed as the scalar loop sums it:
+/// ((t + RC_k) + C_k) + col_k with Eq. 9 above sigma_init.
+double probe_at(const detail::TargetPass& pass, std::size_t k) {
+  const int j = pass.first + 2 * static_cast<int>(k);
+  const double rounds =
+      static_cast<double>(std::max(pass.from, j - pass.from));
+  const double rc =
+      pass.zero_rc
+          ? 0.0
+          : rounds * (1.0 / static_cast<double>(j)) * pass.m_over_from;
+  return pass.t + rc + pass.cost[k] + pass.col[k];
 }
 
-/// The exact probe x_k of a pass: the scalar loop's first probe of the
-/// pass moved k targets on.
-double probe_at(detail::TargetPass pass, std::size_t k) {
-  pass.first += 2 * static_cast<int>(k);
-  pass.cost += k;
-  pass.col += k * pass.col_stride;
-  pass.tU = -kInf;  // stops nowhere
-  return detail::scan_targets_scalar(pass, 1).first_x;
-}
-
-detail::Eq4Lanes lanes_from(const detail::Eq4Lanes& row, std::size_t k) {
-  return {row.t_ij + k,     row.tau + k,    row.cost + k,
-          row.lambda_j + k, row.factor + k, row.expm1_tau + k};
-}
-
-TEST(SimdKernel, TargetScansAndCarrySpansMatchScalarOnModelRows) {
+TEST(SimdKernel, TargetScansMatchScalarOnModelRows) {
   // Passes read off real rows: faulty (MTBF 5 y and 0.02 y) and
   // fault-free models, RC on and off, the targets starting right above
   // sigma_init (a scan at the committed allocation) or further up (a
-  // task already granted pairs this call), every count from 1 to 70, a
-  // column and a floor, both stop rules, and thresholds that stop
-  // nowhere, everywhere, on an exact tie and just past one probe.
+  // task already granted pairs this call), every count from 1 to 70,
+  // both stop rules, and thresholds that stop nowhere, everywhere, on an
+  // exact tie and just past one probe.
   Rng rng(0x5CA11ULL);
   std::vector<double> sizes;
   for (int i = 0; i < 6; ++i) sizes.push_back(rng.uniform(1.0e5, 5.0e6));
@@ -303,7 +272,6 @@ TEST(SimdKernel, TargetScansAndCarrySpansMatchScalarOnModelRows) {
           0.0,
           lanes.cost + h_first,
           column.data() + h_first,
-          1,
           first,
           from,
           trial % 3 == 0,
@@ -314,39 +282,15 @@ TEST(SimdKernel, TargetScansAndCarrySpansMatchScalarOnModelRows) {
       for (std::size_t k = 0; k < count; ++k) x[k] = probe_at(pass, k);
       const double x_min = *std::min_element(x.begin(), x.end());
       const double x_r = x[rng.uniform_int(0, count - 1)];
-      const double floor = column[rng.uniform_int(0, slots - 1)];
-      for (const bool floored : {false, true}) {
-        detail::TargetPass p = pass;
-        if (floored) {  // one floor at every target
-          p.col = &floor;
-          p.col_stride = 0;
+      detail::TargetPass p = pass;
+      for (const detail::Stop stop :
+           {detail::Stop::Below, detail::Stop::NotAtLeast}) {
+        p.stop = stop;
+        for (const double tU : {-kInf, kInf, x_min, x_r,
+                                std::nextafter(x_r, kInf)}) {
+          p.tU = tU;
+          expect_same_scan(p, count, where);
         }
-        for (const detail::Stop stop :
-             {detail::Stop::Below, detail::Stop::NotAtLeast}) {
-          p.stop = stop;
-          for (const double tU : {-kInf, kInf, x_min, x_r,
-                                  std::nextafter(x_r, kInf)}) {
-            p.tU = tU;
-            expect_same_scan(p, count, where);
-          }
-        }
-      }
-
-      // The carry over columns [h_lo, slots): the scan's prefix-min
-      // against threats below every budget, on one, and past all.
-      const std::size_t h_lo = trial % 2 == 0 ? 0 : h_first;
-      const std::size_t columns = slots - h_lo;
-      const double v_min =
-          *std::min_element(column.begin() + static_cast<long>(h_lo),
-                            column.end());
-      for (const double threat :
-           {-kInf, v_min * (1.0 - rng.uniform(1e-9, 0.5)),
-            v_min - rng.uniform(0.0, 1e3), column[h_lo + columns / 2],
-            v_min}) {
-        const detail::CarryPass carry{lanes_from(lanes, h_lo),
-                                      column.data() + h_lo, threat, alpha,
-                                      resilience->fault_free()};
-        expect_same_span(carry, columns, where);
       }
     }
   }
@@ -356,8 +300,7 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
   // Hand-built lanes, every count from 1 to 11 and every position p: the
   // stopping probe in each lane and in the tail, an exact tie with tU
   // (no stop: both rules are strict there), NaN (a scan skips it, a
-  // widening stops on it), +inf (never stops) and -inf (always stops),
-  // as a column entry and as the floor.
+  // bound pass stops on it), +inf (never stops) and -inf (always stops).
   constexpr std::size_t kMax = 11;
   const std::vector<double> cost = {0.0,  0.25, 1e-3, 0.0, 7.5, 0.0,
                                     0.125, 2.0, 0.0,  3.0, 0.5};
@@ -368,7 +311,7 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
           std::vector<double> col(kMax, 1000.0);
           col[p] = at_p;
           detail::TargetPass pass{100.0, 3.0, 0.0,     cost.data(),
-                                  col.data(), 1, 12, 10, zero_rc,
+                                  col.data(), 12, 10, zero_rc,
                                   detail::Stop::Below};
           // at_p = 1000 with tU on its own probe: an exact tie.
           const double tie = probe_at(pass, p);
@@ -381,10 +324,6 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
                                         " col_p=" + std::to_string(at_p) +
                                         " zero_rc=" + std::to_string(zero_rc);
               expect_same_scan(pass, count, where);
-              detail::TargetPass floor = pass;
-              floor.col = &col[p];
-              floor.col_stride = 0;
-              expect_same_scan(floor, count, where + " floor");
             }
           }
         }
@@ -394,9 +333,9 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
   // A probe equal to tU stops neither rule: with tU on the smallest
   // probe, no pass stops, in vector lanes too.
   const std::vector<double> flat(kMax, 5.0);
-  detail::TargetPass tie{100.0,       3.0, 0.0, cost.data(),
-                         flat.data(), 1,   12,  10,
-                         false,       detail::Stop::Below};
+  detail::TargetPass tie{100.0,       3.0, 0.0,   cost.data(),
+                         flat.data(), 12,  10,    false,
+                         detail::Stop::Below};
   for (const std::size_t count : {std::size_t{8}, kMax}) {
     double x_min = kInf;
     for (std::size_t k = 0; k < count; ++k)
@@ -405,50 +344,7 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
     for (const detail::Stop stop :
          {detail::Stop::Below, detail::Stop::NotAtLeast}) {
       tie.stop = stop;
-      EXPECT_EQ(count, detail::scan_targets(tie, count).stop);
-    }
-  }
-}
-
-TEST(SimdKernel, CarrySpansMatchScalarOnEdgeLanes) {
-  // Every count from 1 to 11 and every position p: a budget of exactly 0
-  // and below it (refused), NaN (skipped), +inf (an infinite span) and
-  // -inf (refused), in the fault-free and the faulty branch, the faulty
-  // columns spanning both sides of the first checkpoint boundary.
-  constexpr std::size_t kMax = 11;
-  std::vector<double> t_ij(kMax), tau(kMax), cost(kMax), lam(kMax),
-      fac(kMax), emt(kMax);
-  for (std::size_t h = 0; h < kMax; ++h) {
-    const auto j = static_cast<double>(2 * (h + 1));
-    t_ij[h] = 3.6e6 / j;
-    cost[h] = 600.0 / j;
-    lam[h] = j * 1e-8;
-    tau[h] = std::sqrt(2.0 * cost[h] / lam[h]);
-    fac[h] = std::exp(lam[h] * cost[h]) * (1.0 / lam[h] + 60.0);
-    emt[h] = std::expm1(lam[h] * tau[h]);
-  }
-  const detail::Eq4Lanes lanes{t_ij.data(), tau.data(), cost.data(),
-                               lam.data(),  fac.data(), emt.data()};
-  constexpr double kThreat = 1.0e6;
-  for (const bool fault_free : {false, true}) {
-    for (const double alpha : {1.0, 0.37, 1e-7}) {
-      for (std::size_t count = 1; count <= kMax; ++count) {
-        for (std::size_t p = 0; p < count; ++p) {
-          for (const double at_p :
-               {kThreat, kThreat - 1.0, kNaN, kInf, -kInf, kThreat + 1e-3}) {
-            std::vector<double> value(kMax);
-            for (std::size_t h = 0; h < kMax; ++h)
-              value[h] = kThreat + 1.0e3 * static_cast<double>(h + 1);
-            value[p] = at_p;
-            const detail::CarryPass pass{lanes, value.data(), kThreat, alpha,
-                                         fault_free};
-            expect_same_span(pass, count,
-                             "p=" + std::to_string(p) +
-                                 " value_p=" + std::to_string(at_p) +
-                                 " fault_free=" + std::to_string(fault_free));
-          }
-        }
-      }
+      EXPECT_EQ(count, detail::scan_targets(tie, count));
     }
   }
 }

@@ -243,10 +243,9 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
     std::cout << "work: " << prof.coefficient_fills << " coefficient fills, "
               << prof.column_fills << " column fills; EndLocal "
               << prof.full_scans << " full scans, " << prof.verdict_drops
-              << " verdict drops, " << prof.verdict_widenings
-              << " widenings, " << prof.widen_fallbacks
-              << " widen fallbacks (" << prof.floor_fallbacks
-              << " on the floor); Algorithm 5 " << prof.regrows
+              << " verdict drops, " << prof.bound_proofs
+              << " bound proofs, " << prof.bound_widenings
+              << " bound widenings; Algorithm 5 " << prof.regrows
               << " regrows, " << prof.tournament_replays
               << " tournament replays, " << prof.walk_skips
               << " walk skips, " << prof.walk_steps << " walk steps\n";
