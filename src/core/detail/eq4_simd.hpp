@@ -47,8 +47,9 @@
 namespace coredis::core::detail {
 
 /// The six coefficient lanes of Eqs. 1-4, everything except alpha: entry
-/// k of every lane describes the same (task, j). Pointers alias one
-/// ExpectedTimeModel row, so a task's even row is read here in place.
+/// k of every lane describes the same (task, j). Pointers alias both
+/// parts of one ExpectedTimeModel row (t_ij and cost its bound part, the
+/// rest its Eq. 4 part), so a task's even row is read here in place.
 struct Eq4Lanes {
   const double* t_ij;       ///< fault-free time t_{i,j}
   const double* tau;        ///< checkpointing period tau_{i,j} (Eq. 1)

@@ -123,6 +123,7 @@ RunResult Engine::run(fault::Generator& faults) {
   if (profiling) state.profile = &profile;
   const std::uint64_t fills_before = evaluator.fills();
   const std::uint64_t coefficient_fills_before = model.coefficient_fills();
+  const std::uint64_t eq4_fills_before = model.eq4_fills();
   double mark = profiling ? profile_now() : 0.0;
   const auto phase = [&](double& sink) {
     if (!profiling) return;
@@ -321,6 +322,8 @@ RunResult Engine::run(fault::Generator& faults) {
         static_cast<long long>(evaluator.fills() - fills_before);
     profile.coefficient_fills = static_cast<long long>(
         model.coefficient_fills() - coefficient_fills_before);
+    profile.eq4_fills =
+        static_cast<long long>(model.eq4_fills() - eq4_fills_before);
     result.profile = profile;
   }
   result.makespan = *std::max_element(result.completion_times.begin(),

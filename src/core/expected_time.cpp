@@ -121,68 +121,85 @@ ExpectedTimeModel::ExpectedTimeModel(const Pack& pack,
     seq_ckpt_.push_back(resilience.sequential_cost(pack.task(i).data_size));
   even_.resize(n);
   odd_.resize(n);
-  even_dense_.assign(n, 0);
 }
 
-void ExpectedTimeModel::Row::resize(std::size_t n) {
+template <std::size_t kLanes>
+void ExpectedTimeModel::Part<kLanes>::resize(std::size_t n) {
   COREDIS_EXPECTS(n > size);
   if (n > capacity) {
-    // Geometric growth, as std::vector::resize does it: rows deepen a
+    // Geometric growth, as std::vector::resize does it: parts deepen a
     // few entries at a time, and a capacity of exactly n would copy the
-    // whole row on every step. The buffer is left uninitialized, so each
+    // whole part on every step. The buffer is left uninitialized, so each
     // lane's slack past n is never touched and costs no resident memory.
+    // The copy is a byte copy of every lane's [0, size), filled entries
+    // or not: an unfilled entry has only lane 0 written, and its other
+    // lanes carry indeterminate bytes until its fill.
     const std::size_t grown = std::max(n, 2 * size);
     auto next = std::make_unique_for_overwrite<double[]>(kLanes * grown);
-    for (std::size_t lane = 0; lane < kLanes; ++lane)
-      std::copy_n(buffer.get() + lane * capacity, size,
-                  next.get() + lane * grown);
+    if (size > 0)
+      for (std::size_t l = 0; l < kLanes; ++l)
+        std::memcpy(next.get() + l * grown, lane(l), size * sizeof(double));
     buffer = std::move(next);
     capacity = grown;
   }
-  // t_ij < 0 flags an entry unfilled. The other lanes start at 0: a
-  // fault-free fill writes t_ij alone, and growth copies every lane.
-  for (std::size_t lane = 0; lane < kLanes; ++lane) {
-    double* const first = buffer.get() + lane * capacity;
-    std::fill(first + size, first + n, lane == 0 ? -1.0 : 0.0);
-  }
+  std::fill(buffer.get() + size, buffer.get() + n, -1.0);  // unfilled
   size = n;
 }
 
-void ExpectedTimeModel::fill_coeffs(int task, int j, Row& row,
-                                    std::size_t k) const {
+void ExpectedTimeModel::fill_bound(int task, int j, Part<2>& part,
+                                   std::size_t k) const {
   // The arithmetic mirrors the *_reference paths exactly so cached and
   // uncached evaluations agree bit for bit.
+  if (part.size <= k) part.resize(k + 1);
   ++fills_;
-  // Entry k of lane i, in Eq4Lanes order, is at[i * lane].
-  double* const at = row.buffer.get() + k;
-  const std::size_t lane = row.capacity;
-  at[0] = pack_->fault_free_time(task, j);
-  if (resilience_->fault_free()) return;
+  part.lane(0)[k] = pack_->fault_free_time(task, j);
+  // C_{i,j} = C_i / j; 0 in the fault-free context, where the scans
+  // still add the cost lane (no checkpoint is ever taken).
+  part.lane(1)[k] =
+      resilience_->fault_free()
+          ? 0.0
+          : resilience_->cost(seq_ckpt_[static_cast<std::size_t>(task)], j);
+}
+
+void ExpectedTimeModel::fill_eq4(int task, int j, Row& row,
+                                 std::size_t k) const {
+  COREDIS_EXPECTS(!resilience_->fault_free());
+  if (!row.bound.filled(k)) fill_bound(task, j, row.bound, k);
+  if (row.eq4.size <= k) row.eq4.resize(k + 1);
+  ++eq4_fills_;
   const double seq = seq_ckpt_[static_cast<std::size_t>(task)];
   const double lambda_j = resilience_->task_rate(j);
   const double tau = resilience_->period(seq, j);
-  const double cost = resilience_->cost(seq, j);
+  const double cost = row.bound.lane(1)[k];  // resilience_->cost(seq, j)
   const double recovery = resilience_->recovery(seq, j);
   // Readers take R_{i,j} from the cost lane, and tau - C from the same
   // subtraction as here; the period rule must leave room for useful work.
   COREDIS_ASSERT(recovery == cost);
   COREDIS_ASSERT(tau - cost > 0.0);
-  at[lane] = tau;
-  at[2 * lane] = cost;
-  at[3 * lane] = lambda_j;
-  at[4 * lane] = std::exp(lambda_j * recovery) *
-                 (1.0 / lambda_j + resilience_->downtime());
-  at[5 * lane] = std::expm1(lambda_j * tau);
+  row.eq4.lane(0)[k] = tau;
+  row.eq4.lane(1)[k] = lambda_j;
+  row.eq4.lane(2)[k] = std::exp(lambda_j * recovery) *
+                       (1.0 / lambda_j + resilience_->downtime());
+  row.eq4.lane(3)[k] = std::expm1(lambda_j * tau);
 }
 
-void ExpectedTimeModel::grow_even_row(int task, std::size_t h_count) const {
-  const auto ti = static_cast<std::size_t>(task);
-  Row& row = even_[ti];
-  if (row.size < h_count) row.resize(h_count);
-  for (std::size_t h = even_dense_[ti]; h < h_count; ++h)
-    if (row.lanes(h).t_ij[0] < 0.0)
-      fill_coeffs(task, 2 * (static_cast<int>(h) + 1), row, h);
-  even_dense_[ti] = h_count;
+void ExpectedTimeModel::grow_bound_row(int task, std::size_t h_count) const {
+  Part<2>& part = even_[static_cast<std::size_t>(task)].bound;
+  if (part.size < h_count) part.resize(h_count);
+  for (std::size_t h = part.dense; h < h_count; ++h)
+    if (!part.filled(h))
+      fill_bound(task, 2 * (static_cast<int>(h) + 1), part, h);
+  part.dense = h_count;
+}
+
+void ExpectedTimeModel::grow_eq4_row(int task, std::size_t h_count) const {
+  ensure_bound_row(task, h_count);
+  Row& row = even_[static_cast<std::size_t>(task)];
+  if (row.eq4.size < h_count) row.eq4.resize(h_count);
+  for (std::size_t h = row.eq4.dense; h < h_count; ++h)
+    if (!row.eq4.filled(h))
+      fill_eq4(task, 2 * (static_cast<int>(h) + 1), row, h);
+  row.eq4.dense = h_count;
 }
 
 void ExpectedTimeModel::probe_many(int task, int h_begin, int h_end,
@@ -190,18 +207,21 @@ void ExpectedTimeModel::probe_many(int task, int h_begin, int h_end,
   COREDIS_EXPECTS(0 <= h_begin && h_begin <= h_end);
   COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
   if (h_begin == h_end) return;
-  ensure_even_row(task, static_cast<std::size_t>(h_end));
-  const detail::Eq4Lanes c = even_[static_cast<std::size_t>(task)].lanes(
-      static_cast<std::size_t>(h_begin));
+  const auto first = static_cast<std::size_t>(h_begin);
   const auto count = static_cast<std::size_t>(h_end - h_begin);
+  ensure_bound_row(task, first + count);
+  const Row& row = even_[static_cast<std::size_t>(task)];
   if (alpha == 0.0) {  // expected_time_raw's early-out, batched
     std::fill(out, out + count, 0.0);
     return;
   }
   if (resilience_->fault_free()) {
-    for (std::size_t k = 0; k < count; ++k) out[k] = alpha * c.t_ij[k];
+    const double* const t_ij = row.bound_lanes(first).t_ij;
+    for (std::size_t k = 0; k < count; ++k) out[k] = alpha * t_ij[k];
     return;
   }
+  ensure_eq4_row(task, first + count);
+  const detail::Eq4Lanes c = row.lanes(first);
   // Vector lanes when live (DESIGN.md section 6.6): bit-identical to the
   // scalar loop below by the kernel's construction and the process
   // self-check. Short batches stay scalar: below one vector width the

@@ -25,22 +25,25 @@
 ///
 /// Everything in the formula except alpha is fixed per (task, j), so the
 /// model memoizes a lazily-built coefficient table (DESIGN.md section 6):
-/// one row per task, stored as six lanes — t_{i,j}, tau, C_{i,j} (which
-/// is also R_{i,j}), lambda_j and the two precomputed transcendental
-/// factors e^{lambda_j R}(1/lambda_j+D) and e^{lambda_j tau} - 1 — so a
-/// probed (task, j) costs 48 bytes. A warm query is a handful of flops
-/// plus at most one expm1 for the trailing partial period; the
-/// speedup-profile virtual call, sqrt (period) and exp only run the first
-/// time a (task, j) pair is seen over the model's lifetime. The cache is
-/// transparent: cached queries are arithmetic-identical (bit for bit) to
-/// the *_reference straight-line evaluations kept for tests and benches.
+/// one row per task in two parts, each a set of lanes that fills on its
+/// own. The bound part holds t_{i,j} and C_{i,j} (which is also R_{i,j}),
+/// one speedup-profile call and one divide per entry, 16 bytes; it is all
+/// that the fault-free bound, the fault-free context and the C terms of
+/// the scans read. The Eq. 4 part holds tau, lambda_j and the two
+/// precomputed transcendental factors e^{lambda_j R}(1/lambda_j+D) and
+/// e^{lambda_j tau} - 1, 32 bytes more, and fills on the first Eq. 4 read
+/// of its (task, j): only there are the sqrt (period), exp and expm1 paid.
+/// A warm query is a handful of flops plus at most one expm1 for the
+/// trailing partial period. The cache is transparent: cached queries are
+/// arithmetic-identical (bit for bit) to the *_reference straight-line
+/// evaluations kept for tests and benches.
 ///
 /// The incremental-replanning machinery (DESIGN.md section 6.5) adds
 /// batched entry points over the same lanes: probe_many() evaluates a
-/// dense run of consecutive even allocations, and row_lanes() exposes a
-/// task's densified even row to the heuristics' lazy bound passes. Odd j
-/// (sequential baselines, tests) lives in a separate row that stays empty
-/// during simulations.
+/// dense run of consecutive even allocations, and row_lanes() exposes the
+/// bound part of a task's densified even row to the heuristics' lazy
+/// bound passes. Odd j (sequential baselines, tests) lives in a separate
+/// row that stays empty during simulations.
 ///
 /// The lanes are what the AVX2+FMA kernel of core/detail/eq4_simd reads
 /// (DESIGN.md section 6.6): probe_many evaluates Eq. 4 four allocations
@@ -80,9 +83,16 @@ class ExpectedTimeModel {
     return *resilience_;
   }
 
+  /// The bound part of a row from some entry on: t_{i,j} and C_{i,j},
+  /// the lanes the fault-free bound reads (DESIGN.md section 6.5).
+  struct BoundLanes {
+    const double* t_ij;  ///< fault-free time t_{i,j}
+    const double* cost;  ///< C_{i,j}, which is also R_{i,j}; 0 fault-free
+  };
+
   /// Fault-free time t_{i,j} of the full task.
   [[nodiscard]] double fault_free_time(int task, int j) const {
-    return coeffs(task, j).t_ij[0];
+    return bound(task, j).t_ij[0];
   }
 
   /// Sequential checkpoint footprint C_i = c * m_i.
@@ -94,13 +104,14 @@ class ExpectedTimeModel {
   /// C_{i,j} = C_i / j; 0 in the fault-free context (no checkpoints).
   [[nodiscard]] double checkpoint_cost(int task, int j) const {
     if (resilience_->fault_free()) return 0.0;  // no checkpoint ever taken
-    return coeffs(task, j).cost[0];
+    return bound(task, j).cost[0];
   }
 
-  /// R_{i,j} = C_{i,j}: the cost lane (the fill asserts the equality).
+  /// R_{i,j} = C_{i,j}: the cost lane (the Eq. 4 fill asserts the
+  /// equality).
   [[nodiscard]] double recovery_time(int task, int j) const {
     if (resilience_->fault_free()) return 0.0;
-    return coeffs(task, j).cost[0];
+    return bound(task, j).cost[0];
   }
 
   /// Checkpointing period tau_{i,j} (Eq. 1); +infinity when fault-free.
@@ -137,9 +148,9 @@ class ExpectedTimeModel {
     COREDIS_EXPECTS(j >= 1);
     COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
     if (alpha == 0.0) return 0.0;
-    const detail::Eq4Lanes c = coeffs(task, j);
-    if (resilience_->fault_free()) return alpha * c.t_ij[0];  // sec. 3.3.1
-    return raw_kernel(alpha, c, 0);
+    if (resilience_->fault_free())
+      return alpha * fault_free_time(task, j);  // section 3.3.1
+    return raw_kernel(alpha, coeffs(task, j), 0);
   }
 
   /// Eq. 6: min over even j' <= j of the raw value. j must be even >= 2.
@@ -154,9 +165,9 @@ class ExpectedTimeModel {
                                           double alpha) const {
     COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
     if (alpha == 0.0) return 0.0;
+    if (resilience_->fault_free()) return alpha * fault_free_time(task, j);
     const detail::Eq4Lanes c = coeffs(task, j);
     const double work = alpha * c.t_ij[0];
-    if (resilience_->fault_free()) return work;
     const double period_work = c.tau[0] - c.cost[0];
     const double ratio = work / period_work;
     double full_periods = std::floor(ratio);
@@ -177,14 +188,12 @@ class ExpectedTimeModel {
   [[nodiscard]] double remaining_after(int task, int j, double alpha,
                                        double elapsed) const {
     if (elapsed <= 0.0) return alpha;
+    // Fault-free, no checkpoint is ever taken: all of elapsed is work.
+    if (resilience_->fault_free())
+      return std::clamp(alpha - elapsed / fault_free_time(task, j), 0.0, 1.0);
     const detail::Eq4Lanes c = coeffs(task, j);
-    double completed = 0.0;  // N_{i,j}, Eq. 8
-    double cost = 0.0;
-    if (!resilience_->fault_free()) {
-      completed = std::floor(elapsed / c.tau[0]);
-      cost = c.cost[0];
-    }
-    const double done_fraction = (elapsed - completed * cost) / c.t_ij[0];
+    const double completed = std::floor(elapsed / c.tau[0]);  // Eq. 8
+    const double done_fraction = (elapsed - completed * c.cost[0]) / c.t_ij[0];
     return std::clamp(alpha - done_fraction, 0.0, 1.0);
   }
 
@@ -203,16 +212,20 @@ class ExpectedTimeModel {
   /// One slot fetch.
   [[nodiscard]] Rollback rollback(int task, int j, double alpha,
                                   double baseline, double time) const {
-    const detail::Eq4Lanes c = coeffs(task, j);
     Rollback back;
     double kept = 0.0;  // work seconds the completed checkpoints saved
     double recovery = 0.0;
-    if (!resilience_->fault_free()) {
+    double t_ij = 0.0;
+    if (resilience_->fault_free()) {
+      t_ij = fault_free_time(task, j);
+    } else {
+      const detail::Eq4Lanes c = coeffs(task, j);
       back.periods = std::floor((time - baseline) / c.tau[0]);
       kept = back.periods * (c.tau[0] - c.cost[0]);
       recovery = c.cost[0];  // R_{i,j} = C_{i,j}
+      t_ij = c.t_ij[0];
     }
-    back.alpha = std::clamp(alpha - kept / c.t_ij[0], 0.0, 1.0);
+    back.alpha = std::clamp(alpha - kept / t_ij, 0.0, 1.0);
     back.restart = time + resilience_->downtime() + recovery;
     back.lost = (time - baseline) - kept + resilience_->downtime() + recovery;
     return back;
@@ -220,10 +233,12 @@ class ExpectedTimeModel {
 
   /// Batched Eq. 4 over consecutive even allocations: writes
   /// expected_time_raw(task, 2 * (h + 1), alpha) to out[h - h_begin] for
-  /// every h in [h_begin, h_end). The row is densified once and the
-  /// kernel streams its lanes; the result is bit-identical to the scalar
-  /// loop (probe_many_reference, locked by tests) because both run the
-  /// raw_kernel arithmetic on the same coefficient bits.
+  /// every h in [h_begin, h_end). The row is densified once through
+  /// h_end, its Eq. 4 part only where Eq. 4 is evaluated (a faulty model
+  /// and alpha > 0), and the kernel streams its lanes; the result is
+  /// bit-identical to the scalar loop (probe_many_reference, locked by
+  /// tests) because both run the raw_kernel arithmetic on the same
+  /// coefficient bits.
   void probe_many(int task, int h_begin, int h_end, double alpha,
                   double* out) const;
 
@@ -231,21 +246,37 @@ class ExpectedTimeModel {
   void probe_many_reference(int task, int h_begin, int h_end, double alpha,
                             double* out) const;
 
-  /// Lanes of task's even row: entry h covers j = 2 * (h + 1), filled
-  /// through at least h_count entries. For the heuristics' lazy bound
-  /// passes (DESIGN.md section 6.5). The pointers are invalidated by any
-  /// query of a deeper j on the same task.
-  [[nodiscard]] detail::Eq4Lanes row_lanes(int task,
+  /// Bound lanes of task's even row: entry h covers j = 2 * (h + 1),
+  /// filled through at least h_count entries. For the heuristics' lazy
+  /// bound passes and the C terms of their scans (DESIGN.md section 6.5);
+  /// no Eq. 4 lane is filled. The pointers are invalidated by any query
+  /// of a deeper j on the same task.
+  [[nodiscard]] BoundLanes row_lanes(int task, std::size_t h_count) const {
+    ensure_bound_row(task, h_count);
+    return even_[static_cast<std::size_t>(task)].bound_lanes(0);
+  }
+
+  /// All six lanes of task's even row, both parts filled through at least
+  /// h_count entries: what probe_many streams into the vector kernel. A
+  /// faulty model only (a fault-free one never evaluates Eq. 4). The
+  /// pointers are invalidated like row_lanes'.
+  [[nodiscard]] detail::Eq4Lanes eq4_lanes(int task,
                                            std::size_t h_count) const {
-    ensure_even_row(task, h_count);
+    ensure_eq4_row(task, h_count);
     return even_[static_cast<std::size_t>(task)].lanes(0);
   }
 
   /// Coefficient slots filled over the model's lifetime, one per (task,
-  /// j) pair first seen: the engine reports a run's share as
-  /// EngineProfile::coefficient_fills.
+  /// j) pair first seen (its bound part): the engine reports a run's
+  /// share as EngineProfile::coefficient_fills.
   [[nodiscard]] std::uint64_t coefficient_fills() const noexcept {
     return fills_;
+  }
+
+  /// Of those, the slots whose Eq. 4 part was filled too (the sqrt, exp
+  /// and expm1 paid): EngineProfile::eq4_fills.
+  [[nodiscard]] std::uint64_t eq4_fills() const noexcept {
+    return eq4_fills_;
   }
 
   /// Straight-line Eq. 4 bypassing the coefficient table: re-derives every
@@ -261,64 +292,108 @@ class ExpectedTimeModel {
                                                     double alpha) const;
 
  private:
-  /// One task's coefficient row: the six Eq4Lanes lanes, entry k covering
-  /// j = 2 (k + 1) in an even row and j = 2 k + 1 in an odd one. The
-  /// lanes share one buffer, lane after lane and `capacity` entries each,
-  /// so deepening a row is one allocation.
-  struct Row {
-    static constexpr std::size_t kLanes = 6;
+  /// One part of a task's coefficient row: kLanes lanes in one buffer,
+  /// lane after lane and `capacity` entries each, so deepening a part is
+  /// one allocation. Entry k covers j = 2 (k + 1) in an even row and
+  /// j = 2 k + 1 in an odd one; lane 0 < 0 flags it unfilled.
+  template <std::size_t kLanes>
+  struct Part {
     std::unique_ptr<double[]> buffer;
     std::size_t size = 0;      ///< entries in use per lane
     std::size_t capacity = 0;  ///< entries per lane in the buffer
+    std::size_t dense = 0;     ///< entries [0, dense) known filled
 
-    /// Grow every lane to n > size entries, the new ones flagged unfilled
-    /// (t_ij < 0).
+    /// Grow every lane to n > size entries, the new ones flagged
+    /// unfilled.
     void resize(std::size_t n);
 
-    /// The lanes from entry k on.
-    [[nodiscard]] detail::Eq4Lanes lanes(std::size_t k) const {
-      const double* at = buffer.get() + k;
-      return {at,                at + capacity,     at + 2 * capacity,
-              at + 3 * capacity, at + 4 * capacity, at + 5 * capacity};
+    [[nodiscard]] double* lane(std::size_t l) const {
+      return buffer.get() + l * capacity;
+    }
+    [[nodiscard]] bool filled(std::size_t k) const {
+      return k < size && !(buffer[k] < 0.0);
     }
   };
 
-  /// The lanes at (task, j), entry 0 being that pair, filled on first
-  /// access. Every hot-path probe uses an even j (allocations are
-  /// processor pairs), so even columns live in a dense row indexed by
-  /// j / 2 - 1. Rows grow to the deepest allocation any scan probed
-  /// (DESIGN.md section 6.2), a few entries at a time. Odd j (sequential
-  /// baselines, tests) goes to a separate row that stays empty during
-  /// simulations.
-  detail::Eq4Lanes coeffs(int task, int j) const {
+  /// A task's row: the bound part (t_ij, cost) and the Eq. 4 part (tau,
+  /// lambda_j, factor, expm1_tau). An entry's Eq. 4 part is filled only
+  /// after its bound part, so a filled Eq. 4 entry has all six lanes.
+  struct Row {
+    Part<2> bound;
+    Part<4> eq4;
+
+    /// The bound lanes from entry k on.
+    [[nodiscard]] BoundLanes bound_lanes(std::size_t k) const {
+      return {bound.lane(0) + k, bound.lane(1) + k};
+    }
+    /// All six lanes from entry k on, in Eq4Lanes order.
+    [[nodiscard]] detail::Eq4Lanes lanes(std::size_t k) const {
+      return {bound.lane(0) + k, eq4.lane(0) + k, bound.lane(1) + k,
+              eq4.lane(1) + k,   eq4.lane(2) + k, eq4.lane(3) + k};
+    }
+  };
+
+  /// The row holding (task, j), at entry (j - 1) / 2. Every hot-path
+  /// probe uses an even j (allocations are processor pairs), so even
+  /// columns live in a dense row indexed by j / 2 - 1. Rows grow to
+  /// the deepest allocation any scan probed (DESIGN.md section 6.2), a
+  /// few entries at a time. Odd j (sequential baselines, tests) goes to a
+  /// separate row that stays empty during simulations.
+  Row& row_of(int task, int j) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     COREDIS_EXPECTS(j >= 1);
-    Row& row = (j % 2 == 0 ? even_ : odd_)[static_cast<std::size_t>(task)];
+    return (j % 2 == 0 ? even_ : odd_)[static_cast<std::size_t>(task)];
+  }
+
+  /// The bound lanes at (task, j), entry 0 being that pair, filled on
+  /// first access.
+  BoundLanes bound(int task, int j) const {
+    Row& row = row_of(task, j);
     const auto k = static_cast<std::size_t>(j - 1) / 2;
-    if (row.size <= k) [[unlikely]] row.resize(k + 1);
-    const detail::Eq4Lanes c = row.lanes(k);
-    if (c.t_ij[0] < 0.0) [[unlikely]] fill_coeffs(task, j, row, k);
-    return c;
+    if (!row.bound.filled(k)) [[unlikely]] fill_bound(task, j, row.bound, k);
+    return row.bound_lanes(k);
   }
 
-  /// Densify even entries [0, h_count) (j = 2 .. 2 * h_count) of the
-  /// task's row. The dense-prefix check is inline — the batched probes
-  /// re-ask for the same densified prefix millions of times per run, so
-  /// the warm case must be a load and a compare — and the cold growth
-  /// stays out of line.
-  void ensure_even_row(int task, std::size_t h_count) const {
+  /// All six lanes at (task, j), entry 0 being that pair, both parts
+  /// filled on first access. Faulty models only.
+  detail::Eq4Lanes coeffs(int task, int j) const {
+    Row& row = row_of(task, j);
+    const auto k = static_cast<std::size_t>(j - 1) / 2;
+    if (!row.eq4.filled(k)) [[unlikely]] fill_eq4(task, j, row, k);
+    return row.lanes(k);
+  }
+
+  /// Densify the bound part of even entries [0, h_count) (j = 2 .. 2 *
+  /// h_count) of the task's row. The dense-prefix check is inline — the
+  /// batched probes re-ask for the same densified prefix millions of
+  /// times per run, so the warm case must be a load and a compare — and
+  /// the cold growth stays out of line.
+  void ensure_bound_row(int task, std::size_t h_count) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
-    if (even_dense_[static_cast<std::size_t>(task)] < h_count) [[unlikely]]
-      grow_even_row(task, h_count);
+    const Row& row = even_[static_cast<std::size_t>(task)];
+    if (row.bound.dense < h_count) [[unlikely]] grow_bound_row(task, h_count);
   }
 
-  /// Cold path of ensure_even_row: fill the unfilled entries of
-  /// [dense, h_count).
-  void grow_even_row(int task, std::size_t h_count) const;
+  /// Densify both parts of even entries [0, h_count), as above.
+  void ensure_eq4_row(int task, std::size_t h_count) const {
+    COREDIS_EXPECTS(task >= 0 && task < pack_->size());
+    const Row& row = even_[static_cast<std::size_t>(task)];
+    if (row.eq4.dense < h_count) [[unlikely]] grow_eq4_row(task, h_count);
+  }
 
-  /// Cold path of coeffs(): derive every alpha-independent quantity of
-  /// Eqs. 1-4 once for this (task, j) into entry k of its row.
-  void fill_coeffs(int task, int j, Row& row, std::size_t k) const;
+  /// Cold paths of ensure_bound_row and ensure_eq4_row: fill the
+  /// unfilled entries of [dense, h_count).
+  void grow_bound_row(int task, std::size_t h_count) const;
+  void grow_eq4_row(int task, std::size_t h_count) const;
+
+  /// Cold path of bound(): derive t_ij and C_ij of this (task, j) into
+  /// entry k of the part, growing it to cover k.
+  void fill_bound(int task, int j, Part<2>& part, std::size_t k) const;
+
+  /// Cold path of coeffs(): the bound entry first where unfilled, then
+  /// every other alpha-independent quantity of Eqs. 1-4 into entry k of
+  /// the Eq. 4 part, growing it to cover k.
+  void fill_eq4(int task, int j, Row& row, std::size_t k) const;
 
   const Pack* pack_;
   const checkpoint::Model* resilience_;
@@ -326,9 +401,8 @@ class ExpectedTimeModel {
   /// One even and one odd row per task; both lazy.
   mutable std::vector<Row> even_;
   mutable std::vector<Row> odd_;
-  /// Dense-prefix mark per task: even entries [0, mark) are known filled.
-  mutable std::vector<std::size_t> even_dense_;
-  mutable std::uint64_t fills_ = 0;  ///< coefficient_fills()
+  mutable std::uint64_t fills_ = 0;      ///< coefficient_fills()
+  mutable std::uint64_t eq4_fills_ = 0;  ///< eq4_fills()
 };
 
 /// Incrementally cached evaluator of the Eq. 6 clamped expected time.

@@ -369,7 +369,7 @@ bool end_local(EngineState& s, double t) {
       const auto h_first = static_cast<std::size_t>(sigma) / 2;
       const auto slots = static_cast<std::size_t>(sigma + k) / 2;
       const auto count = static_cast<std::size_t>(k / 2);
-      const Eq4Lanes row = s.model->row_lanes(i, slots);
+      const ExpectedTimeModel::BoundLanes row = s.model->row_lanes(i, slots);
       std::size_t cleared = 0;
       if (at_committed) {
         // First the fault-free bound over the targets no cached verdict

@@ -101,6 +101,7 @@ struct EngineProfile {
   long long bound_widenings = 0;
   long long column_fills = 0;       ///< Eq. 4 column elements filled
   long long coefficient_fills = 0;  ///< (task, j) coefficient slots filled
+  long long eq4_fills = 0;          ///< of those, with the Eq. 4 lanes too
   long long regrows = 0;            ///< Algorithm 5 rebuilds (EndGreedy, IG)
   long long tournament_replays = 0; ///< regrow grants past the warm start
   long long walk_skips = 0;         ///< tasks the bound sent to sigma_init

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -97,9 +98,12 @@ int parse_int(const std::string& key, const std::string& value) {
 void require(bool in_domain, const std::string& key, const char* domain,
              double value) {
   if (in_domain) return;
-  std::ostringstream got;
-  got << value;
-  fail("key " + key + " must be " + domain + ", got " + got.str());
+  // The shortest text that reads back as the value: runs = 1048577 must
+  // not print as 1.04858e+06, which looks in range.
+  char got[32];
+  const auto end = std::to_chars(got, got + sizeof got, value).ptr;
+  fail("key " + key + " must be " + domain + ", got " +
+       std::string(got, end));
 }
 
 /// Seeds are 64-bit and must round-trip exactly, so they are parsed as a
@@ -226,6 +230,11 @@ void validate_scenario(const Scenario& scenario) {
               scenario.weibull_shape > 0.0,
           "'weibull_shape'", "finite and > 0", scenario.weibull_shape);
   require(scenario.runs >= 1, "'runs'", ">= 1", scenario.runs);
+  // run_point sizes one CellResult per repetition before the first cell
+  // runs, so runs is bounded like p; the paper uses 50. bulk_phases needs
+  // no bound: make_release_times clamps it to n.
+  require(scenario.runs <= (1 << 20), "'runs'", "<= 2^20 = 1048576",
+          scenario.runs);
   if (!(scenario.load_factor > 0.0)) fail("load_factor must be > 0");
   require(scenario.bulk_phases >= 1, "'bulk_phases'", ">= 1",
           scenario.bulk_phases);

@@ -53,9 +53,9 @@ bool apply_scenario_key(Scenario& scenario, const std::string& key,
                         const std::string& value);
 
 /// Check the invariants every parsed scenario must satisfy (p >= 2n,
-/// p <= 2^20, a sane data-size window, runs >= 1, and every real-valued
-/// key finite and inside its domain: c > 0, f in [0, 1], d >= 0,
-/// weibull_shape > 0, mtbf_years >= 0 with 0 fault-free). Throws
+/// p <= 2^20, a sane data-size window, 1 <= runs <= 2^20, and every
+/// real-valued key finite and inside its domain: c > 0, f in [0, 1],
+/// d >= 0, weibull_shape > 0, mtbf_years >= 0 with 0 fault-free). Throws
 /// std::runtime_error naming the violated constraint, and the key where
 /// one is at fault.
 void validate_scenario(const Scenario& scenario);

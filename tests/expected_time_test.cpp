@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <limits>
 #include <memory>
@@ -229,17 +231,42 @@ TEST(ExpectedTime, RowsAndColumnsGrowGeometrically) {
         std::unique(seen.begin(), seen.end()) - seen.begin());
   };
 
-  // Rows: the dense path densifies task 0 one entry deeper per step; the
-  // single-slot path (the scalar accessors) probes task 1 one j deeper.
-  // Each row's six lanes move together, so the t_ij lane stands for all.
-  std::vector<const void*> dense_row, probed_row;
+  // Rows grow in two parts, each on its own: the bound part (t_ij, C)
+  // deepens first, the Eq. 4 part catches up later. The dense path
+  // densifies task 0 one entry deeper per step; the single-slot path
+  // (the scalar accessors) probes task 1 one j deeper. A part's lanes
+  // move together, so its first lane stands for all. Task 0 first gets a
+  // shallow Eq. 4 prefix, whose bits must survive both parts' growth.
+  constexpr int kPrefix = 7;
+  double before[kPrefix];
+  model.probe_many(0, 0, kPrefix, 0.7, before);
+  std::vector<const void*> dense_bound, probed_bound;
   for (int h = 1; h <= kDepth; ++h) {
-    dense_row.push_back(model.row_lanes(0, static_cast<std::size_t>(h)).t_ij);
+    const auto depth = static_cast<std::size_t>(h);
+    dense_bound.push_back(model.row_lanes(0, depth).t_ij);
     (void)model.fault_free_time(1, 2 * h);
-    probed_row.push_back(model.row_lanes(1, 1).t_ij);
+    probed_bound.push_back(model.row_lanes(1, 1).t_ij);
   }
-  EXPECT_LE(distinct(dense_row), kMaxMoves);
-  EXPECT_LE(distinct(probed_row), kMaxMoves);
+  EXPECT_EQ(model.eq4_fills(), static_cast<std::uint64_t>(kPrefix));
+  std::vector<const void*> dense_eq4, probed_eq4;
+  for (int h = 1; h <= kDepth; ++h) {
+    const auto depth = static_cast<std::size_t>(h);
+    dense_eq4.push_back(model.eq4_lanes(0, depth).tau);
+    (void)model.expected_time_raw(1, 2 * h, 0.7);
+    probed_eq4.push_back(model.eq4_lanes(1, 1).tau);
+  }
+  EXPECT_EQ(model.row_lanes(0, kDepth).t_ij, dense_bound.back());
+  EXPECT_EQ(model.row_lanes(1, 1).t_ij, probed_bound.back());
+  for (const auto* moves : {&dense_bound, &probed_bound, &dense_eq4,
+                            &probed_eq4})
+    EXPECT_LE(distinct(*moves), kMaxMoves);
+  std::vector<double> after(kDepth);
+  model.probe_many(0, 0, kDepth, 0.7, after.data());
+  EXPECT_EQ(0, std::memcmp(before, after.data(), sizeof before));
+  for (int h = 0; h < kDepth; ++h)
+    ASSERT_EQ(after[static_cast<std::size_t>(h)],
+              model.expected_time_raw_reference(0, 2 * (h + 1), 0.7))
+        << "h=" << h;
 
   // Columns: 3-entry steps take the batched extend, 1-entry steps the
   // inline fill.
@@ -252,6 +279,54 @@ TEST(ExpectedTime, RowsAndColumnsGrowGeometrically) {
       column.push_back(col.prefix().data());
     }
     EXPECT_LE(distinct(column), kMaxMoves) << "step=" << step;
+  }
+}
+
+TEST(ExpectedTime, BoundReadsFillNoEq4Lane) {
+  // The bound part (t_ij, C) densifies alone: the fault-free times and
+  // checkpoint costs of a densified row fill no Eq. 4 lane, and a later
+  // batched probe fills exactly the Eq. 4 entries it evaluates. Every
+  // value is the uncached path's (the pack, the resilience model, the
+  // *_reference methods), bit for bit.
+  constexpr int kTask = 1;
+  constexpr std::size_t kDepth = 150;  // D: j = 2 .. 300
+  constexpr int kProbed = 37;          // d: a vector body and a tail
+  const Pack pack = make_pack({1.8e6, 2.3e6});
+  const checkpoint::Model faulty = faulty_model(5.0);
+  const checkpoint::Model fault_free = fault_free_model();
+  for (const checkpoint::Model* resilience : {&faulty, &fault_free}) {
+    SCOPED_TRACE(resilience->fault_free() ? "fault-free" : "faulty");
+    const ExpectedTimeModel model(pack, *resilience);
+    const double seq = resilience->sequential_cost(pack.task(kTask).data_size);
+    (void)model.row_lanes(kTask, kDepth);
+    EXPECT_EQ(model.coefficient_fills(), kDepth);
+    for (int j = 2; j <= 2 * static_cast<int>(kDepth); j += 2) {
+      ASSERT_EQ(model.fault_free_time(kTask, j), pack.fault_free_time(kTask, j))
+          << "j=" << j;
+      ASSERT_EQ(model.checkpoint_cost(kTask, j),
+                resilience->fault_free() ? 0.0 : resilience->cost(seq, j))
+          << "j=" << j;
+    }
+    EXPECT_EQ(model.coefficient_fills(), kDepth);
+    EXPECT_EQ(model.eq4_fills(), 0U);
+
+    std::vector<double> probed(kProbed);
+    model.probe_many(kTask, 0, kProbed, 0.6, probed.data());
+    for (int h = 0; h < kProbed; ++h)
+      ASSERT_EQ(probed[static_cast<std::size_t>(h)],
+                model.expected_time_raw_reference(kTask, 2 * (h + 1), 0.6))
+          << "h=" << h;
+    EXPECT_EQ(model.coefficient_fills(), kDepth);
+    EXPECT_EQ(model.eq4_fills(),
+              resilience->fault_free() ? 0U
+                                       : static_cast<std::uint64_t>(kProbed));
+    for (int j = 2; j <= 2 * kProbed; j += 2)
+      ASSERT_EQ(model.simulated_duration(kTask, j, 0.6),
+                model.simulated_duration_reference(kTask, j, 0.6))
+          << "j=" << j;
+    EXPECT_EQ(model.eq4_fills(),
+              resilience->fault_free() ? 0U
+                                       : static_cast<std::uint64_t>(kProbed));
   }
 }
 

@@ -371,8 +371,10 @@ TEST(EngineProfile, WorkCountersArePinned) {
   // IteratedGreedy under exponential faults with EndLocal and with
   // EndGreedy. The cold Algorithm 5 climb replayed 158,545 tournament
   // re-keys in the EndGreedy run; the warm start leaves 3,499. The last
-  // column, coefficient fills, pins the model's lazy fill policy: which
-  // (task, j) pairs a run ever prices.
+  // two columns pin the model's lazy fill policy: the coefficient fills,
+  // which (task, j) pairs a run ever prices, and the Eq. 4 fills, which of
+  // those it evaluates Eq. 4 on (the fault-free context with RC clears
+  // most scans with the fault-free bound, so it fills 7% of them).
   constexpr int n = 200;
   constexpr int p = 10 * n;
   Rng pack_rng(42);
@@ -389,7 +391,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
                                   w.bound_widenings, w.column_fills,
                                   w.regrows,         w.tournament_replays,
                                   w.walk_skips,      w.walk_steps,
-                                  w.coefficient_fills};
+                                  w.coefficient_fills, w.eq4_fills};
   };
   core::EngineConfig config;
   config.end_policy = core::EndPolicy::Local;
@@ -401,7 +403,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(none);
   EXPECT_EQ(counters(rc_ff.profile),
             (std::vector<long long>{200, 199, 128, 197, 1393, 180, 2475, 7148,
-                                    0, 0, 0, 0, 28032}))
+                                    0, 0, 0, 0, 28032, 2054}))
       << "fault-free context with RC";
 
   config.failure_policy = core::FailurePolicy::IteratedGreedy;
@@ -410,7 +412,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(faults);
   EXPECT_EQ(counters(ig_local.profile),
             (std::vector<long long>{210, 196, 34, 233, 11676, 203, 2910, 84775,
-                                    8, 2511, 316, 3130, 12313}))
+                                    8, 2511, 316, 3130, 12313, 4038}))
       << "IteratedGreedy-EndLocal";
 
   config.end_policy = core::EndPolicy::Greedy;
@@ -419,7 +421,7 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(greedy_faults);
   EXPECT_EQ(counters(ig_greedy.profile),
             (std::vector<long long>{210, 196, 17, 0, 0, 0, 0, 124453, 196,
-                                    3499, 16666, 3506, 2988}))
+                                    3499, 16666, 3506, 2988, 2988}))
       << "IteratedGreedy-EndGreedy";
 }
 
@@ -654,7 +656,7 @@ TEST_F(ScanCacheTest, NearTiesOfTheBoundFallToTheExactScan) {
   const double alpha = state_.alpha_tentative(kTask, t);
   const core::detail::ProbeBase base(state_, t, kTask);
   for (const int q : {2, 4, 8}) {
-    const core::detail::Eq4Lanes row =
+    const core::ExpectedTimeModel::BoundLanes row =
         model_.row_lanes(kTask, static_cast<std::size_t>(8 + q) / 2);
     const double m = *std::min_element(
         row.t_ij, row.t_ij + static_cast<std::size_t>(8 + q) / 2);

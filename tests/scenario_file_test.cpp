@@ -234,7 +234,7 @@ TEST(ScenarioFile, RoundTripSurvivesExtremeValues) {
   s.downtime_seconds = std::numeric_limits<double>::min();
   s.checkpoint_unit_cost = std::numeric_limits<double>::max();
   s.weibull_shape = 0.12345678901234567;
-  s.runs = std::numeric_limits<int>::max();
+  s.runs = 1 << 20;  // the largest runs validate_scenario accepts
   s.seed = std::numeric_limits<std::uint64_t>::max();  // > 2^53
   expect_exact_round_trip(s);
 }
@@ -317,7 +317,8 @@ TEST(ScenarioFile, BoundaryIntegersAreAcceptedOrRefusedByKey) {
   // Every integer key at 0, -1, 2^31 - 1, 2^31, 2^63 - 1 and 2^63, over
   // the default scenario (n = 100, p = 1000); parse and validate only.
   // 'A' marks a value that is accepted; any other is refused with an
-  // error naming its key. p = 2^31 - 1 passes p >= 2n but not p <= 2^20.
+  // error naming its key. p = 2^31 - 1 passes p >= 2n but not p <= 2^20,
+  // runs = 2^31 - 1 not runs <= 2^20.
   const char* const values[] = {"0",
                                 "-1",
                                 "2147483647",
@@ -328,7 +329,7 @@ TEST(ScenarioFile, BoundaryIntegersAreAcceptedOrRefusedByKey) {
     const char* key;
     const char* verdicts;  ///< one per value
   } rows[] = {
-      {"n", "RRRRRR"},    {"p", "RRRRRR"},           {"runs", "RRARRR"},
+      {"n", "RRRRRR"},    {"p", "RRRRRR"},           {"runs", "RRRRRR"},
       {"seed", "ARAAAA"}, {"bulk_phases", "RRARRR"},
   };
   for (const auto& row : rows) {
@@ -350,6 +351,13 @@ TEST(ScenarioFile, BoundaryIntegersAreAcceptedOrRefusedByKey) {
       }
     }
   }
+}
+
+TEST(ScenarioFile, RunsCeilingIsTwoToTheTwentieth) {
+  // Parse and validate only: a run would size one cell per repetition.
+  EXPECT_EQ(parse_scenario("runs = 1048576\n").runs, 1 << 20);
+  EXPECT_EQ(parse_error_of("runs = 1048577\n"),
+            "scenario: key 'runs' must be <= 2^20 = 1048576, got 1048577");
 }
 
 TEST(ScenarioFile, IntegerKeysRefuseFractions) {

@@ -182,7 +182,7 @@ TEST(SimdKernel, DetailKernelsMatchRawKernelOnEdgeLanes) {
 
 TEST(SimdKernel, RowViewsSurviveDeepExtension) {
   // Growing a row (deeper j) must keep the already-filled prefix's bits
-  // identical — append-only, no recompute drift — and row_lanes views
+  // identical — append-only, no recompute drift — and eq4_lanes views
   // refreshed after growth must agree with the batch output.
   const Pack pack = make_pack({2.5e6});
   const checkpoint::Model resilience = faulty_model();
@@ -195,7 +195,7 @@ TEST(SimdKernel, RowViewsSurviveDeepExtension) {
   model.probe_many(0, 0, kDeep, 0.8, deep.data());
   EXPECT_EQ(0, std::memcmp(first.data(), deep.data(),
                            kShallow * sizeof(double)));
-  const detail::Eq4Lanes row = model.row_lanes(0, kDeep);
+  const detail::Eq4Lanes row = model.eq4_lanes(0, kDeep);
   for (std::size_t h = 0; h < kDeep; ++h)
     ASSERT_TRUE(same_bits(deep[h], ExpectedTimeModel::raw_kernel(0.8, row, h)))
         << "h=" << h;
@@ -265,7 +265,7 @@ TEST(SimdKernel, TargetScansMatchScalarOnModelRows) {
       model.probe_many(task, 0, static_cast<int>(slots), alpha, column.data());
       for (std::size_t h = 1; h < slots; ++h)
         column[h] = std::min(column[h - 1], column[h]);
-      const detail::Eq4Lanes lanes = model.row_lanes(task, slots);
+      const ExpectedTimeModel::BoundLanes lanes = model.row_lanes(task, slots);
       const detail::TargetPass pass{
           rng.uniform(0.0, 1.0e6),
           sizes[static_cast<std::size_t>(task)] / static_cast<double>(from),

@@ -241,7 +241,8 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
     row("probe scans + heap", prof.scan_seconds);
     row("commits           ", prof.commit_seconds);
     std::cout << "work: " << prof.coefficient_fills << " coefficient fills, "
-              << prof.column_fills << " column fills; EndLocal "
+              << prof.eq4_fills << " Eq. 4 fills, " << prof.column_fills
+              << " column fills; EndLocal "
               << prof.full_scans << " full scans, " << prof.verdict_drops
               << " verdict drops, " << prof.bound_proofs
               << " bound proofs, " << prof.bound_widenings
