@@ -56,11 +56,11 @@ class ProbeBase {
   }
 
   /// EndLocal's lazy pass over the targets first, first + 2, ... (all
-  /// above sigma_init): these terms, with C_{i,j} read from the task's
-  /// cost lane, `cost` at `first`. The caller sets the column, tU and the
-  /// stop rule; run it through scan_targets.
-  [[nodiscard]] TargetPass targets(int first, const double* cost) const {
-    return {t_,    m_over_from_, /*tU=*/0.0, cost, /*col=*/nullptr,
+  /// above sigma_init): these terms, C_{i,j} priced in the pass from C_i.
+  /// The caller sets the column, tU and the stop rule; run it through
+  /// scan_targets.
+  [[nodiscard]] TargetPass targets(int first) const {
+    return {t_,    m_over_from_, /*tU=*/0.0, seq_ckpt_, /*col=*/nullptr,
             first, from_,        zero_rc_,   Stop::Below};
   }
 
@@ -99,6 +99,9 @@ class CandidateProber {
 struct TaskRuntime {
   double alpha = 1.0;      ///< remaining fraction of work, committed at tlastR
   int sigma = 0;           ///< current processor count (even)
+  /// Eq. 8's t, tau and C at sigma; EngineState::set_sigma keeps the two
+  /// together, so the tentative-alpha sweeps read no coefficient row.
+  ExpectedTimeModel::Eq8 at_sigma;
   double tlastR = 0.0;     ///< time of last redistribution / failure baseline
   double tU = 0.0;         ///< expected finish time (decision metric)
   double proj_end = 0.0;   ///< fault-free projected completion (event time)
@@ -169,7 +172,7 @@ struct EngineState {
   /// m_i / sigma_init and the minimum t_{i,j} over the warm-start walk's
   /// targets — memoized against the task version: stable between
   /// commits, so the regrow setup skips one evaluator bind, one pack
-  /// record fetch and one lane scan per task per call.
+  /// record fetch and one pass over the profile per task per call.
   struct FreeReturnCache {
     std::uint32_t version = ~0U;
     double tE = 0.0;
@@ -243,13 +246,24 @@ struct EngineState {
     return !task.done && !task.released && t > task.tlastR;
   }
 
+  /// Commit task i to sigma processors, with Eq. 8's coefficients there
+  /// (Algorithm 1's allocation and every committed redistribution).
+  void set_sigma(int i, int sigma) {
+    TaskRuntime& rt = task(i);
+    rt.sigma = sigma;
+    rt.at_sigma = model->eq8(i, sigma);
+  }
+
   /// Tentative remaining fraction alpha^t_i at time t (Alg. 3 line 8 and
   /// Alg. 4/5 preambles): the committed alpha minus all work performed
   /// since tlastR, where elapsed time minus completed checkpoints counts
   /// as work (an immediate checkpoint would preserve the running period).
+  /// Eq. 8 on the coefficients set_sigma kept.
   [[nodiscard]] double alpha_tentative(int i, double t) const {
     const TaskRuntime& rt = task(i);
-    return model->remaining_after(i, rt.sigma, rt.alpha, t - rt.tlastR);
+    COREDIS_ASSERT(rt.at_sigma.t_ij > 0.0);  // set_sigma ran
+    return ExpectedTimeModel::remaining_after(rt.at_sigma, rt.alpha,
+                                              t - rt.tlastR);
   }
 
   /// Redistribution cost RC^{sigma_i -> to}_i in seconds (Eq. 9).

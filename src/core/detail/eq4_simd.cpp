@@ -146,13 +146,14 @@ void eq4_avx2(const Eq4Lanes& lanes, double alpha, std::size_t count,
 }
 
 /// 4-wide scan_targets body: the scalar loop's operations, lane by lane.
-/// Eq. 9's rounds max(min(from, j), j - from) are exact small integers
-/// and 1 / j is one correctly rounded divide.
+/// Eq. 9's rounds max(min(from, j), j - from) are exact small integers,
+/// and 1 / j and C_i / j are correctly rounded divides.
 template <Stop kStop>
 std::size_t scan_targets_avx2(const TargetPass& p, std::size_t count) {
   const __m256d t = _mm256_set1_pd(p.t);
   const __m256d m_over = _mm256_set1_pd(p.m_over_from);
   const __m256d tU = _mm256_set1_pd(p.tU);
+  const __m256d seq = _mm256_set1_pd(p.seq_ckpt);
   const __m256d from = _mm256_set1_pd(static_cast<double>(p.from));
   const __m256d one = _mm256_set1_pd(1.0);
   const auto first = static_cast<double>(p.first);
@@ -165,7 +166,7 @@ std::size_t scan_targets_avx2(const TargetPass& p, std::size_t count) {
                          m_over);
     }
     const __m256d x = _mm256_add_pd(
-        _mm256_add_pd(_mm256_add_pd(t, rc), _mm256_loadu_pd(p.cost + k)),
+        _mm256_add_pd(_mm256_add_pd(t, rc), _mm256_div_pd(seq, j)),
         _mm256_loadu_pd(p.col + k));
     __m256d stops;
     if constexpr (kStop == Stop::Below)

@@ -1,9 +1,10 @@
 #pragma once
 
 /// \file eq4_simd.hpp
-/// Vector-lane kernels over the coefficient lanes (DESIGN.md section 6.6).
-/// Internal to core: core/*.cpp and white-box tests call the kernels, and
-/// core/expected_time.hpp borrows the Eq4Lanes view for its rows.
+/// Vector-lane kernels of the coefficient row and of EndLocal's target
+/// scans (DESIGN.md section 6.6). Internal to core: core/*.cpp and
+/// white-box tests call the kernels, and core/expected_time.hpp borrows
+/// the Eq4Lanes view for its rows.
 ///
 /// Every exported kernel is *exact*: for every input it must produce the
 /// same bits as the scalar loop it replaces. The EndLocal kernel
@@ -47,9 +48,9 @@
 namespace coredis::core::detail {
 
 /// The six coefficient lanes of Eqs. 1-4, everything except alpha: entry
-/// k of every lane describes the same (task, j). Pointers alias both
-/// parts of one ExpectedTimeModel row (t_ij and cost its bound part, the
-/// rest its Eq. 4 part), so a task's even row is read here in place.
+/// k of every lane describes the same (task, j). Pointers alias the
+/// lanes of one ExpectedTimeModel row, in this order, so a task's even
+/// row is read here in place.
 struct Eq4Lanes {
   const double* t_ij;       ///< fault-free time t_{i,j}
   const double* tau;        ///< checkpointing period tau_{i,j} (Eq. 1)
@@ -92,15 +93,15 @@ enum class Stop {
 ///   x_k = ((t + RC_k) + C_k) + col_k,
 ///
 /// term for term as CandidateProber adds them: RC_k is Eq. 9 from
-/// sigma_init = from to j_k (ProbeBase::rc), C_k the task's cost lane at
-/// j_k (fill_coeffs stores C_i / j there with ProbeBase's division) and
-/// col_k a column entry (the exact Eq. 6 prefix-min) or its fault-free
-/// lower bound.
+/// sigma_init = from to j_k (ProbeBase::rc), C_k = C_i / j_k with
+/// ProbeBase::checkpoint's (and checkpoint::Model::cost's) correctly
+/// rounded divide, and col_k a column entry (the exact Eq. 6 prefix-min)
+/// or its fault-free lower bound.
 struct TargetPass {
   double t;            ///< probe time
   double m_over_from;  ///< m_i / sigma_init, Eq. 9's cached factor
   double tU;           ///< the task's expected finish
-  const double* cost;  ///< C_k = cost[k]
+  double seq_ckpt;     ///< C_i (0 in the fault-free context)
   const double* col;   ///< col_k = col[k]
   int first;           ///< j_0: even and above `from`
   int from;            ///< sigma_init

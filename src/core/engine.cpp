@@ -122,7 +122,6 @@ RunResult Engine::run(fault::Generator& faults) {
   const bool profiling = config_.profile;
   if (profiling) state.profile = &profile;
   const std::uint64_t fills_before = evaluator.fills();
-  const std::uint64_t coefficient_fills_before = model.coefficient_fills();
   const std::uint64_t eq4_fills_before = model.eq4_fills();
   double mark = profiling ? profile_now() : 0.0;
   const auto phase = [&](double& sink) {
@@ -137,7 +136,7 @@ RunResult Engine::run(fault::Generator& faults) {
   phase(profile.algorithm1_seconds);
   for (int i = 0; i < n; ++i) {
     TaskRuntime& task = state.task(i);
-    task.sigma = sigma0[static_cast<std::size_t>(i)];
+    state.set_sigma(i, sigma0[static_cast<std::size_t>(i)]);
     task.alpha = 1.0;
     task.tlastR = 0.0;
     task.tU = evaluator(i, task.sigma, 1.0);
@@ -201,7 +200,7 @@ RunResult Engine::run(fault::Generator& faults) {
           const double before = task.tlastR;
           task.tlastR = std::max(task.tlastR,
                                  fault.time + resilience_->downtime() +
-                                     model.recovery_time(owner, task.sigma));
+                                     task.at_sigma.cost);  // R = C
           state.time_lost_to_faults += task.tlastR - before;
           task.tU = task.tlastR + evaluator(owner, task.sigma, task.alpha);
           state.refresh_projection(owner);
@@ -277,10 +276,9 @@ RunResult Engine::run(fault::Generator& faults) {
     // Periodic checkpoints of the final stretch: simulated_duration is
     // work + N * C, so N falls out of the overhead.
     if (!resilience_->fault_free()) {
-      const double work =
-          task.alpha * model.fault_free_time(ending, task.sigma);
+      const double work = task.alpha * task.at_sigma.t_ij;
       const double overhead = (end_time - task.tlastR) - work;
-      const double cost = model.checkpoint_cost(ending, task.sigma);
+      const double cost = task.at_sigma.cost;
       if (cost > 0.0 && overhead > 0.0)
         state.checkpoints_taken +=
             static_cast<long long>(std::llround(overhead / cost));
@@ -320,10 +318,10 @@ RunResult Engine::run(fault::Generator& faults) {
     // probes (already counted, they bypass the evaluator).
     profile.column_fills +=
         static_cast<long long>(evaluator.fills() - fills_before);
-    profile.coefficient_fills = static_cast<long long>(
-        model.coefficient_fills() - coefficient_fills_before);
     profile.eq4_fills =
         static_cast<long long>(model.eq4_fills() - eq4_fills_before);
+    profile.row_bytes = static_cast<long long>(model.row_bytes());
+    profile.column_bytes = static_cast<long long>(evaluator.column_bytes());
     result.profile = profile;
   }
   result.makespan = *std::max_element(result.completion_times.begin(),

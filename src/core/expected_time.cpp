@@ -123,13 +123,12 @@ ExpectedTimeModel::ExpectedTimeModel(const Pack& pack,
   odd_.resize(n);
 }
 
-template <std::size_t kLanes>
-void ExpectedTimeModel::Part<kLanes>::resize(std::size_t n) {
+void ExpectedTimeModel::Row::resize(std::size_t n) {
   COREDIS_EXPECTS(n > size);
   if (n > capacity) {
-    // Geometric growth, as std::vector::resize does it: parts deepen a
+    // Geometric growth, as std::vector::resize does it: rows deepen a
     // few entries at a time, and a capacity of exactly n would copy the
-    // whole part on every step. The buffer is left uninitialized, so each
+    // whole row on every step. The buffer is left uninitialized, so each
     // lane's slack past n is never touched and costs no resident memory.
     // The copy is a byte copy of every lane's [0, size), filled entries
     // or not: an unfilled entry has only lane 0 written, and its other
@@ -146,82 +145,80 @@ void ExpectedTimeModel::Part<kLanes>::resize(std::size_t n) {
   size = n;
 }
 
-void ExpectedTimeModel::fill_bound(int task, int j, Part<2>& part,
-                                   std::size_t k) const {
-  // The arithmetic mirrors the *_reference paths exactly so cached and
-  // uncached evaluations agree bit for bit.
-  if (part.size <= k) part.resize(k + 1);
-  ++fills_;
-  part.lane(0)[k] = pack_->fault_free_time(task, j);
-  // C_{i,j} = C_i / j; 0 in the fault-free context, where the scans
-  // still add the cost lane (no checkpoint is ever taken).
-  part.lane(1)[k] =
-      resilience_->fault_free()
-          ? 0.0
-          : resilience_->cost(seq_ckpt_[static_cast<std::size_t>(task)], j);
+void ExpectedTimeModel::fill(int task, int j, Row& row, std::size_t k) const {
+  if (row.size <= k) row.resize(k + 1);
+  row.lane(0)[k] = pack_->fault_free_time(task, j);
+  fill_eq4(task, j, row, k);
 }
 
 void ExpectedTimeModel::fill_eq4(int task, int j, Row& row,
                                  std::size_t k) const {
+  // The arithmetic mirrors the *_reference paths exactly so cached and
+  // uncached evaluations agree bit for bit.
   COREDIS_EXPECTS(!resilience_->fault_free());
-  if (!row.bound.filled(k)) fill_bound(task, j, row.bound, k);
-  if (row.eq4.size <= k) row.eq4.resize(k + 1);
   ++eq4_fills_;
   const double seq = seq_ckpt_[static_cast<std::size_t>(task)];
   const double lambda_j = resilience_->task_rate(j);
   const double tau = resilience_->period(seq, j);
-  const double cost = row.bound.lane(1)[k];  // resilience_->cost(seq, j)
+  const double cost = resilience_->cost(seq, j);
   const double recovery = resilience_->recovery(seq, j);
   // Readers take R_{i,j} from the cost lane, and tau - C from the same
   // subtraction as here; the period rule must leave room for useful work.
   COREDIS_ASSERT(recovery == cost);
   COREDIS_ASSERT(tau - cost > 0.0);
-  row.eq4.lane(0)[k] = tau;
-  row.eq4.lane(1)[k] = lambda_j;
-  row.eq4.lane(2)[k] = std::exp(lambda_j * recovery) *
-                       (1.0 / lambda_j + resilience_->downtime());
-  row.eq4.lane(3)[k] = std::expm1(lambda_j * tau);
+  row.lane(1)[k] = tau;
+  row.lane(2)[k] = cost;
+  row.lane(3)[k] = lambda_j;
+  row.lane(4)[k] = std::exp(lambda_j * recovery) *
+                   (1.0 / lambda_j + resilience_->downtime());
+  row.lane(5)[k] = std::expm1(lambda_j * tau);
 }
 
-void ExpectedTimeModel::grow_bound_row(int task, std::size_t h_count) const {
-  Part<2>& part = even_[static_cast<std::size_t>(task)].bound;
-  if (part.size < h_count) part.resize(h_count);
-  for (std::size_t h = part.dense; h < h_count; ++h)
-    if (!part.filled(h))
-      fill_bound(task, 2 * (static_cast<int>(h) + 1), part, h);
-  part.dense = h_count;
-}
-
-void ExpectedTimeModel::grow_eq4_row(int task, std::size_t h_count) const {
-  ensure_bound_row(task, h_count);
+void ExpectedTimeModel::grow_row(int task, std::size_t h_count) const {
   Row& row = even_[static_cast<std::size_t>(task)];
-  if (row.eq4.size < h_count) row.eq4.resize(h_count);
-  for (std::size_t h = row.eq4.dense; h < h_count; ++h)
-    if (!row.eq4.filled(h))
-      fill_eq4(task, 2 * (static_cast<int>(h) + 1), row, h);
-  row.eq4.dense = h_count;
+  if (row.size < h_count) row.resize(h_count);
+  std::size_t h = row.dense;
+  while (h < h_count) {
+    if (row.filled(h)) {
+      ++h;
+      continue;
+    }
+    // A run of unfilled entries: its t_{i,j} lane in one profile call.
+    std::size_t end = h + 1;
+    while (end < h_count && !row.filled(end)) ++end;
+    pack_->even_fault_free_times(task, 2 * static_cast<int>(h) + 2, end - h,
+                                 row.lane(0) + h);
+    for (; h < end; ++h) fill_eq4(task, 2 * (static_cast<int>(h) + 1), row, h);
+  }
+  row.dense = h_count;
+}
+
+std::uint64_t ExpectedTimeModel::row_bytes() const noexcept {
+  std::uint64_t bytes = 0;
+  for (const std::vector<Row>* rows : {&even_, &odd_})
+    for (const Row& row : *rows) bytes += Row::kLanes * row.capacity;
+  return bytes * sizeof(double);
 }
 
 void ExpectedTimeModel::probe_many(int task, int h_begin, int h_end,
                                    double alpha, double* out) const {
+  COREDIS_EXPECTS(task >= 0 && task < pack_->size());
   COREDIS_EXPECTS(0 <= h_begin && h_begin <= h_end);
   COREDIS_EXPECTS(alpha >= 0.0 && alpha <= 1.0);
   if (h_begin == h_end) return;
   const auto first = static_cast<std::size_t>(h_begin);
   const auto count = static_cast<std::size_t>(h_end - h_begin);
-  ensure_bound_row(task, first + count);
-  const Row& row = even_[static_cast<std::size_t>(task)];
   if (alpha == 0.0) {  // expected_time_raw's early-out, batched
     std::fill(out, out + count, 0.0);
     return;
   }
-  if (resilience_->fault_free()) {
-    const double* const t_ij = row.bound_lanes(first).t_ij;
-    for (std::size_t k = 0; k < count; ++k) out[k] = alpha * t_ij[k];
+  if (resilience_->fault_free()) {  // alpha t_{i,j}, section 3.3.1
+    pack_->even_fault_free_times(task, 2 * h_begin + 2, count, out);
+    for (std::size_t k = 0; k < count; ++k) out[k] = alpha * out[k];
     return;
   }
-  ensure_eq4_row(task, first + count);
-  const detail::Eq4Lanes c = row.lanes(first);
+  ensure_row(task, first + count);
+  const detail::Eq4Lanes c = even_[static_cast<std::size_t>(task)].lanes(first);
   // Vector lanes when live (DESIGN.md section 6.6): bit-identical to the
   // scalar loop below by the kernel's construction and the process
   // self-check. Short batches stay scalar: below one vector width the
@@ -294,6 +291,13 @@ TrEvaluator::TrEvaluator(const ExpectedTimeModel& model, int max_processors)
     : model_(&model), max_j_(max_processors) {
   COREDIS_EXPECTS(max_processors >= 2 && max_processors % 2 == 0);
   slots_.resize(static_cast<std::size_t>(model.pack().size()));
+}
+
+std::uint64_t TrEvaluator::column_bytes() const noexcept {
+  std::uint64_t bytes = 0;
+  for (const auto& slots : slots_)
+    for (const Slot& slot : slots) bytes += slot.prefix_min.capacity();
+  return bytes * sizeof(double);
 }
 
 void TrEvaluator::Column::extend(std::size_t want) const {

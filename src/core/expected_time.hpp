@@ -23,27 +23,27 @@
 /// In the fault-free context (lambda = 0) no checkpoint is taken and the
 /// model degenerates to alpha * t_{i,j} exactly (section 3.3.1).
 ///
-/// Everything in the formula except alpha is fixed per (task, j), so the
-/// model memoizes a lazily-built coefficient table (DESIGN.md section 6):
-/// one row per task in two parts, each a set of lanes that fills on its
-/// own. The bound part holds t_{i,j} and C_{i,j} (which is also R_{i,j}),
-/// one speedup-profile call and one divide per entry, 16 bytes; it is all
-/// that the fault-free bound, the fault-free context and the C terms of
-/// the scans read. The Eq. 4 part holds tau, lambda_j and the two
-/// precomputed transcendental factors e^{lambda_j R}(1/lambda_j+D) and
-/// e^{lambda_j tau} - 1, 32 bytes more, and fills on the first Eq. 4 read
-/// of its (task, j): only there are the sqrt (period), exp and expm1 paid.
-/// A warm query is a handful of flops plus at most one expm1 for the
-/// trailing partial period. The cache is transparent: cached queries are
-/// arithmetic-identical (bit for bit) to the *_reference straight-line
-/// evaluations kept for tests and benches.
+/// Everything in Eq. 4 except alpha is fixed per (task, j), so the model
+/// memoizes a lazily-built coefficient table (DESIGN.md section 6): one
+/// row per task, six lanes per entry (t_{i,j}, tau, C_{i,j}, which is
+/// also R_{i,j}, lambda_j and the two precomputed transcendental factors
+/// e^{lambda_j R}(1/lambda_j+D) and e^{lambda_j tau} - 1), 48 bytes. An
+/// entry fills on the first Eq. 4 read of its (task, j), so only a faulty
+/// model holds rows, and only there are the sqrt (period), exp and expm1
+/// paid; the t_{i,j} lane of a growing row comes from one batched
+/// speedup-profile call. A warm query is a handful of flops plus at most
+/// one expm1 for the trailing partial period. What the fault-free bound,
+/// the fault-free context and the C terms of the scans read is priced on
+/// the fly instead: t_{i,j} from the pack's profile (Eq. 10 is closed
+/// form) and C_{i,j} = C_i / j, one divide. The cache is transparent:
+/// cached queries are arithmetic-identical (bit for bit) to the
+/// *_reference straight-line evaluations kept for tests and benches.
 ///
-/// The incremental-replanning machinery (DESIGN.md section 6.5) adds
-/// batched entry points over the same lanes: probe_many() evaluates a
-/// dense run of consecutive even allocations, and row_lanes() exposes the
-/// bound part of a task's densified even row to the heuristics' lazy
-/// bound passes. Odd j (sequential baselines, tests) lives in a separate
-/// row that stays empty during simulations.
+/// The incremental-replanning machinery (DESIGN.md section 6.5) adds a
+/// batched entry point over the same lanes: probe_many() evaluates a
+/// dense run of consecutive even allocations. Odd j (sequential
+/// baselines, tests) lives in a separate row that stays empty during
+/// simulations.
 ///
 /// The lanes are what the AVX2+FMA kernel of core/detail/eq4_simd reads
 /// (DESIGN.md section 6.6): probe_many evaluates Eq. 4 four allocations
@@ -83,16 +83,10 @@ class ExpectedTimeModel {
     return *resilience_;
   }
 
-  /// The bound part of a row from some entry on: t_{i,j} and C_{i,j},
-  /// the lanes the fault-free bound reads (DESIGN.md section 6.5).
-  struct BoundLanes {
-    const double* t_ij;  ///< fault-free time t_{i,j}
-    const double* cost;  ///< C_{i,j}, which is also R_{i,j}; 0 fault-free
-  };
-
-  /// Fault-free time t_{i,j} of the full task.
+  /// Fault-free time t_{i,j} of the full task, from the pack's speedup
+  /// profile (no row is read or filled).
   [[nodiscard]] double fault_free_time(int task, int j) const {
-    return bound(task, j).t_ij[0];
+    return pack_->fault_free_time(task, j);
   }
 
   /// Sequential checkpoint footprint C_i = c * m_i.
@@ -101,17 +95,16 @@ class ExpectedTimeModel {
     return seq_ckpt_[static_cast<std::size_t>(task)];
   }
 
-  /// C_{i,j} = C_i / j; 0 in the fault-free context (no checkpoints).
+  /// C_{i,j} = C_i / j (checkpoint::Model::cost); 0 in the fault-free
+  /// context (no checkpoints).
   [[nodiscard]] double checkpoint_cost(int task, int j) const {
     if (resilience_->fault_free()) return 0.0;  // no checkpoint ever taken
-    return bound(task, j).cost[0];
+    return resilience_->cost(sequential_checkpoint(task), j);
   }
 
-  /// R_{i,j} = C_{i,j}: the cost lane (the Eq. 4 fill asserts the
-  /// equality).
+  /// R_{i,j} = C_{i,j} (the Eq. 4 fill asserts the equality).
   [[nodiscard]] double recovery_time(int task, int j) const {
-    if (resilience_->fault_free()) return 0.0;
-    return bound(task, j).cost[0];
+    return checkpoint_cost(task, j);
   }
 
   /// Checkpointing period tau_{i,j} (Eq. 1); +infinity when fault-free.
@@ -179,22 +172,50 @@ class ExpectedTimeModel {
     return work + full_periods * c.cost[0];
   }
 
+  /// The alpha-independent coefficients of Eq. 8 at one (task, j):
+  /// t_{i,j}, tau_{i,j} and C_{i,j}. In the fault-free context tau is
+  /// +infinity and C is 0, and Eq. 8 reduces to alpha - elapsed / t_{i,j}
+  /// bit for bit.
+  struct Eq8 {
+    double t_ij = 0.0;
+    double tau = 0.0;
+    double cost = 0.0;
+  };
+
+  /// Eq. 8's coefficients at (task, j), computed from the pack and the
+  /// resilience model with the row's own calls (same bits as its lanes),
+  /// and no row read or filled. The engine keeps them per task at its
+  /// committed allocation.
+  [[nodiscard]] Eq8 eq8(int task, int j) const {
+    return {fault_free_time(task, j),
+            resilience_->period(sequential_checkpoint(task), j),
+            checkpoint_cost(task, j)};
+  }
+
   /// Eq. 8: the remaining fraction of a task that kept `alpha` at its
-  /// last baseline and has run on j processors for `elapsed` seconds
-  /// since. Elapsed time minus the completed checkpoints counts as work
-  /// (a redistribution starts with a checkpoint that saves the running
-  /// period); `alpha` itself while elapsed <= 0 (a blackout window). One
-  /// slot fetch.
+  /// last baseline and has run for `elapsed` seconds since, on the
+  /// allocation `c` describes. Elapsed time minus the completed
+  /// checkpoints counts as work (a redistribution starts with a
+  /// checkpoint that saves the running period); `alpha` itself while
+  /// elapsed <= 0 (a blackout window). The one definition of Eq. 8.
+  [[nodiscard]] static double remaining_after(const Eq8& c, double alpha,
+                                              double elapsed) {
+    if (elapsed <= 0.0) return alpha;
+    const double completed = std::floor(elapsed / c.tau);  // 0 fault-free
+    const double done_fraction = (elapsed - completed * c.cost) / c.t_ij;
+    return std::clamp(alpha - done_fraction, 0.0, 1.0);
+  }
+
+  /// Eq. 8 on j processors, the coefficients read off the task's row (a
+  /// faulty model) or the pack (a fault-free one).
   [[nodiscard]] double remaining_after(int task, int j, double alpha,
                                        double elapsed) const {
     if (elapsed <= 0.0) return alpha;
-    // Fault-free, no checkpoint is ever taken: all of elapsed is work.
     if (resilience_->fault_free())
-      return std::clamp(alpha - elapsed / fault_free_time(task, j), 0.0, 1.0);
+      return remaining_after(eq8(task, j), alpha, elapsed);
     const detail::Eq4Lanes c = coeffs(task, j);
-    const double completed = std::floor(elapsed / c.tau[0]);  // Eq. 8
-    const double done_fraction = (elapsed - completed * c.cost[0]) / c.t_ij[0];
-    return std::clamp(alpha - done_fraction, 0.0, 1.0);
+    return remaining_after(Eq8{c.t_ij[0], c.tau[0], c.cost[0]}, alpha,
+                           elapsed);
   }
 
   /// Outcome of one fault on a running task (rollback below).
@@ -233,12 +254,12 @@ class ExpectedTimeModel {
 
   /// Batched Eq. 4 over consecutive even allocations: writes
   /// expected_time_raw(task, 2 * (h + 1), alpha) to out[h - h_begin] for
-  /// every h in [h_begin, h_end). The row is densified once through
-  /// h_end, its Eq. 4 part only where Eq. 4 is evaluated (a faulty model
-  /// and alpha > 0), and the kernel streams its lanes; the result is
-  /// bit-identical to the scalar loop (probe_many_reference, locked by
-  /// tests) because both run the raw_kernel arithmetic on the same
-  /// coefficient bits.
+  /// every h in [h_begin, h_end). A faulty model densifies the row once
+  /// through h_end and the kernel streams its lanes; a fault-free one
+  /// writes alpha t_{i,j} straight from the pack's batched profile call.
+  /// The result is bit-identical to the scalar loop (probe_many_reference,
+  /// locked by tests) because both run the same arithmetic on the same
+  /// bits.
   void probe_many(int task, int h_begin, int h_end, double alpha,
                   double* out) const;
 
@@ -246,38 +267,29 @@ class ExpectedTimeModel {
   void probe_many_reference(int task, int h_begin, int h_end, double alpha,
                             double* out) const;
 
-  /// Bound lanes of task's even row: entry h covers j = 2 * (h + 1),
-  /// filled through at least h_count entries. For the heuristics' lazy
-  /// bound passes and the C terms of their scans (DESIGN.md section 6.5);
-  /// no Eq. 4 lane is filled. The pointers are invalidated by any query
-  /// of a deeper j on the same task.
-  [[nodiscard]] BoundLanes row_lanes(int task, std::size_t h_count) const {
-    ensure_bound_row(task, h_count);
-    return even_[static_cast<std::size_t>(task)].bound_lanes(0);
-  }
-
-  /// All six lanes of task's even row, both parts filled through at least
-  /// h_count entries: what probe_many streams into the vector kernel. A
-  /// faulty model only (a fault-free one never evaluates Eq. 4). The
-  /// pointers are invalidated like row_lanes'.
+  /// All six lanes of task's even row, filled through at least h_count
+  /// entries (entry h covers j = 2 * (h + 1)): what probe_many streams
+  /// into the vector kernel. A faulty model only (a fault-free one never
+  /// evaluates Eq. 4). The pointers are invalidated by any query of a
+  /// deeper j on the same task.
   [[nodiscard]] detail::Eq4Lanes eq4_lanes(int task,
                                            std::size_t h_count) const {
-    ensure_eq4_row(task, h_count);
+    COREDIS_EXPECTS(!resilience_->fault_free());
+    ensure_row(task, h_count);
     return even_[static_cast<std::size_t>(task)].lanes(0);
   }
 
-  /// Coefficient slots filled over the model's lifetime, one per (task,
-  /// j) pair first seen (its bound part): the engine reports a run's
-  /// share as EngineProfile::coefficient_fills.
-  [[nodiscard]] std::uint64_t coefficient_fills() const noexcept {
-    return fills_;
-  }
-
-  /// Of those, the slots whose Eq. 4 part was filled too (the sqrt, exp
-  /// and expm1 paid): EngineProfile::eq4_fills.
+  /// Row entries filled over the model's lifetime, one per (task, j)
+  /// whose Eq. 4 coefficients were first read (the sqrt, exp and expm1
+  /// paid): the engine reports a run's share as EngineProfile::eq4_fills.
   [[nodiscard]] std::uint64_t eq4_fills() const noexcept {
     return eq4_fills_;
   }
+
+  /// Bytes the rows hold now: six lanes of `capacity` doubles per
+  /// allocated row, even and odd (EngineProfile::row_bytes). 0 for a
+  /// fault-free model.
+  [[nodiscard]] std::uint64_t row_bytes() const noexcept;
 
   /// Straight-line Eq. 4 bypassing the coefficient table: re-derives every
   /// intermediate quantity from the pack and resilience models on each
@@ -292,12 +304,14 @@ class ExpectedTimeModel {
                                                     double alpha) const;
 
  private:
-  /// One part of a task's coefficient row: kLanes lanes in one buffer,
-  /// lane after lane and `capacity` entries each, so deepening a part is
-  /// one allocation. Entry k covers j = 2 (k + 1) in an even row and
+  /// A task's coefficient row: the six lanes in Eq4Lanes order (t_ij,
+  /// tau, cost, lambda_j, factor, expm1_tau) in one buffer, lane after
+  /// lane and `capacity` entries each, so deepening a row is one
+  /// allocation. Entry k covers j = 2 (k + 1) in an even row and
   /// j = 2 k + 1 in an odd one; lane 0 < 0 flags it unfilled.
-  template <std::size_t kLanes>
-  struct Part {
+  struct Row {
+    static constexpr std::size_t kLanes = 6;
+
     std::unique_ptr<double[]> buffer;
     std::size_t size = 0;      ///< entries in use per lane
     std::size_t capacity = 0;  ///< entries per lane in the buffer
@@ -313,86 +327,54 @@ class ExpectedTimeModel {
     [[nodiscard]] bool filled(std::size_t k) const {
       return k < size && !(buffer[k] < 0.0);
     }
-  };
-
-  /// A task's row: the bound part (t_ij, cost) and the Eq. 4 part (tau,
-  /// lambda_j, factor, expm1_tau). An entry's Eq. 4 part is filled only
-  /// after its bound part, so a filled Eq. 4 entry has all six lanes.
-  struct Row {
-    Part<2> bound;
-    Part<4> eq4;
-
-    /// The bound lanes from entry k on.
-    [[nodiscard]] BoundLanes bound_lanes(std::size_t k) const {
-      return {bound.lane(0) + k, bound.lane(1) + k};
-    }
-    /// All six lanes from entry k on, in Eq4Lanes order.
+    /// All six lanes from entry k on.
     [[nodiscard]] detail::Eq4Lanes lanes(std::size_t k) const {
-      return {bound.lane(0) + k, eq4.lane(0) + k, bound.lane(1) + k,
-              eq4.lane(1) + k,   eq4.lane(2) + k, eq4.lane(3) + k};
+      return {lane(0) + k, lane(1) + k, lane(2) + k,
+              lane(3) + k, lane(4) + k, lane(5) + k};
     }
   };
 
   /// The row holding (task, j), at entry (j - 1) / 2. Every hot-path
   /// probe uses an even j (allocations are processor pairs), so even
   /// columns live in a dense row indexed by j / 2 - 1. Rows grow to
-  /// the deepest allocation any scan probed (DESIGN.md section 6.2), a
-  /// few entries at a time. Odd j (sequential baselines, tests) goes to a
-  /// separate row that stays empty during simulations.
+  /// the deepest allocation whose Eq. 4 any scan read (DESIGN.md section
+  /// 6.2), a few entries at a time. Odd j (sequential baselines, tests)
+  /// goes to a separate row that stays empty during simulations.
   Row& row_of(int task, int j) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     COREDIS_EXPECTS(j >= 1);
     return (j % 2 == 0 ? even_ : odd_)[static_cast<std::size_t>(task)];
   }
 
-  /// The bound lanes at (task, j), entry 0 being that pair, filled on
-  /// first access.
-  BoundLanes bound(int task, int j) const {
-    Row& row = row_of(task, j);
-    const auto k = static_cast<std::size_t>(j - 1) / 2;
-    if (!row.bound.filled(k)) [[unlikely]] fill_bound(task, j, row.bound, k);
-    return row.bound_lanes(k);
-  }
-
-  /// All six lanes at (task, j), entry 0 being that pair, both parts
-  /// filled on first access. Faulty models only.
+  /// All six lanes at (task, j), entry 0 being that pair, filled on
+  /// first access. Faulty models only.
   detail::Eq4Lanes coeffs(int task, int j) const {
     Row& row = row_of(task, j);
     const auto k = static_cast<std::size_t>(j - 1) / 2;
-    if (!row.eq4.filled(k)) [[unlikely]] fill_eq4(task, j, row, k);
+    if (!row.filled(k)) [[unlikely]] fill(task, j, row, k);
     return row.lanes(k);
   }
 
-  /// Densify the bound part of even entries [0, h_count) (j = 2 .. 2 *
-  /// h_count) of the task's row. The dense-prefix check is inline — the
-  /// batched probes re-ask for the same densified prefix millions of
-  /// times per run, so the warm case must be a load and a compare — and
-  /// the cold growth stays out of line.
-  void ensure_bound_row(int task, std::size_t h_count) const {
+  /// Densify even entries [0, h_count) (j = 2 .. 2 * h_count) of the
+  /// task's row. The dense-prefix check is inline — the batched probes
+  /// re-ask for the same densified prefix millions of times per run, so
+  /// the warm case must be a load and a compare — and the cold growth
+  /// stays out of line.
+  void ensure_row(int task, std::size_t h_count) const {
     COREDIS_EXPECTS(task >= 0 && task < pack_->size());
     const Row& row = even_[static_cast<std::size_t>(task)];
-    if (row.bound.dense < h_count) [[unlikely]] grow_bound_row(task, h_count);
+    if (row.dense < h_count) [[unlikely]] grow_row(task, h_count);
   }
 
-  /// Densify both parts of even entries [0, h_count), as above.
-  void ensure_eq4_row(int task, std::size_t h_count) const {
-    COREDIS_EXPECTS(task >= 0 && task < pack_->size());
-    const Row& row = even_[static_cast<std::size_t>(task)];
-    if (row.eq4.dense < h_count) [[unlikely]] grow_eq4_row(task, h_count);
-  }
+  /// Cold path of ensure_row: fill the unfilled entries of [dense,
+  /// h_count), each run of them with one batched t_{i,j} call.
+  void grow_row(int task, std::size_t h_count) const;
 
-  /// Cold paths of ensure_bound_row and ensure_eq4_row: fill the
-  /// unfilled entries of [dense, h_count).
-  void grow_bound_row(int task, std::size_t h_count) const;
-  void grow_eq4_row(int task, std::size_t h_count) const;
+  /// Cold path of coeffs(): entry k of the row, growing it to cover k.
+  void fill(int task, int j, Row& row, std::size_t k) const;
 
-  /// Cold path of bound(): derive t_ij and C_ij of this (task, j) into
-  /// entry k of the part, growing it to cover k.
-  void fill_bound(int task, int j, Part<2>& part, std::size_t k) const;
-
-  /// Cold path of coeffs(): the bound entry first where unfilled, then
-  /// every other alpha-independent quantity of Eqs. 1-4 into entry k of
-  /// the Eq. 4 part, growing it to cover k.
+  /// Every lane but t_{i,j} of entry k, whose t lane is written: the
+  /// alpha-independent quantities of Eqs. 1-4.
   void fill_eq4(int task, int j, Row& row, std::size_t k) const;
 
   const Pack* pack_;
@@ -401,7 +383,6 @@ class ExpectedTimeModel {
   /// One even and one odd row per task; both lazy.
   mutable std::vector<Row> even_;
   mutable std::vector<Row> odd_;
-  mutable std::uint64_t fills_ = 0;      ///< coefficient_fills()
   mutable std::uint64_t eq4_fills_ = 0;  ///< eq4_fills()
 };
 
@@ -516,6 +497,10 @@ class TrEvaluator {
   /// Eq. 4 evaluation each: the engine reports a run's share as
   /// EngineProfile::column_fills.
   [[nodiscard]] std::uint64_t fills() const noexcept { return fills_; }
+
+  /// Bytes the columns hold now: the prefix-min capacity of every slot
+  /// (EngineProfile::column_bytes).
+  [[nodiscard]] std::uint64_t column_bytes() const noexcept;
 
  private:
   /// Slot 0 is the pinned alpha = 1.0 column; eviction only ever

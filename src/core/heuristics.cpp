@@ -19,14 +19,14 @@
 /// each still-longest task, that no grant of idle pairs would help, and
 /// the verdict is almost always the same as last time. Eq. 4 is never
 /// below the fault-free time alpha t_ij of the same work, so the lazy path
-/// first clears targets with that bound: a few flops over the coefficient
-/// row's t_ij and cost lanes, no Eq. 4 column. A verdict the bound proves
-/// at the committed state holds at every later time until the task's next
-/// commit or rollback, so it is cached and the task is dropped in O(1)
-/// while the pool is no larger; a larger pool only clears its new
-/// targets. Probes themselves are never approximated: where the bound
-/// refuses a target, the exact probe and scan decide, and the
-/// from-scratch exact scan also survives unconditionally behind
+/// first clears targets with that bound: a few flops over t_ij and C_ij,
+/// both priced on the fly, and no coefficient row or Eq. 4 column. A
+/// verdict the bound proves at the committed state holds at every later
+/// time until the task's next commit or rollback, so it is cached and
+/// the task is dropped in O(1) while the pool is no larger; a larger pool
+/// only clears its new targets. Probes themselves are never approximated:
+/// where the bound refuses a target, the exact probe and scan decide, and
+/// the from-scratch exact scan also survives unconditionally behind
 /// EngineConfig::eager_scans for the equivalence tests.
 
 #include <algorithm>
@@ -146,11 +146,9 @@ void EngineState::commit_changes(double t, int faulty,
     // its last baseline (the faulty task's were counted at rollback),
     // plus the initial checkpoint on the new allocation.
     if (!fault_free) {
-      if (i != faulty && t > rt.tlastR) {
-        const double tau = model->period(i, rt.sigma);
-        checkpoints_taken +=
-            static_cast<long long>(std::floor((t - rt.tlastR) / tau));
-      }
+      if (i != faulty && t > rt.tlastR)
+        checkpoints_taken += static_cast<long long>(
+            std::floor((t - rt.tlastR) / rt.at_sigma.tau));
       ++checkpoints_taken;
     }
     if (timeline != nullptr) {
@@ -163,8 +161,8 @@ void EngineState::commit_changes(double t, int faulty,
     // from the redistribution instant.
     const double base = i == faulty ? rt.tlastR : t;
     rt.alpha = std::clamp(alpha_t[static_cast<std::size_t>(i)], 0.0, 1.0);
-    rt.sigma = target;
-    rt.tlastR = base + rc + model->checkpoint_cost(i, target);
+    set_sigma(i, target);
+    rt.tlastR = base + rc + rt.at_sigma.cost;  // + C_{i,target}
     rt.tU = rt.tlastR + (*tr)(i, target, rt.alpha);
     refresh_projection(i);
     touch(i);  // cached scan verdicts die with the old committed state
@@ -214,7 +212,7 @@ std::size_t scan_targets_from(const TargetPass& p, std::size_t k,
     const double rc =
         p.zero_rc ? 0.0
                   : rounds * (1.0 / static_cast<double>(j)) * p.m_over_from;
-    const double x = p.t + rc + p.cost[k] + p.col[k];
+    const double x = p.t + rc + p.seq_ckpt / static_cast<double>(j) + p.col[k];
     if (p.stop == Stop::Below ? x < p.tU : !(x >= p.tU)) return k;
   }
   return count;
@@ -226,20 +224,36 @@ std::size_t scan_targets_from(const TargetPass& p, std::size_t k,
 constexpr double kSlack = 0x1p-30;
 
 /// Chunk of a bound pass: an early refusal prices at most this many
-/// targets.
+/// targets, and the fault-free times are priced this many at a time.
 constexpr std::size_t kBoundChunk = 64;
 
+/// min t_{i,j} over the even j = 2 .. 2 count, priced on the fly from
+/// the task's profile a chunk at a time (no row holds t_{i,j}): the
+/// running minimum a fresh EndLocal verdict starts from (j <= sigma) and
+/// the regrow walk's bound (j <= sigma_init - 2). +inf for count = 0.
+double min_fault_free_time(const Pack& pack, int task, std::size_t count) {
+  double t_ij[kBoundChunk];
+  double m = std::numeric_limits<double>::infinity();
+  for (std::size_t done = 0; done < count; done += kBoundChunk) {
+    const std::size_t chunk = std::min(kBoundChunk, count - done);
+    pack.even_fault_free_times(task, 2 * static_cast<int>(done) + 2, chunk,
+                               t_ij);
+    for (std::size_t k = 0; k < chunk; ++k) m = std::min(m, t_ij[k]);
+  }
+  return m;
+}
+
 /// Clear `count` targets of a task with the fault-free bound (DESIGN.md
-/// section 6.5). `pass` holds the targets' base terms, its cost lane and
-/// tU; `t_ij` is the task's t_ij lane at the first target. Eq. 4 at
+/// section 6.5). `pass` holds the targets' base terms and tU. Eq. 4 at
 /// alpha is >= alpha t_ij, so the Eq. 6 prefix-min at target j is >=
-/// alpha m_j, m_j the running minimum of t_ij over even j' <= j; `m`
-/// enters as the minimum over the entries below the first target and
-/// leaves covering every target cleared. IEEE addition is monotone, so a
-/// target whose fl(base + alpha m_j (1 - 2^-30)) >= tU + |tU| 2^-30
-/// cannot improve, now or at any later time at the same committed state.
-/// Returns how many leading targets were cleared (`count` for all).
-std::size_t bound_clears(TargetPass pass, const double* t_ij,
+/// alpha m_j, m_j the running minimum of t_ij over even j' <= j, each
+/// chunk's t_ij priced on the fly; `m` enters as the minimum over the
+/// entries below the first target and leaves covering every target
+/// cleared. IEEE addition is monotone, so a target whose fl(base +
+/// alpha m_j (1 - 2^-30)) >= tU + |tU| 2^-30 cannot improve, now or at
+/// any later time at the same committed state. Returns how many leading
+/// targets were cleared (`count` for all).
+std::size_t bound_clears(TargetPass pass, const Pack& pack, int task,
                          std::size_t count, double alpha, double& m) {
   double y[kBoundChunk];
   pass.tU += std::abs(pass.tU) * kSlack;
@@ -247,14 +261,14 @@ std::size_t bound_clears(TargetPass pass, const double* t_ij,
   pass.stop = Stop::NotAtLeast;
   for (std::size_t done = 0; done < count; done += kBoundChunk) {
     const std::size_t chunk = std::min(kBoundChunk, count - done);
+    pack.even_fault_free_times(task, pass.first, chunk, y);
     for (std::size_t k = 0; k < chunk; ++k) {
-      m = std::min(m, t_ij[done + k]);
+      m = std::min(m, y[k]);
       y[k] = alpha * m * (1.0 - kSlack);
     }
     const std::size_t stop = scan_targets(pass, chunk);
     if (stop < chunk) return done + stop;
     pass.first += 2 * static_cast<int>(chunk);
-    pass.cost += chunk;
   }
   return count;
 }
@@ -367,9 +381,7 @@ bool end_local(EngineState& s, double t) {
       // The targets sigma + 2 .. sigma + k, entry h_first on.
       const ProbeBase base(s, t, i);
       const auto h_first = static_cast<std::size_t>(sigma) / 2;
-      const auto slots = static_cast<std::size_t>(sigma + k) / 2;
       const auto count = static_cast<std::size_t>(k / 2);
-      const ExpectedTimeModel::BoundLanes row = s.model->row_lanes(i, slots);
       std::size_t cleared = 0;
       if (at_committed) {
         // First the fault-free bound over the targets no cached verdict
@@ -378,14 +390,13 @@ bool end_local(EngineState& s, double t) {
         // over j <= sigma is priced once.
         if (cache.version != s.version[idx])
           cache = {s.version[idx], 0,
-                   *std::min_element(row.t_ij, row.t_ij + h_first)};
+                   min_fault_free_time(s.model->pack(), i, h_first)};
         const auto from = static_cast<std::size_t>(cache.k / 2);
         double m = cache.m;
-        TargetPass bound = base.targets(sigma + 2 + 2 * static_cast<int>(from),
-                                        row.cost + h_first + from);
+        TargetPass bound = base.targets(sigma + 2 + 2 * static_cast<int>(from));
         bound.tU = tU[idx];
-        cleared = from + bound_clears(bound, row.t_ij + h_first + from,
-                                      count - from, alpha_t[idx], m);
+        cleared = from + bound_clears(bound, s.model->pack(), i, count - from,
+                                      alpha_t[idx], m);
         if (cleared == count) {  // dropped for good, no Eq. 4 read
           if (s.profile != nullptr) {
             if (cache.k > 0)
@@ -411,9 +422,7 @@ bool end_local(EngineState& s, double t) {
       if (!improvable && rest < count) {
         if (s.profile != nullptr) ++s.profile->full_scans;
         (void)column(sigma + k);
-        TargetPass pass = base.targets(
-            sigma + 2 + 2 * static_cast<int>(rest),
-            s.model->row_lanes(i, slots).cost + h_first + rest);
+        TargetPass pass = base.targets(sigma + 2 + 2 * static_cast<int>(rest));
         pass.tU = tU[idx];
         pass.col = column.prefix().data() + h_first + rest;
         improvable = scan_targets(pass, count - rest) < count - rest;
@@ -595,11 +604,9 @@ bool iterated_greedy(EngineState& s, double t, int faulty) {
                     ? s.task(i).tlastR +
                           (*s.tr)(i, sigma_init, s.task(i).alpha)
                     : 0.0;
-        if (sigma_init > 2) {
-          const auto walk = static_cast<std::size_t>(sigma_init / 2 - 1);
-          const double* t_ij = s.model->row_lanes(i, walk).t_ij;
-          fc.t_min = *std::min_element(t_ij, t_ij + walk);
-        }
+        if (sigma_init > 2)
+          fc.t_min = min_fault_free_time(
+              s.model->pack(), i, static_cast<std::size_t>(sigma_init / 2 - 1));
       }
       row.m_over = fc.m_over;
       row.free_tE = sigma_init > 2 ? fc.tE : s.task(i).tU;  // F_i

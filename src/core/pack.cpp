@@ -30,6 +30,14 @@ double Pack::fault_free_time(int i, int j) const {
   return model.time(spec.data_size, j);
 }
 
+void Pack::even_fault_free_times(int i, int j_first, std::size_t count,
+                                 double* out) const {
+  COREDIS_EXPECTS(j_first >= 1);
+  const TaskSpec& spec = task(i);
+  const speedup::Model& model = spec.profile ? *spec.profile : *model_;
+  model.even_times(spec.data_size, j_first, count, out);
+}
+
 Pack Pack::uniform_random(int n, double m_inf, double m_sup,
                           speedup::ModelPtr model, Rng& rng) {
   COREDIS_EXPECTS(n >= 1);

@@ -9,6 +9,7 @@
 /// comes from the pack's speedup model, and its checkpoint footprint
 /// C_i = c * m_i from the resilience model.
 
+#include <cstddef>
 #include <vector>
 
 #include "speedup/model.hpp"
@@ -47,6 +48,12 @@ class Pack {
 
   /// Fault-free execution time t_{i,j} of the whole task i on j processors.
   [[nodiscard]] double fault_free_time(int i, int j) const;
+
+  /// Batched fault_free_time over even allocations: out[k] = t_{i,j}
+  /// at j = j_first + 2 k, k in [0, count), bit for bit (the task's
+  /// profile's speedup::Model::even_times).
+  void even_fault_free_times(int i, int j_first, std::size_t count,
+                             double* out) const;
 
   /// The paper's workload generator (section 6.1): data sizes m_i drawn
   /// uniformly in [m_inf, m_sup]. A wide interval gives a heterogeneous

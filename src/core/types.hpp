@@ -100,12 +100,16 @@ struct EngineProfile {
   /// cached verdicts the bound widened to a larger pool (new targets only)
   long long bound_widenings = 0;
   long long column_fills = 0;       ///< Eq. 4 column elements filled
-  long long coefficient_fills = 0;  ///< (task, j) coefficient slots filled
-  long long eq4_fills = 0;          ///< of those, with the Eq. 4 lanes too
+  long long eq4_fills = 0;          ///< coefficient row entries filled
   long long regrows = 0;            ///< Algorithm 5 rebuilds (EndGreedy, IG)
   long long tournament_replays = 0; ///< regrow grants past the warm start
   long long walk_skips = 0;         ///< tasks the bound sent to sigma_init
   long long walk_steps = 0;         ///< keys the warm-start walks computed
+  /// Memory gauges, read when the run ends: the bytes the model's
+  /// coefficient rows and the evaluator's columns hold (both persist
+  /// across the runs of one engine).
+  long long row_bytes = 0;
+  long long column_bytes = 0;
 };
 
 /// Per-fault instrumentation record (Figure 9).

@@ -12,6 +12,9 @@
 #include <stdexcept>
 #include <string>
 
+#include "checkpoint/model.hpp"
+#include "speedup/synthetic.hpp"
+
 namespace coredis::exp {
 
 namespace detail {
@@ -92,18 +95,41 @@ int parse_int(const std::string& key, const std::string& value) {
   return static_cast<int>(parsed);
 }
 
+/// The shortest text that reads back as the value: runs = 1048577 must
+/// not print as 1.04858e+06, which looks in range.
+std::string exact(double value) {
+  char text[32];
+  const auto end = std::to_chars(text, text + sizeof text, value).ptr;
+  return std::string(text, end);
+}
+
 /// A real-valued key outside its domain, named with its alias if it has
 /// one: the value parsed, but the model would abort on it (a contract
 /// deep in a run) or misread it (a NaN MTBF runs fault-free).
-void require(bool in_domain, const std::string& key, const char* domain,
+void require(bool in_domain, const std::string& key, const std::string& domain,
              double value) {
   if (in_domain) return;
-  // The shortest text that reads back as the value: runs = 1048577 must
-  // not print as 1.04858e+06, which looks in range.
-  char got[32];
-  const auto end = std::to_chars(got, got + sizeof got, value).ptr;
-  fail("key " + key + " must be " + domain + ", got " +
-       std::string(got, end));
+  fail("key " + key + " must be " + domain + ", got " + exact(value));
+}
+
+/// Whether a faulty model leaves useful work in every checkpoint period:
+/// Eq. 2 divides by tau - C, which the Eq. 4 fill asserts is positive.
+/// In exact arithmetic (tau - C) / C depends on c m_i / mu only, not on
+/// j, so it is tightest at m_sup; rounding moves it where the products
+/// of the period rule overflow (j = 2) or C_{i,j} nears the subnormals
+/// (j = p). Each corner must keep tau finite and tau - C >= 2^-40 C,
+/// margin enough that no j in between rounds it to 0.
+bool periods_leave_work(const Scenario& scenario) {
+  const checkpoint::Model resilience(scenario.resilience_params());
+  for (const double m : {scenario.m_inf, scenario.m_sup}) {
+    for (const int j : {2, scenario.p}) {
+      const double seq = resilience.sequential_cost(m);
+      const double cost = resilience.cost(seq, j);
+      const double tau = resilience.period(seq, j);
+      if (!(std::isfinite(tau) && tau - cost >= 0x1p-40 * cost)) return false;
+    }
+  }
+  return true;
 }
 
 /// Seeds are 64-bit and must round-trip exactly, so they are parsed as a
@@ -209,11 +235,17 @@ void validate_scenario(const Scenario& scenario) {
   require(scenario.p <= (1 << 20), "'p'", "<= 2^20 = 1048576", scenario.p);
   require(std::isfinite(scenario.m_inf), "'m_inf'", "finite", scenario.m_inf);
   require(std::isfinite(scenario.m_sup), "'m_sup'", "finite", scenario.m_sup);
-  if (scenario.m_inf <= 1.0 || scenario.m_sup < scenario.m_inf)
-    fail("invalid data-size window");
+  require(scenario.m_inf > 1.0, "'m_inf'", "> 1", scenario.m_inf);
+  require(scenario.m_sup >= scenario.m_inf, "'m_sup'",
+          ">= m_inf = " + exact(scenario.m_inf), scenario.m_sup);
   const double f = scenario.sequential_fraction;
   require(f >= 0.0 && f <= 1.0, "'sequential_fraction' (alias 'f')",
           "in [0, 1]", f);
+  // Eq. 10 at the largest task and one processor, its longest time.
+  require(std::isfinite(
+              speedup::SyntheticModel(f).sequential_time(scenario.m_sup)),
+          "'m_sup'", "small enough that t(m_sup, 1) is finite",
+          scenario.m_sup);
   // 0 is the fault-free spelling.
   require(std::isfinite(scenario.mtbf_years) && scenario.mtbf_years >= 0.0,
           "'mtbf_years'", "finite and >= 0 (0 = fault-free)",
@@ -226,6 +258,13 @@ void validate_scenario(const Scenario& scenario) {
               scenario.checkpoint_unit_cost > 0.0,
           "'checkpoint_unit_cost' (alias 'c')", "finite and > 0",
           scenario.checkpoint_unit_cost);
+  if (scenario.mtbf_years > 0.0 && !periods_leave_work(scenario))
+    fail("keys 'mtbf_years', 'checkpoint_unit_cost' (alias 'c') and "
+         "'m_sup' leave a checkpoint period no room for work (need tau - C "
+         ">= 2^-40 C for every j in [2, p]), got mtbf_years = " +
+         exact(scenario.mtbf_years) +
+         ", c = " + exact(scenario.checkpoint_unit_cost) +
+         ", m_sup = " + exact(scenario.m_sup));
   require(std::isfinite(scenario.weibull_shape) &&
               scenario.weibull_shape > 0.0,
           "'weibull_shape'", "finite and > 0", scenario.weibull_shape);
@@ -235,7 +274,8 @@ void validate_scenario(const Scenario& scenario) {
   // no bound: make_release_times clamps it to n.
   require(scenario.runs <= (1 << 20), "'runs'", "<= 2^20 = 1048576",
           scenario.runs);
-  if (!(scenario.load_factor > 0.0)) fail("load_factor must be > 0");
+  require(scenario.load_factor > 0.0, "'load_factor' (alias 'load')", "> 0",
+          scenario.load_factor);
   require(scenario.bulk_phases >= 1, "'bulk_phases'", ">= 1",
           scenario.bulk_phases);
   if (scenario.arrival_law == extensions::ArrivalLaw::Trace &&

@@ -18,6 +18,7 @@
 ///    free).
 /// Models provided here satisfy both; property tests verify it.
 
+#include <cstddef>
 #include <memory>
 
 namespace coredis::speedup {
@@ -30,6 +31,15 @@ class Model {
   /// Fault-free execution time of a problem of size m on q >= 1 processors,
   /// in seconds. This is the t_{i,j} of the paper for m = m_i, q = j.
   [[nodiscard]] virtual double time(double m, int q) const = 0;
+
+  /// The even-allocation row the scheduler scans, batched: out[k] =
+  /// time(m, q_first + 2 k) for k in [0, count), bit for bit. The default
+  /// loops over time(); a model whose formula has per-m terms hoists them.
+  virtual void even_times(double m, int q_first, std::size_t count,
+                          double* out) const {
+    for (std::size_t k = 0; k < count; ++k)
+      out[k] = time(m, q_first + 2 * static_cast<int>(k));
+  }
 
   /// Sequential time t(m, 1).
   [[nodiscard]] double sequential_time(double m) const { return time(m, 1); }

@@ -21,6 +21,11 @@ class SyntheticModel final : public Model {
 
   [[nodiscard]] double time(double m, int q) const override;
 
+  /// Eq. 10 with log2 m, t(m, 1) and its two parts hoisted out of the
+  /// loop; time() is this loop at count 1, so the two agree bit for bit.
+  void even_times(double m, int q_first, std::size_t count,
+                  double* out) const override;
+
   [[nodiscard]] double sequential_fraction() const noexcept { return f_; }
 
  private:

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <memory>
 #include <vector>
@@ -34,7 +35,7 @@ class EngineStateTest : public ::testing::Test {
     state_.build_event_index();
     for (int i = 0; i < 3; ++i) {
       TaskRuntime& task = state_.task(i);
-      task.sigma = 4;
+      state_.set_sigma(i, 4);
       task.alpha = 1.0;
       task.tlastR = 0.0;
       task.tU = evaluator_(i, 4, 1.0);
@@ -295,6 +296,89 @@ TEST_F(EngineStateTest, SurrenderCandidatesComeOutInAscendingTaskOrder) {
   std::vector<int> candidates;
   state_.unfinished_ending_by(1.0e300, /*except=*/-1, candidates);
   EXPECT_EQ(candidates, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(EngineStateTaskPath, AlphaTentativeMatchesRemainingAfterBitForBit) {
+  // alpha_tentative runs Eq. 8 on the coefficients set_sigma kept on the
+  // task; the model's remaining_after reads them off the row (faulty) or
+  // the pack (fault-free). The two must agree bit for bit at every time
+  // of a task's span — inside the blackout, across completed periods and
+  // past the projected end — after the initial allocation, commits that
+  // grow and shrink, a rollback and the faulty task's commit.
+  const Pack pack({{2.0e6}, {1.6e6}, {2.4e6}},
+                  std::make_shared<speedup::SyntheticModel>(0.08));
+  const checkpoint::Model faulty(
+      {units::years(1.0), 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
+  const checkpoint::Model fault_free(
+      {0.0, 60.0, 1.0, checkpoint::PeriodRule::Young, 0.0});
+  for (const checkpoint::Model* resilience : {&faulty, &fault_free}) {
+    SCOPED_TRACE(resilience->fault_free() ? "fault-free" : "faulty");
+    const ExpectedTimeModel model(pack, *resilience);
+    platform::Platform platform(32);
+    TrEvaluator evaluator(model, 32);
+    EngineState state;
+    state.model = &model;
+    state.platform = &platform;
+    state.tr = &evaluator;
+    state.tasks.resize(3);
+    state.build_event_index();
+    state.ensure_lazy_state();
+    for (int i = 0; i < 3; ++i) {
+      state.set_sigma(i, 4);
+      state.task(i).tU = evaluator(i, 4, 1.0);
+      state.refresh_projection(i);
+      platform.acquire(i, 4);
+    }
+    const auto expect_same = [&](const char* when) {
+      long long periods = 0;
+      for (int i = 0; i < 3; ++i) {
+        const TaskRuntime& rt = state.task(i);
+        const double span = rt.proj_end - rt.tlastR;
+        for (int step = -1; step <= 16; ++step) {
+          const double t = rt.tlastR + span * step / 12.0;
+          const double task_path = state.alpha_tentative(i, t);
+          const double row_path =
+              model.remaining_after(i, rt.sigma, rt.alpha, t - rt.tlastR);
+          ASSERT_EQ(0, std::memcmp(&task_path, &row_path, sizeof task_path))
+              << when << ": task " << i << " step " << step;
+          if (t > rt.tlastR)
+            periods += static_cast<long long>(
+                std::floor((t - rt.tlastR) / model.period(i, rt.sigma)));
+        }
+      }
+      // The faulty model's spans cross checkpoints, so Eq. 8 subtracts
+      // some; the fault-free one never takes any.
+      EXPECT_EQ(periods > 0, !resilience->fault_free()) << when;
+    };
+    expect_same("initial allocation");
+
+    const double t = 0.3 * state.task(0).proj_end;
+    std::vector<double> alpha_t;
+    for (int i = 0; i < 3; ++i) alpha_t.push_back(state.alpha_tentative(i, t));
+    state.commit(t, /*faulty=*/-1, {8, 4, 2}, alpha_t);
+    expect_same("grow and shrink");
+
+    // A fault on task 1 halfway through its span, as Algorithm 2 rolls
+    // it back, then the faulty task's own commit.
+    TaskRuntime& struck = state.task(1);
+    const double fault =
+        struck.tlastR + 0.5 * (struck.proj_end - struck.tlastR);
+    const ExpectedTimeModel::Rollback back =
+        model.rollback(1, struck.sigma, struck.alpha, struck.tlastR, fault);
+    struck.alpha = back.alpha;
+    struck.tlastR = back.restart;
+    struck.tU = struck.tlastR + evaluator(1, struck.sigma, struck.alpha);
+    state.refresh_projection(1);
+    state.touch(1);
+    expect_same("rollback");
+    alpha_t.assign(3, 0.0);
+    for (int i = 0; i < 3; ++i)
+      alpha_t[static_cast<std::size_t>(i)] =
+          i == 1 ? struck.alpha : state.alpha_tentative(i, fault);
+    state.commit(fault, /*faulty=*/1, {8, 6, 2}, alpha_t);
+    EXPECT_EQ(struck.sigma, 6);
+    expect_same("the faulty task's commit");
+  }
 }
 
 }  // namespace

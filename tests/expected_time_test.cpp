@@ -13,7 +13,9 @@
 #include <utility>
 #include <vector>
 
+#include "core/engine.hpp"
 #include "core/expected_time.hpp"
+#include "fault/generator.hpp"
 #include "speedup/synthetic.hpp"
 #include "util/units.hpp"
 
@@ -231,34 +233,26 @@ TEST(ExpectedTime, RowsAndColumnsGrowGeometrically) {
         std::unique(seen.begin(), seen.end()) - seen.begin());
   };
 
-  // Rows grow in two parts, each on its own: the bound part (t_ij, C)
-  // deepens first, the Eq. 4 part catches up later. The dense path
-  // densifies task 0 one entry deeper per step; the single-slot path
-  // (the scalar accessors) probes task 1 one j deeper. A part's lanes
-  // move together, so its first lane stands for all. Task 0 first gets a
-  // shallow Eq. 4 prefix, whose bits must survive both parts' growth.
+  // One row per task, its six lanes moving together, so the first lane
+  // stands for all. The dense path densifies task 0 one entry deeper per
+  // step; the single-slot path (the scalar accessors) probes task 1 one
+  // j deeper. Task 0 first gets a shallow prefix, whose bits must
+  // survive the growth, and every entry is filled exactly once.
   constexpr int kPrefix = 7;
   double before[kPrefix];
   model.probe_many(0, 0, kPrefix, 0.7, before);
-  std::vector<const void*> dense_bound, probed_bound;
-  for (int h = 1; h <= kDepth; ++h) {
-    const auto depth = static_cast<std::size_t>(h);
-    dense_bound.push_back(model.row_lanes(0, depth).t_ij);
-    (void)model.fault_free_time(1, 2 * h);
-    probed_bound.push_back(model.row_lanes(1, 1).t_ij);
-  }
   EXPECT_EQ(model.eq4_fills(), static_cast<std::uint64_t>(kPrefix));
-  std::vector<const void*> dense_eq4, probed_eq4;
+  std::vector<const void*> dense, probed;
   for (int h = 1; h <= kDepth; ++h) {
     const auto depth = static_cast<std::size_t>(h);
-    dense_eq4.push_back(model.eq4_lanes(0, depth).tau);
+    dense.push_back(model.eq4_lanes(0, depth).t_ij);
     (void)model.expected_time_raw(1, 2 * h, 0.7);
-    probed_eq4.push_back(model.eq4_lanes(1, 1).tau);
+    probed.push_back(model.eq4_lanes(1, 1).t_ij);
   }
-  EXPECT_EQ(model.row_lanes(0, kDepth).t_ij, dense_bound.back());
-  EXPECT_EQ(model.row_lanes(1, 1).t_ij, probed_bound.back());
-  for (const auto* moves : {&dense_bound, &probed_bound, &dense_eq4,
-                            &probed_eq4})
+  EXPECT_EQ(model.eq4_fills(), static_cast<std::uint64_t>(2 * kDepth));
+  EXPECT_EQ(model.eq4_lanes(0, kDepth).t_ij, dense.back());
+  EXPECT_EQ(model.eq4_lanes(1, 1).t_ij, probed.back());
+  for (const auto* moves : {&dense, &probed})
     EXPECT_LE(distinct(*moves), kMaxMoves);
   std::vector<double> after(kDepth);
   model.probe_many(0, 0, kDepth, 0.7, after.data());
@@ -267,6 +261,7 @@ TEST(ExpectedTime, RowsAndColumnsGrowGeometrically) {
     ASSERT_EQ(after[static_cast<std::size_t>(h)],
               model.expected_time_raw_reference(0, 2 * (h + 1), 0.7))
         << "h=" << h;
+  EXPECT_EQ(model.eq4_fills(), static_cast<std::uint64_t>(2 * kDepth));
 
   // Columns: 3-entry steps take the batched extend, 1-entry steps the
   // inline fill.
@@ -283,11 +278,12 @@ TEST(ExpectedTime, RowsAndColumnsGrowGeometrically) {
 }
 
 TEST(ExpectedTime, BoundReadsFillNoEq4Lane) {
-  // The bound part (t_ij, C) densifies alone: the fault-free times and
-  // checkpoint costs of a densified row fill no Eq. 4 lane, and a later
-  // batched probe fills exactly the Eq. 4 entries it evaluates. Every
-  // value is the uncached path's (the pack, the resilience model, the
-  // *_reference methods), bit for bit.
+  // What the fault-free bound and the scans' C terms read — t_ij and
+  // C_ij, and Eq. 8's coefficients — is priced on the fly: reading it
+  // fills no row at all, faulty or fault-free. A later batched probe
+  // fills exactly the entries it evaluates (faulty) or none (fault-free).
+  // Every value is the uncached path's (the pack, the resilience model,
+  // the *_reference methods), bit for bit.
   constexpr int kTask = 1;
   constexpr std::size_t kDepth = 150;  // D: j = 2 .. 300
   constexpr int kProbed = 37;          // d: a vector body and a tail
@@ -298,17 +294,25 @@ TEST(ExpectedTime, BoundReadsFillNoEq4Lane) {
     SCOPED_TRACE(resilience->fault_free() ? "fault-free" : "faulty");
     const ExpectedTimeModel model(pack, *resilience);
     const double seq = resilience->sequential_cost(pack.task(kTask).data_size);
-    (void)model.row_lanes(kTask, kDepth);
-    EXPECT_EQ(model.coefficient_fills(), kDepth);
+    std::vector<double> batch(kDepth);
+    pack.even_fault_free_times(kTask, 2, kDepth, batch.data());
     for (int j = 2; j <= 2 * static_cast<int>(kDepth); j += 2) {
-      ASSERT_EQ(model.fault_free_time(kTask, j), pack.fault_free_time(kTask, j))
+      const double t_ij = pack.fault_free_time(kTask, j);
+      const double cost =
+          resilience->fault_free() ? 0.0 : resilience->cost(seq, j);
+      ASSERT_EQ(0, std::memcmp(&batch[static_cast<std::size_t>(j / 2 - 1)],
+                               &t_ij, sizeof t_ij))
           << "j=" << j;
-      ASSERT_EQ(model.checkpoint_cost(kTask, j),
-                resilience->fault_free() ? 0.0 : resilience->cost(seq, j))
-          << "j=" << j;
+      ASSERT_EQ(model.fault_free_time(kTask, j), t_ij) << "j=" << j;
+      ASSERT_EQ(model.checkpoint_cost(kTask, j), cost) << "j=" << j;
+      ASSERT_EQ(model.recovery_time(kTask, j), cost) << "j=" << j;
+      const ExpectedTimeModel::Eq8 at = model.eq8(kTask, j);
+      ASSERT_EQ(at.t_ij, t_ij) << "j=" << j;
+      ASSERT_EQ(at.cost, cost) << "j=" << j;
+      ASSERT_EQ(at.tau, resilience->period(seq, j)) << "j=" << j;
     }
-    EXPECT_EQ(model.coefficient_fills(), kDepth);
     EXPECT_EQ(model.eq4_fills(), 0U);
+    EXPECT_EQ(model.row_bytes(), 0U);
 
     std::vector<double> probed(kProbed);
     model.probe_many(kTask, 0, kProbed, 0.6, probed.data());
@@ -316,18 +320,38 @@ TEST(ExpectedTime, BoundReadsFillNoEq4Lane) {
       ASSERT_EQ(probed[static_cast<std::size_t>(h)],
                 model.expected_time_raw_reference(kTask, 2 * (h + 1), 0.6))
           << "h=" << h;
-    EXPECT_EQ(model.coefficient_fills(), kDepth);
-    EXPECT_EQ(model.eq4_fills(),
-              resilience->fault_free() ? 0U
-                                       : static_cast<std::uint64_t>(kProbed));
+    const std::uint64_t fills =
+        resilience->fault_free() ? 0U : static_cast<std::uint64_t>(kProbed);
+    EXPECT_EQ(model.eq4_fills(), fills);
     for (int j = 2; j <= 2 * kProbed; j += 2)
       ASSERT_EQ(model.simulated_duration(kTask, j, 0.6),
                 model.simulated_duration_reference(kTask, j, 0.6))
           << "j=" << j;
-    EXPECT_EQ(model.eq4_fills(),
-              resilience->fault_free() ? 0U
-                                       : static_cast<std::uint64_t>(kProbed));
+    EXPECT_EQ(model.eq4_fills(), fills);
+    EXPECT_EQ(model.row_bytes() == 0, resilience->fault_free());
   }
+}
+
+TEST(ExpectedTime, FaultFreeRunHoldsNoRow) {
+  // The fault-free context never evaluates Eq. 4: a full EndLocal run at
+  // n = 200, p = 10n prices every bound and column entry from the
+  // profile, and ends holding columns but no coefficient row.
+  constexpr int n = 200;
+  constexpr int p = 10 * n;
+  Rng rng(42);
+  const Pack pack = Pack::uniform_random(
+      n, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08), rng);
+  const checkpoint::Model resilience = fault_free_model();
+  EngineConfig config;
+  config.end_policy = EndPolicy::Local;
+  config.profile = true;
+  fault::NullGenerator none(p);
+  const RunResult result = Engine(pack, resilience, p, config).run(none);
+  EXPECT_GT(result.profile.heuristic_calls, 0);
+  EXPECT_GT(result.profile.column_fills, 0);
+  EXPECT_GT(result.profile.column_bytes, 0);
+  EXPECT_EQ(result.profile.eq4_fills, 0);
+  EXPECT_EQ(result.profile.row_bytes, 0);
 }
 
 // --- Coefficient-table kernel equivalence (property test) ----------------

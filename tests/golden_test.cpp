@@ -212,9 +212,9 @@ TEST(Golden, RepeatedRunsOfOneEngineAreIdentical) {
 constexpr std::uint64_t kBenchSeed = 20260726;
 constexpr double kBenchMtbfYears = 100.0;
 
-/// The 14 exact counters of EngineProfile.WorkCountersArePinned, in its
+/// The 13 exact counters of EngineProfile.WorkCountersArePinned, in its
 /// order, summed over the warm-up and every run of one engine.
-using WorkCounters = std::array<long long, 14>;
+using WorkCounters = std::array<long long, 13>;
 
 struct BenchCase {
   const char* name;
@@ -248,7 +248,7 @@ void add_work(WorkCounters& sum, const core::EngineProfile& w) {
                          w.bound_widenings, w.column_fills,
                          w.regrows,        w.tournament_replays,
                          w.walk_skips,     w.walk_steps,
-                         w.coefficient_fills, w.eq4_fills};
+                         w.eq4_fills};
   for (std::size_t i = 0; i < sum.size(); ++i) sum[i] += run[i];
 }
 
@@ -286,20 +286,18 @@ TEST(BenchGolden, SmokeCellsMatchTheirBitsAndWork) {
   constexpr BenchCase kCases[] = {
       {"n100_stf_exp", 100, 1000, core::FailurePolicy::ShortestTasksFirst,
        false, 20, 21004989.144187625,
-       {2246, 2140, 1312, 2765, 16726, 1950, 5723, 245682, 0, 0, 0, 0,
-        17135, 12037}},
+       {2246, 2140, 1312, 2765, 16726, 1950, 5723, 245682, 0, 0, 0, 0, 12037}},
       {"n100_ig_exp", 100, 1000, core::FailurePolicy::IteratedGreedy, false,
        20, 20827925.3092141,
-       {2246, 2169, 929, 2097, 28253, 2203, 14739, 358054, 120, 21249,
-        2098, 27305, 25861, 12135}},
+       {2246, 2169, 929, 2097, 28253, 2203, 14739, 358054, 120, 21249, 2098,
+        27305, 12135}},
       {"n100_stf_weib", 100, 1000, core::FailurePolicy::ShortestTasksFirst,
        true, 20, 23396962.869762469,
-       {2873, 2320, 1374, 2877, 23012, 1930, 5654, 354725, 0, 0, 0, 0,
-        17532, 14779}},
+       {2873, 2320, 1374, 2877, 23012, 1930, 5654, 354725, 0, 0, 0, 0, 14779}},
       {"n100_ig_weib", 100, 1000, core::FailurePolicy::IteratedGreedy, true,
        20, 22827486.066949695,
-       {2865, 2403, 1182, 2142, 29663, 2433, 10542, 581433, 583, 76553,
-        16923, 122808, 21066, 12387}},
+       {2865, 2403, 1182, 2142, 29663, 2433, 10542, 581433, 583, 76553, 16923,
+        122808, 12387}},
   };
   for (const BenchCase& c : kCases) expect_bench_case(c);
 }
@@ -308,26 +306,26 @@ TEST(BenchGolden, PaperScaleCellsMatchTheirBitsAndWork) {
   constexpr BenchCase kCases[] = {
       {"n1000_stf_exp", 1000, 10000, core::FailurePolicy::ShortestTasksFirst,
        false, 5, 22540774.028441243,
-       {6415, 4989, 2724, 24572, 638048, 5456, 41120, 6205983, 0, 0, 0,
-        0, 106383, 65610}},
+       {6415, 4989, 2724, 24572, 638048, 5456, 41120, 6205983, 0, 0, 0, 0,
+        65610}},
       {"n1000_ig_exp", 1000, 10000, core::FailurePolicy::IteratedGreedy,
        false, 5, 22153390.533302568,
-       {6407, 5237, 1406, 8223, 1399205, 6383, 120156, 12621195, 315,
-        443951, 74820, 713491, 342437, 74592}},
+       {6407, 5237, 1406, 8223, 1399205, 6383, 120156, 12621195, 315, 443951,
+        74820, 713491, 74592}},
       {"n1000_stf_weib", 1000, 10000,
        core::FailurePolicy::ShortestTasksFirst, true, 5, 25296369.663024854,
-       {8412, 3814, 2715, 16030, 264664, 3593, 15477, 4945327, 0, 0, 0,
-        0, 76074, 69341}},
+       {8412, 3814, 2715, 16030, 264664, 3593, 15477, 4945327, 0, 0, 0, 0,
+        69341}},
       {"n1000_ig_weib", 1000, 10000, core::FailurePolicy::IteratedGreedy,
        true, 5, 24090272.245457999,
-       {8342, 4023, 2474, 3897, 361519, 5634, 24937, 11745581, 1675,
-        2069431, 473144, 3616910, 148556, 101810}},
+       {8342, 4023, 2474, 3897, 361519, 5634, 24937, 11745581, 1675, 2069431,
+        473144, 3616910, 101810}},
       // p = 2.4n, not 10n: a leaner pool keeps n = 5000 inside a few tens
       // of MB while still exercising redistribution.
       {"n5000_ig_exp", 5000, 12000, core::FailurePolicy::IteratedGreedy,
        false, 5, 68175356.178971395,
-       {31544, 7146, 3219, 22887, 2394909, 8207, 100255, 13423820, 724,
-        739128, 71446, 636347, 289655, 128672}},
+       {31544, 7146, 3219, 22887, 2394909, 8207, 100255, 13423820, 724, 739128,
+        71446, 636347, 128672}},
   };
   for (const BenchCase& c : kCases) expect_bench_case(c);
 }

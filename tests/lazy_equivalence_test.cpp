@@ -371,10 +371,10 @@ TEST(EngineProfile, WorkCountersArePinned) {
   // IteratedGreedy under exponential faults with EndLocal and with
   // EndGreedy. The cold Algorithm 5 climb replayed 158,545 tournament
   // re-keys in the EndGreedy run; the warm start leaves 3,499. The last
-  // two columns pin the model's lazy fill policy: the coefficient fills,
-  // which (task, j) pairs a run ever prices, and the Eq. 4 fills, which of
-  // those it evaluates Eq. 4 on (the fault-free context with RC clears
-  // most scans with the fault-free bound, so it fills 7% of them).
+  // column pins the model's lazy fill policy: the Eq. 4 fills, the (task,
+  // j) row entries a run evaluates Eq. 4 on (the fault-free context with
+  // RC clears most scans with the fault-free bound, which reads no row).
+  // The two memory gauges pin what the rows and columns hold at the end.
   constexpr int n = 200;
   constexpr int p = 10 * n;
   Rng pack_rng(42);
@@ -391,7 +391,10 @@ TEST(EngineProfile, WorkCountersArePinned) {
                                   w.bound_widenings, w.column_fills,
                                   w.regrows,         w.tournament_replays,
                                   w.walk_skips,      w.walk_steps,
-                                  w.coefficient_fills, w.eq4_fills};
+                                  w.eq4_fills};
+  };
+  const auto gauges = [](const core::EngineProfile& w) {
+    return std::vector<long long>{w.row_bytes, w.column_bytes};
   };
   core::EngineConfig config;
   config.end_policy = core::EndPolicy::Local;
@@ -403,7 +406,10 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(none);
   EXPECT_EQ(counters(rc_ff.profile),
             (std::vector<long long>{200, 199, 128, 197, 1393, 180, 2475, 7148,
-                                    0, 0, 0, 0, 28032, 2054}))
+                                    0, 0, 0, 0, 2054}))
+      << "fault-free context with RC";
+  EXPECT_EQ(gauges(rc_ff.profile),
+            (std::vector<long long>{129984, 34472}))
       << "fault-free context with RC";
 
   config.failure_policy = core::FailurePolicy::IteratedGreedy;
@@ -412,7 +418,10 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(faults);
   EXPECT_EQ(counters(ig_local.profile),
             (std::vector<long long>{210, 196, 34, 233, 11676, 203, 2910, 84775,
-                                    8, 2511, 316, 3130, 12313, 4038}))
+                                    8, 2511, 316, 3130, 4038}))
+      << "IteratedGreedy-EndLocal";
+  EXPECT_EQ(gauges(ig_local.profile),
+            (std::vector<long long>{243648, 68848}))
       << "IteratedGreedy-EndLocal";
 
   config.end_policy = core::EndPolicy::Greedy;
@@ -421,7 +430,10 @@ TEST(EngineProfile, WorkCountersArePinned) {
       core::Engine(pack, resilience, p, config).run(greedy_faults);
   EXPECT_EQ(counters(ig_greedy.profile),
             (std::vector<long long>{210, 196, 17, 0, 0, 0, 0, 124453, 196,
-                                    3499, 16666, 3506, 2988, 2988}))
+                                    3499, 16666, 3506, 2988}))
+      << "IteratedGreedy-EndGreedy";
+  EXPECT_EQ(gauges(ig_greedy.profile),
+            (std::vector<long long>{159888, 55032}))
       << "IteratedGreedy-EndGreedy";
 }
 
@@ -531,7 +543,7 @@ class ScanCacheTest : public ::testing::Test {
     state_.build_event_index();
     for (int i = 0; i < 4; ++i) {
       core::detail::TaskRuntime& task = state_.task(i);
-      task.sigma = 8;
+      state_.set_sigma(i, 8);
       task.alpha = 1.0;
       task.tlastR = 0.0;
       task.tU = evaluator_(i, 8, 1.0);
@@ -656,10 +668,9 @@ TEST_F(ScanCacheTest, NearTiesOfTheBoundFallToTheExactScan) {
   const double alpha = state_.alpha_tentative(kTask, t);
   const core::detail::ProbeBase base(state_, t, kTask);
   for (const int q : {2, 4, 8}) {
-    const core::ExpectedTimeModel::BoundLanes row =
-        model_.row_lanes(kTask, static_cast<std::size_t>(8 + q) / 2);
-    const double m = *std::min_element(
-        row.t_ij, row.t_ij + static_cast<std::size_t>(8 + q) / 2);
+    double m = std::numeric_limits<double>::infinity();
+    for (int j = 2; j <= 8 + q; j += 2)
+      m = std::min(m, pack_.fault_free_time(kTask, j));
     const double tie = base(8 + q) + alpha * m * (1.0 - 0x1p-30);
     for (const double tU :
          {std::nextafter(tie, 0.0), tie, std::nextafter(tie, 2.0 * tie)}) {
@@ -716,7 +727,7 @@ TEST(ScanCacheWidening, ResumesTheRunningMinimumAcrossTheCachedTargets) {
     s.eager_scans = eager;
     s.tasks.resize(1);
     s.build_event_index();
-    s.task(0).sigma = 8;
+    s.set_sigma(0, 8);
     s.task(0).alpha = 1.0;
     s.task(0).tlastR = 0.0;
     platform.acquire(0, 8);

@@ -161,6 +161,18 @@ TEST(ScenarioFile, FormatParsesBackIdentically) {
   EXPECT_EQ(round_trip.seed, original.seed);
 }
 
+/// Run `text` through the parser and return the error message, failing
+/// the test if it parses cleanly.
+std::string parse_error_of(const std::string& text) {
+  try {
+    (void)parse_scenario(text);
+  } catch (const std::runtime_error& error) {
+    return error.what();
+  }
+  ADD_FAILURE() << "expected a parse error for: " << text;
+  return "";
+}
+
 void expect_exact_round_trip(const Scenario& original) {
   const std::string text = format_scenario(original);
   const Scenario r = parse_scenario(text);
@@ -229,7 +241,9 @@ TEST(ScenarioFile, RoundTripSurvivesExtremeValues) {
   s.m_inf = std::nextafter(1.0, 2.0);  // smallest legal window start
   s.m_sup = 1e300;
   s.sequential_fraction = 0x1.fffffffffffffp-1;  // largest double < 1
-  s.mtbf_years = 1e-300;
+  // The fault-free spelling: a faulty model at these m_sup and c would
+  // have no checkpoint period that leaves room for work (below).
+  s.mtbf_years = 0.0;
   // Denormals are out: std::stod throws out_of_range on ERANGE underflow.
   s.downtime_seconds = std::numeric_limits<double>::min();
   s.checkpoint_unit_cost = std::numeric_limits<double>::max();
@@ -237,6 +251,16 @@ TEST(ScenarioFile, RoundTripSurvivesExtremeValues) {
   s.runs = 1 << 20;  // the largest runs validate_scenario accepts
   s.seed = std::numeric_limits<std::uint64_t>::max();  // > 2^53
   expect_exact_round_trip(s);
+  // A tiny MTBF runs when the checkpoints shrink with it: c m_sup / mu
+  // stays about 1/13, as at the paper's defaults it is about 1/1260.
+  Scenario faulty = s;
+  faulty.m_sup = 2.5e6;
+  faulty.mtbf_years = 1e-100;
+  faulty.checkpoint_unit_cost = 1e-100;
+  expect_exact_round_trip(faulty);
+  s.mtbf_years = 1e-300;
+  const std::string refused = parse_error_of(format_scenario(s));
+  EXPECT_NE(refused.find("'mtbf_years'"), std::string::npos) << refused;
 }
 
 TEST(ScenarioFile, SeedParsesAsFullWidthInteger) {
@@ -260,18 +284,6 @@ TEST(ScenarioFile, ParseErrorsNameTheOffendingLine) {
               std::string::npos)
         << error.what();
   }
-}
-
-/// Run `text` through the parser and return the error message, failing
-/// the test if it parses cleanly.
-std::string parse_error_of(const std::string& text) {
-  try {
-    (void)parse_scenario(text);
-  } catch (const std::runtime_error& error) {
-    return error.what();
-  }
-  ADD_FAILURE() << "expected a parse error for: " << text;
-  return "";
 }
 
 TEST(ScenarioFile, NumberErrorsNameTheOffendingKey) {
@@ -390,12 +402,36 @@ TEST(ScenarioFile, OutOfDomainValuesAreRejectedByKey) {
       {"mtbf_years = nan\n", "'mtbf_years'"},
       {"mtbf_years = -1\n", "'mtbf_years'"},
       {"mtbf_years = inf\n", "'mtbf_years'"},
+      {"m_inf = 1\n", "'m_inf'"},
+      {"m_inf = 10\nm_sup = 5\n", "'m_sup'"},
+      {"load_factor = 0\n", "'load_factor'"},
+      {"load = nan\n", "'load'"},
+      // t(m_sup, 1) overflows, fault-free or not.
+      {"mtbf_years = 0\nm_inf = 1e306\nm_sup = 1e306\n", "'m_sup'"},
+      // At c = 1 and MTBF 100 y, tau - C rounds to 0 (m = 1e100) or tau
+      // overflows (m = 1e300): the first Eq. 4 fill would abort a run.
+      {"m_inf = 1e100\nm_sup = 1e100\n", "'m_sup'"},
+      {"m_inf = 1e300\nm_sup = 1e300\n", "'m_sup'"},
+      {"m_inf = 1e100\nm_sup = 1e100\n", "'checkpoint_unit_cost'"},
+      {"m_inf = 1e100\nm_sup = 1e100\n", "'mtbf_years'"},
   };
   for (const auto& row : rows) {
     const std::string error = parse_error_of(row.text);
     EXPECT_NE(error.find(row.key), std::string::npos)
         << row.text << " -> " << error;
   }
+  EXPECT_EQ(parse_error_of("m_inf = 10\nm_sup = 5\n"),
+            "scenario: key 'm_sup' must be >= m_inf = 10, got 5");
+  EXPECT_EQ(parse_error_of("load_factor = -1\n"),
+            "scenario: key 'load_factor' (alias 'load') must be > 0, got -1");
+  // The same m_sup runs fault-free, and a faulty model runs it where the
+  // checkpoints shrink with it.
+  EXPECT_EQ(parse_scenario("mtbf_years = 0\nm_inf = 1e100\nm_sup = 1e100\n")
+                .m_sup,
+            1e100);
+  EXPECT_EQ(parse_scenario("c = 1e-95\nm_inf = 1e100\nm_sup = 1e100\n")
+                .m_sup,
+            1e100);
   // The domains' edges are in, and 0 stays the fault-free spelling.
   const Scenario edges =
       parse_scenario("mtbf_years = 0\nf = 0\nd = 0\nc = 1e-9\n");

@@ -636,6 +636,41 @@ TEST(Server, OversizedPlatformIsAnErrorLineNotAnAllocation) {
   daemon.join();
 }
 
+TEST(Server, PeriodWithNoRoomForWorkIsAnErrorLineNotAnAbort) {
+  // m = 1e100 at c = 1 and MTBF 100 y: fl(sqrt(2 mu_j C_j) + C_j) - C_j
+  // rounds to 0, and the first Eq. 4 fill would abort the daemon on its
+  // tau - C > 0 invariant. The what_if gets an ok:false line naming the
+  // keys, and the connection keeps answering.
+  ServerOptions options;
+  options.socket_path = unique_socket_path() + ".period";
+  options.pool_capacity = 2;
+  options.replace_stale_socket = true;
+  Server server(options);
+  std::thread daemon([&server] { server.run(); });
+  const int fd = connect_to(options.socket_path);
+  ASSERT_GE(fd, 0);
+
+  const std::string refused = request_reply(
+      fd, R"({"id":40,"op":"what_if","scenario":)"
+          R"("n = 4; p = 16; m_inf = 1e100; m_sup = 1e100",)"
+          R"("configs":"ig_local"})");
+  EXPECT_NE(refused.find("\"id\":40,\"ok\":false"), std::string::npos)
+      << refused;
+  EXPECT_NE(refused.find("'m_sup'"), std::string::npos) << refused;
+  EXPECT_NE(refused.find("'mtbf_years'"), std::string::npos) << refused;
+  EXPECT_EQ(request_reply(fd, R"({"id":41,"op":"ping"})"),
+            R"({"id":41,"ok":true,"op":"ping"})");
+  const std::string answered = request_reply(
+      fd, R"({"id":42,"op":"what_if","scenario":"n = 4; p = 16",)"
+          R"("configs":"ig_local"})");
+  EXPECT_NE(answered.find("\"ok\":true"), std::string::npos) << answered;
+
+  EXPECT_EQ(request_reply(fd, R"({"id":43,"op":"shutdown"})"),
+            R"({"id":43,"ok":true,"op":"shutdown"})");
+  ::close(fd);
+  daemon.join();
+}
+
 TEST(Server, ConcurrentClients) {
   ServerOptions options;
   options.socket_path = unique_socket_path() + ".many";

@@ -222,7 +222,7 @@ void expect_same_scan(const detail::TargetPass& pass, std::size_t count,
 }
 
 /// The exact probe x_k of a pass, summed as the scalar loop sums it:
-/// ((t + RC_k) + C_k) + col_k with Eq. 9 above sigma_init.
+/// ((t + RC_k) + C_i / j_k) + col_k with Eq. 9 above sigma_init.
 double probe_at(const detail::TargetPass& pass, std::size_t k) {
   const int j = pass.first + 2 * static_cast<int>(k);
   const double rounds =
@@ -231,7 +231,7 @@ double probe_at(const detail::TargetPass& pass, std::size_t k) {
       pass.zero_rc
           ? 0.0
           : rounds * (1.0 / static_cast<double>(j)) * pass.m_over_from;
-  return pass.t + rc + pass.cost[k] + pass.col[k];
+  return pass.t + rc + pass.seq_ckpt / static_cast<double>(j) + pass.col[k];
 }
 
 TEST(SimdKernel, TargetScansMatchScalarOnModelRows) {
@@ -265,18 +265,24 @@ TEST(SimdKernel, TargetScansMatchScalarOnModelRows) {
       model.probe_many(task, 0, static_cast<int>(slots), alpha, column.data());
       for (std::size_t h = 1; h < slots; ++h)
         column[h] = std::min(column[h - 1], column[h]);
-      const ExpectedTimeModel::BoundLanes lanes = model.row_lanes(task, slots);
       const detail::TargetPass pass{
           rng.uniform(0.0, 1.0e6),
           sizes[static_cast<std::size_t>(task)] / static_cast<double>(from),
           0.0,
-          lanes.cost + h_first,
+          resilience->fault_free() ? 0.0 : model.sequential_checkpoint(task),
           column.data() + h_first,
           first,
           from,
           trial % 3 == 0,
           detail::Stop::Below};
       const std::string where = "trial " + std::to_string(trial);
+      // The pass prices C_k with the model's own divide, bit for bit.
+      for (std::size_t k = 0; k < count; ++k) {
+        const int j = first + 2 * static_cast<int>(k);
+        ASSERT_TRUE(same_bits(pass.seq_ckpt / static_cast<double>(j),
+                              model.checkpoint_cost(task, j)))
+            << where << " j=" << j;
+      }
 
       std::vector<double> x(count);
       for (std::size_t k = 0; k < count; ++k) x[k] = probe_at(pass, k);
@@ -301,29 +307,32 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
   // stopping probe in each lane and in the tail, an exact tie with tU
   // (no stop: both rules are strict there), NaN (a scan skips it, a
   // bound pass stops on it), +inf (never stops) and -inf (always stops).
+  // C_i = 0 is the fault-free context; the others price C_k = C_i / j_k
+  // from an exact quotient to one that rounds in every lane.
   constexpr std::size_t kMax = 11;
-  const std::vector<double> cost = {0.0,  0.25, 1e-3, 0.0, 7.5, 0.0,
-                                    0.125, 2.0, 0.0,  3.0, 0.5};
-  for (const bool zero_rc : {false, true}) {
-    for (std::size_t count = 1; count <= kMax; ++count) {
-      for (std::size_t p = 0; p < count; ++p) {
-        for (const double at_p : {0.0, kNaN, kInf, -kInf, 1000.0}) {
-          std::vector<double> col(kMax, 1000.0);
-          col[p] = at_p;
-          detail::TargetPass pass{100.0, 3.0, 0.0,     cost.data(),
-                                  col.data(), 12, 10, zero_rc,
-                                  detail::Stop::Below};
-          // at_p = 1000 with tU on its own probe: an exact tie.
-          const double tie = probe_at(pass, p);
-          for (const double tU : {1050.0, tie}) {
-            for (const detail::Stop stop :
-                 {detail::Stop::Below, detail::Stop::NotAtLeast}) {
-              pass.tU = tU;
-              pass.stop = stop;
-              const std::string where = "p=" + std::to_string(p) +
-                                        " col_p=" + std::to_string(at_p) +
-                                        " zero_rc=" + std::to_string(zero_rc);
-              expect_same_scan(pass, count, where);
+  for (const double seq : {0.0, 3.0, 7.5, 1e-3, 1.0 / 3.0}) {
+    for (const bool zero_rc : {false, true}) {
+      for (std::size_t count = 1; count <= kMax; ++count) {
+        for (std::size_t p = 0; p < count; ++p) {
+          for (const double at_p : {0.0, kNaN, kInf, -kInf, 1000.0}) {
+            std::vector<double> col(kMax, 1000.0);
+            col[p] = at_p;
+            detail::TargetPass pass{100.0,      3.0, 0.0, seq,
+                                    col.data(), 12,  10,  zero_rc,
+                                    detail::Stop::Below};
+            // at_p = 1000 with tU on its own probe: an exact tie.
+            const double tie = probe_at(pass, p);
+            for (const double tU : {1050.0, tie}) {
+              for (const detail::Stop stop :
+                   {detail::Stop::Below, detail::Stop::NotAtLeast}) {
+                pass.tU = tU;
+                pass.stop = stop;
+                const std::string where =
+                    "p=" + std::to_string(p) + " col_p=" +
+                    std::to_string(at_p) + " zero_rc=" +
+                    std::to_string(zero_rc) + " C_i=" + std::to_string(seq);
+                expect_same_scan(pass, count, where);
+              }
             }
           }
         }
@@ -333,7 +342,7 @@ TEST(SimdKernel, TargetScansMatchScalarOnEdgeLanes) {
   // A probe equal to tU stops neither rule: with tU on the smallest
   // probe, no pass stops, in vector lanes too.
   const std::vector<double> flat(kMax, 5.0);
-  detail::TargetPass tie{100.0,       3.0, 0.0,   cost.data(),
+  detail::TargetPass tie{100.0,       3.0, 0.0,   7.5,
                          flat.data(), 12,  10,    false,
                          detail::Stop::Below};
   for (const std::size_t count : {std::size_t{8}, kMax}) {

@@ -4,6 +4,8 @@
 /// parameter sweep.
 
 #include <cmath>
+#include <cstddef>
+#include <cstring>
 #include <gtest/gtest.h>
 #include <memory>
 #include <stdexcept>
@@ -151,6 +153,41 @@ TEST(Presets, ArchetypesAreOrderedByScalability) {
 TEST(Presets, UnknownNameThrows) {
   EXPECT_THROW((void)make_preset("nonexistent", 1.0e6),
                std::invalid_argument);
+}
+
+TEST(Speedup, EvenTimesMatchTimeBitForBit) {
+  // The batched row the scheduler scans is time() itself: the synthetic
+  // model's override hoists its per-m terms, Amdahl and the tables run
+  // the default loop, and every entry is compared bit for bit.
+  const SyntheticModel synthetic(0.08);
+  const SyntheticModel sequential(1.0);
+  const AmdahlModel amdahl(0.08);
+  const ModelPtr table = make_preset("minife_like", 2.0e6);
+  const struct {
+    const char* name;
+    const Model* model;
+  } models[] = {{"synthetic", &synthetic},
+                {"synthetic f=1", &sequential},
+                {"amdahl", &amdahl},
+                {"table", table.get()}};
+  std::vector<double> row(5000);
+  for (const auto& [name, model] : models) {
+    for (const double m : {2.0, 1.5e6, 2.5e6, 1e12}) {
+      for (const int q_first : {1, 2, 3, 10001}) {
+        for (const std::size_t count : {std::size_t{1}, std::size_t{3},
+                                        std::size_t{64}, std::size_t{5000}}) {
+          model->even_times(m, q_first, count, row.data());
+          for (std::size_t k = 0; k < count; ++k) {
+            const double want =
+                model->time(m, q_first + 2 * static_cast<int>(k));
+            ASSERT_EQ(0, std::memcmp(&row[k], &want, sizeof want))
+                << name << " m=" << m << " q=" << q_first + 2 * k
+                << " count=" << count;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(TableModel, RejectsBadInput) {

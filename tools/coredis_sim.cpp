@@ -240,9 +240,8 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
     row("event dispatch    ", prof.dispatch_seconds);
     row("probe scans + heap", prof.scan_seconds);
     row("commits           ", prof.commit_seconds);
-    std::cout << "work: " << prof.coefficient_fills << " coefficient fills, "
-              << prof.eq4_fills << " Eq. 4 fills, " << prof.column_fills
-              << " column fills; EndLocal "
+    std::cout << "work: " << prof.eq4_fills << " Eq. 4 fills, "
+              << prof.column_fills << " column fills; EndLocal "
               << prof.full_scans << " full scans, " << prof.verdict_drops
               << " verdict drops, " << prof.bound_proofs
               << " bound proofs, " << prof.bound_widenings
@@ -250,6 +249,8 @@ int run_single(const exp::Scenario& scenario, const CliParser& cli) {
               << " regrows, " << prof.tournament_replays
               << " tournament replays, " << prof.walk_skips
               << " walk skips, " << prof.walk_steps << " walk steps\n";
+    std::cout << "memory: " << prof.row_bytes << " row bytes, "
+              << prof.column_bytes << " column bytes\n";
   }
 
   if (cli.get_bool("gantt"))
