@@ -11,6 +11,12 @@
 /// improved even with *all* remaining processors (line 9's lookahead test),
 /// the loop stops and the leftover processors stay available for later
 /// redistributions. Complexity O(p log n).
+///
+/// grant_pairs is that loop, and the only copy of it: the engine's initial
+/// allocation (optimal_schedule), the malleable online replan
+/// (extensions/online.hpp) and the adaptive policies (policy/adaptive.cpp)
+/// all call it, the online schedulers over a subset of the tasks at their
+/// remaining work fractions, reshape with per-task caps.
 
 #include <vector>
 
@@ -29,5 +35,19 @@ namespace coredis::core {
 [[nodiscard]] std::vector<int> optimal_schedule(const ExpectedTimeModel& model,
                                                 int processors,
                                                 TrEvaluator& evaluator);
+
+/// Algorithm 1's grant loop over `tasks` (task indices in ascending
+/// order), task tasks[k] at remaining work fraction alphas[k]. Every task
+/// starts at one pair; then the longest, by (expected time, position in
+/// `tasks`), gets one more pair while its line 9 lookahead
+/// tr(sigma) > tr(pmax) holds, pmax = min(sigma + available, cap). A task
+/// whose next pair would exceed its cap leaves the heap and the
+/// next-longest goes on; a longest task that cannot improve stops the
+/// pass. `available` counts the processors beyond one pair per task;
+/// `caps` holds one cap per task, empty for none. Writes sigma[k] per
+/// position.
+void grant_pairs(TrEvaluator& evaluator, const std::vector<int>& tasks,
+                 const std::vector<double>& alphas, int available,
+                 const std::vector<int>& caps, std::vector<int>& sigma);
 
 }  // namespace coredis::core

@@ -132,6 +132,24 @@ bool periods_leave_work(const Scenario& scenario) {
   return true;
 }
 
+/// Whether a faulty run gets through its checkpoint periods: Eq. 4
+/// retries a period e^{lambda_j tau_{i,j}} times on average, and the
+/// exposure lambda_j tau_{i,j} is j-independent in exact arithmetic
+/// (sqrt(2x) + x under Young, x = c m_i / mu) and grows with m_i. Past
+/// 10 ln 2, more than 2^10 expected attempts per period, a run crawls:
+/// at n = 4, p = 16 under Young, x = 4 takes 2.5 M events and x = 6 takes
+/// 61.5 M. Checked at m_sup, j = 2 and j = p, with the model's own rate
+/// and period.
+bool periods_complete(const Scenario& scenario) {
+  const checkpoint::Model resilience(scenario.resilience_params());
+  const double seq = resilience.sequential_cost(scenario.m_sup);
+  for (const int j : {2, scenario.p})
+    if (!(resilience.task_rate(j) * resilience.period(seq, j) <=
+          10.0 * std::log(2.0)))
+      return false;
+  return true;
+}
+
 /// Seeds are 64-bit and must round-trip exactly, so they are parsed as a
 /// decimal integer first; scientific notation ("1e6") still works through
 /// the double path as long as the value fits in 53 bits.
@@ -262,6 +280,14 @@ void validate_scenario(const Scenario& scenario) {
     fail("keys 'mtbf_years', 'checkpoint_unit_cost' (alias 'c') and "
          "'m_sup' leave a checkpoint period no room for work (need tau - C "
          ">= 2^-40 C for every j in [2, p]), got mtbf_years = " +
+         exact(scenario.mtbf_years) +
+         ", c = " + exact(scenario.checkpoint_unit_cost) +
+         ", m_sup = " + exact(scenario.m_sup));
+  if (scenario.mtbf_years > 0.0 && !periods_complete(scenario))
+    fail("keys 'mtbf_years', 'checkpoint_unit_cost' (alias 'c') and "
+         "'m_sup' make a checkpoint period fail too often to complete "
+         "(need lambda_j tau <= 10 ln 2, at most 2^10 expected attempts "
+         "per period), got mtbf_years = " +
          exact(scenario.mtbf_years) +
          ", c = " + exact(scenario.checkpoint_unit_cost) +
          ", m_sup = " + exact(scenario.m_sup));

@@ -8,7 +8,6 @@
 #include <limits>
 #include <numeric>
 #include <optional>
-#include <queue>
 #include <sstream>
 #include <stdexcept>
 #include <system_error>
@@ -16,10 +15,10 @@
 #include <vector>
 
 #include "core/expected_time.hpp"
+#include "core/optimal_schedule.hpp"
 #include "extensions/batch.hpp"
 #include "redistrib/cost.hpp"
 #include "util/contracts.hpp"
-#include "util/heap_ops.hpp"
 
 namespace coredis::extensions {
 
@@ -75,80 +74,6 @@ std::vector<double> load_trace(const std::string& path, int n) {
   std::sort(times.begin(), times.end());
   times.resize(static_cast<std::size_t>(n));
   return times;
-}
-
-/// Max-heap entry ordered like optimal_schedule's: longest expected
-/// completion first, deterministic index ties. Entries are pairwise
-/// distinct (one per live job), so pops follow a strict total order and
-/// any max-heap (std::priority_queue or the replace-top scratch vector of
-/// the incremental path, built on the shared util/heap_ops.hpp
-/// primitives) yields the identical grant sequence.
-struct HeapEntry {
-  double expected_time;
-  int job;
-  bool operator<(const HeapEntry& other) const {
-    if (expected_time != other.expected_time)
-      return expected_time < other.expected_time;
-    return job < other.job;
-  }
-};
-using util::heap_replace_top;
-using util::stays_top;
-
-/// The incremental repair of run_online (DESIGN.md section 8.2): the
-/// regrow re-derives almost every job's allocation unchanged, so prefill
-/// each admissible job's fresh-alpha column to its current allocation
-/// depth in one probe_many batch — the exact Eq. 4 values the grant scans
-/// will read, streamed back to back — then regrow with a replace-top
-/// scratch heap, granting in bulk while a job provably keeps the lead
-/// (the rescored entry beats both heap children, so re-pushing and
-/// re-popping it would be a no-op). Its grants are those of
-/// OnlineSim::regrow, the from-scratch rebuild, which the lazy-equivalence
-/// battery runs as its reference.
-void repair_targets(const OnlineSim& sim, const std::vector<int>& live,
-                    const std::vector<double>& alpha_now, int available,
-                    std::vector<HeapEntry>& heap, std::vector<int>& target) {
-  core::TrEvaluator& evaluator = sim.evaluator();
-  const std::size_t count = live.size();
-  target.assign(count, 2);
-  heap.clear();
-  for (std::size_t k = 0; k < count; ++k) {
-    const core::TrEvaluator::Column col =
-        evaluator.column(live[k], alpha_now[k]);
-    (void)col(std::max(sim.job(live[k]).sigma, 2));
-    heap.push_back({col(2), static_cast<int>(k)});
-  }
-  std::make_heap(heap.begin(), heap.end());
-  bool stuck = false;  // the longest job cannot improve: stop granting
-  while (!stuck && available >= 2 && !heap.empty()) {
-    const auto k = static_cast<std::size_t>(heap.front().job);
-    const core::TrEvaluator::Column tr =
-        evaluator.column(live[k], alpha_now[k]);
-    bool granted = false;
-    while (available >= 2) {
-      const int current = target[k];
-      const int pmax = current + available - available % 2;
-      // Line 9 lookahead, short-circuited as in Algorithm 1
-      // (optimal_schedule.cpp): pmax >= current + 2 and columns are
-      // prefix minima, so a strict drop at current + 2 proves
-      // tr(current) > tr(pmax); only a plateau probes pmax.
-      const double next = tr(current + 2);
-      if (!(next < tr(current)) && !(tr(current) > tr(pmax))) {
-        stuck = !granted;
-        break;
-      }
-      target[k] = current + 2;
-      available -= 2;
-      granted = true;
-      const HeapEntry rescored{next, static_cast<int>(k)};
-      if (stays_top(heap, rescored)) {
-        heap.front() = rescored;  // keeps the lead: grant again
-      } else {
-        heap_replace_top(heap, rescored);
-        break;  // another job took the lead; re-peek
-      }
-    }
-  }
 }
 
 }  // namespace
@@ -237,12 +162,11 @@ std::vector<double> make_release_times(const ArrivalSpec& spec,
 OnlineResult run_online(const core::Pack& pack,
                         const checkpoint::Model& resilience, int processors,
                         const std::vector<double>& release_times,
-                        fault::Generator& faults,
-                        const OnlineOptions& options) {
+                        fault::Generator& faults) {
   const core::ExpectedTimeModel model(pack, resilience);
   core::TrEvaluator evaluator(model, processors - processors % 2);
   return run_online(pack, resilience, processors, release_times, faults,
-                    model, evaluator, options);
+                    model, evaluator);
 }
 
 OnlineResult run_online(const core::Pack& pack,
@@ -250,11 +174,10 @@ OnlineResult run_online(const core::Pack& pack,
                         const std::vector<double>& release_times,
                         fault::Generator& faults,
                         const core::ExpectedTimeModel& model,
-                        core::TrEvaluator& evaluator,
-                        const OnlineOptions& options) {
+                        core::TrEvaluator& evaluator) {
   COREDIS_EXPECTS(&model.pack() == &pack);
   COREDIS_EXPECTS(&model.resilience() == &resilience);
-  OnlineSim sim(model, evaluator, processors, release_times);
+  OnlineSim sim(model, processors, release_times);
   // Re-run the pack machinery over the admissible jobs at every event:
   // admit newly released jobs while one pair per live job still fits,
   // rebuild the allocation with Algorithm 1 over remaining work, commit
@@ -262,23 +185,24 @@ OnlineResult run_online(const core::Pack& pack,
   std::vector<int> live;
   std::vector<double> alpha_now;
   std::vector<int> target;
-  std::vector<HeapEntry> heap;
   const auto reschedule = [&](double t) {
     const int available = sim.admit_live(t, live, alpha_now);
-    if (options.eager_replan)
-      sim.regrow(live, alpha_now, available, {}, target);
-    else
-      repair_targets(sim, live, alpha_now, available, heap, target);
+    // The replan re-derives almost every job's allocation unchanged:
+    // prefill each live job's fresh-alpha column to its current depth in
+    // one probe_many batch, the exact Eq. 4 values the grant loop reads,
+    // streamed back to back (DESIGN.md section 8.2).
+    for (std::size_t k = 0; k < live.size(); ++k)
+      (void)evaluator.column(live[k], alpha_now[k])(
+          std::max(sim.job(live[k]).sigma, 2));
+    core::grant_pairs(evaluator, live, alpha_now, available, {}, target);
     sim.commit(t, live, alpha_now, target);
   };
   return sim.run(faults, reschedule);
 }
 
-OnlineSim::OnlineSim(const core::ExpectedTimeModel& model,
-                     core::TrEvaluator& evaluator, int processors,
+OnlineSim::OnlineSim(const core::ExpectedTimeModel& model, int processors,
                      const std::vector<double>& release_times)
     : model_(model),
-      evaluator_(evaluator),
       releases_(release_times),
       p_(processors - processors % 2),
       n_(model.pack().size()) {
@@ -322,36 +246,6 @@ int OnlineSim::admit_live(double t, std::vector<int>& live,
   const int available = p_ - reserved - 2 * static_cast<int>(live.size());
   COREDIS_ASSERT(available >= 0);
   return available;
-}
-
-void OnlineSim::regrow(const std::vector<int>& live,
-                       const std::vector<double>& alpha_now, int available,
-                       const std::vector<int>& caps,
-                       std::vector<int>& target) {
-  const std::size_t count = live.size();
-  target.assign(count, 2);
-  std::priority_queue<HeapEntry> queue;
-  for (std::size_t k = 0; k < count; ++k)
-    queue.push({evaluator_(live[k], 2, alpha_now[k]), static_cast<int>(k)});
-  while (available >= 2 && !queue.empty()) {
-    const HeapEntry head = queue.top();
-    queue.pop();
-    const auto k = static_cast<std::size_t>(head.job);
-    const int cap = caps.empty() ? kUncapped : caps[k];
-    const int current = target[k];
-    if (current + 2 > cap) continue;  // capped out: try the next job
-    const int pmax = std::min(current + available - available % 2, cap);
-    const core::TrEvaluator::Column tr =
-        evaluator_.column(live[k], alpha_now[k]);
-    // pmax >= current + 2 and columns are prefix minima, so a strict drop
-    // at current + 2 proves the line 9 lookahead tr(current) > tr(pmax);
-    // only a plateau probes pmax.
-    const double next = tr(current + 2);
-    if (!(next < tr(current)) && !(tr(current) > tr(pmax))) break;
-    target[k] = current + 2;
-    queue.push({next, head.job});
-    available -= 2;
-  }
 }
 
 void OnlineSim::place(int i, int sigma, double t) {

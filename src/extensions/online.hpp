@@ -22,8 +22,10 @@
 /// engine's arithmetic, but never trigger a redistribution here: the
 /// online scheduler re-plans at arrivals and completions only. Every
 /// online scheduler — run_online and the adaptive policies
-/// (policy/adaptive.hpp) — runs on the one event loop of OnlineSim and
-/// differs only in its replanning callback.
+/// (policy/adaptive.hpp) — runs on the one event loop of OnlineSim,
+/// replans through core::grant_pairs, the engine's Algorithm 1 grant loop
+/// (core/optimal_schedule.hpp), and differs only in its replanning
+/// callback.
 
 #include <cstddef>
 #include <cstdint>
@@ -97,8 +99,8 @@ struct OnlineResult {
 /// The one online event loop (DESIGN.md section 8.2) and the job
 /// lifecycle the online schedulers share. A scheduler is the
 /// `reschedule` callback it hands to run(), built from admit_live,
-/// tentative_alpha, regrow and place/resize/commit. Per iteration the
-/// loop resolves, in this order:
+/// tentative_alpha, core::grant_pairs and place/resize/commit. Per
+/// iteration the loop resolves, in this order:
 ///
 ///  * a fault strictly before every other event: processor indices are
 ///    laid out over the admitted jobs in index order, idle slots last; a
@@ -126,7 +128,7 @@ class OnlineSim {
     double busy_mark = 0.0; ///< last allocation change (busy accounting)
   };
 
-  /// A regrow cap that never binds.
+  /// A core::grant_pairs cap that never binds.
   static constexpr int kUncapped = std::numeric_limits<int>::max();
 
   /// Replans at a release, blackout-exit or completion time.
@@ -137,8 +139,8 @@ class OnlineSim {
   /// One job per pack task of `model`, released at `release_times`
   /// (non-negative). `processors` is rounded down to even (allocations
   /// are buddy pairs). Every referent must outlive the simulation.
-  OnlineSim(const core::ExpectedTimeModel& model, core::TrEvaluator& evaluator,
-            int processors, const std::vector<double>& release_times);
+  OnlineSim(const core::ExpectedTimeModel& model, int processors,
+            const std::vector<double>& release_times);
 
   /// Simulate to the last completion; deterministic in (release dates,
   /// fault stream, callbacks). Call once.
@@ -162,17 +164,6 @@ class OnlineSim {
     return model_.remaining_after(i, job.sigma, job.alpha, t - job.baseline);
   }
 
-  /// Algorithm 1 over `live` at remaining fractions `alpha_now`: start
-  /// at one pair each, then grant a pair to the longest job while its
-  /// expected time can still decrease within `available` and its cap; a
-  /// capped-out job is skipped (the next-longest gets its chance), an
-  /// unimprovable longest job stops the pass. `caps` is per live job,
-  /// empty for none. The from-scratch rebuild: a fresh heap, one grant
-  /// per pop.
-  void regrow(const std::vector<int>& live,
-              const std::vector<double>& alpha_now, int available,
-              const std::vector<int>& caps, std::vector<int>& target);
-
   /// First placement at t: no data to move, the pattern starts here.
   void place(int i, int sigma, double t);
 
@@ -195,13 +186,9 @@ class OnlineSim {
   [[nodiscard]] const core::ExpectedTimeModel& model() const noexcept {
     return model_;
   }
-  [[nodiscard]] core::TrEvaluator& evaluator() const noexcept {
-    return evaluator_;
-  }
 
  private:
   const core::ExpectedTimeModel& model_;
-  core::TrEvaluator& evaluator_;
   const std::vector<double>& releases_;
   int p_ = 0;
   int n_ = 0;
@@ -211,18 +198,6 @@ class OnlineSim {
   std::vector<int> waiting_;
   std::size_t waiting_head_ = 0;
   OnlineResult result_;
-};
-
-/// Replanning knobs of run_online (DESIGN.md section 8.2). The default is
-/// the incremental repair: every replan still validates each admissible
-/// job's allocation with exact Algorithm 1 probes, but repairs warm state
-/// — each job's fresh-alpha column is prefilled to its current allocation
-/// depth in one batch, grants reuse a replace-top scratch heap, and the
-/// shared evaluator keeps coefficient rows warm across events — so
-/// admission decisions are byte-identical to the from-scratch rebuild,
-/// which survives behind eager_replan for the equivalence tests.
-struct OnlineOptions {
-  bool eager_replan = false;  ///< re-pack from scratch at every event
 };
 
 /// Simulate the malleable online execution: jobs released per
@@ -237,8 +212,7 @@ struct OnlineOptions {
                                       const checkpoint::Model& resilience,
                                       int processors,
                                       const std::vector<double>& release_times,
-                                      fault::Generator& faults,
-                                      const OnlineOptions& options = {});
+                                      fault::Generator& faults);
 
 /// run_online over a caller-provided expected-time model and evaluator
 /// (both built over the same pack and resilience): the campaign runner
@@ -251,8 +225,7 @@ struct OnlineOptions {
                                       const std::vector<double>& release_times,
                                       fault::Generator& faults,
                                       const core::ExpectedTimeModel& model,
-                                      core::TrEvaluator& evaluator,
-                                      const OnlineOptions& options = {});
+                                      core::TrEvaluator& evaluator);
 
 /// make_release_times over a shared evaluator (same sharing rationale).
 [[nodiscard]] std::vector<double> make_release_times(

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/optimal_schedule.hpp"
 #include "extensions/online.hpp"
 #include "policy/registry.hpp"
 #include "util/rng.hpp"
@@ -19,7 +20,7 @@ using extensions::OnlineSim;
 
 /// Contextual epsilon-greedy over two arms at every scheduling event:
 ///   rebalance — the full malleable re-pack (admission + Algorithm 1
-///               regrow over every unblocked job, paying RC on resizes);
+///               grants over every unblocked job, paying RC on resizes);
 ///   hold      — admit newly released jobs onto idle processors only
 ///               (Algorithm 1 over the new jobs, no resizes, no RC).
 /// Context is the effective-fault count over the last `window` decisions
@@ -33,8 +34,7 @@ class BanditPolicy final : public Policy {
       : window_(window), explore_(explore) {}
 
   core::RunResult run(const CellContext& ctx) const override {
-    OnlineSim sim(ctx.model, ctx.evaluator, ctx.processors,
-                  ctx.release_times());
+    OnlineSim sim(ctx.model, ctx.processors, ctx.release_times());
     Rng rng(ctx.policy_seed);
 
     constexpr int kContexts = 3;
@@ -102,7 +102,7 @@ class BanditPolicy final : public Policy {
       // Both arms are the malleable re-pack; hold keeps every running
       // allocation, so only new jobs are placed, onto idle processors.
       const int available = sim.admit_live(t, live, alpha_now, arm == 1);
-      sim.regrow(live, alpha_now, available, {}, target);
+      core::grant_pairs(ctx.evaluator, live, alpha_now, available, {}, target);
       sim.commit(t, live, alpha_now, target);
 
       // Commits at time t do not change work_done(t) — the re-pack
@@ -141,8 +141,7 @@ class ReshapePolicy final : public Policy {
   explicit ReshapePolicy(double gain) : gain_(gain) {}
 
   core::RunResult run(const CellContext& ctx) const override {
-    OnlineSim sim(ctx.model, ctx.evaluator, ctx.processors,
-                  ctx.release_times());
+    OnlineSim sim(ctx.model, ctx.processors, ctx.release_times());
 
     struct ProbeState {
       int prev_sigma = 0;      ///< size before the last resize
@@ -184,7 +183,8 @@ class ReshapePolicy final : public Policy {
         caps[k] = probe.cap;
       }
 
-      sim.regrow(live, alpha_now, available, caps, target);
+      core::grant_pairs(ctx.evaluator, live, alpha_now, available, caps,
+                        target);
 
       for (std::size_t k = 0; k < count; ++k) {
         const int i = live[k];

@@ -2,7 +2,8 @@
 
 /// \file heap_ops.hpp
 /// Replace-top primitives for the scratch max-heaps of the grant loops
-/// (core/heuristics.cpp, core/optimal_schedule.cpp, extensions/online.cpp).
+/// (core/heuristics.cpp, and core::grant_pairs in core/optimal_schedule.cpp,
+/// the Algorithm 1 loop that the engine and the online schedulers share).
 ///
 /// The grant loops pop the top entry, rescore it, and reinsert it; these
 /// helpers fuse that into a single O(log n) sift — or no heap work at all

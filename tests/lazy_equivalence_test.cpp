@@ -2,8 +2,9 @@
 /// The incremental-replanning equivalence battery (DESIGN.md sections 6.5
 /// and 8.2): the lazy scan machinery (the fault-free bound's EndLocal
 /// verdicts, the warm-started flat IteratedGreedy regrow, the tournament
-/// tree) and the online scheduler's incremental repair must reproduce
-/// the from-scratch decision sequences byte for byte. Three layers:
+/// tree) and the online scheduler's replan (prefilled columns, bulk
+/// grants) must reproduce the from-scratch decision sequences byte for
+/// byte. Three layers:
 ///
 ///  * whole-run engine equivalence over randomized grids, both fault
 ///    laws, every policy pair — lazy (default) vs EngineConfig::
@@ -11,9 +12,10 @@
 ///    pools for the bound's verdicts and widenings, one over a
 ///    non-monotone speedup profile, and one over large EndGreedy packs
 ///    for the warm-started regrow, whose work counters are pinned;
-///  * online delta-replan vs full-replan (OnlineOptions::eager_replan)
-///    over both generated arrival laws, plus the shared-workspace
-///    overload vs the self-contained one;
+///  * run_online vs an OnlineSim that replans with the printed
+///    Algorithm 1 (tests/reference_schedule.hpp: uncached Eq. 6, one
+///    grant per pop) over both generated arrival laws, the run_online
+///    side on a shared warm workspace;
 ///  * white-box invariants of the verdict cache (the "lazy queue"): a
 ///    failed scan the bound proves stores a verdict at the scanned pool
 ///    and current version, commits invalidate it, the cached drop agrees
@@ -36,6 +38,7 @@
 #include "fault/exponential.hpp"
 #include "fault/generator.hpp"
 #include "fault/weibull.hpp"
+#include "reference_schedule.hpp"
 #include "speedup/amdahl.hpp"
 #include "speedup/synthetic.hpp"
 #include "util/parallel.hpp"
@@ -493,15 +496,25 @@ TEST(OnlineDeltaEquivalence, RepairMatchesFullReplanAcrossArrivalLaws) {
         const std::vector<double> releases = extensions::make_release_times(
             spec, pack, resilience, p, arrivals);
 
-        extensions::OnlineOptions full;
-        full.eager_replan = true;
+        // The reference: the same event loop, replanned from scratch by
+        // the printed Algorithm 1 on a fresh model, with no evaluator.
+        const core::ExpectedTimeModel model(pack, resilience);
+        extensions::OnlineSim sim(model, p, releases);
+        std::vector<int> live;
+        std::vector<double> alpha_now;
+        const auto replan = [&](double t) {
+          const int available = sim.admit_live(t, live, alpha_now);
+          sim.commit(t, live, alpha_now,
+                     core::reference_schedule(model, live, alpha_now,
+                                              available, {}));
+        };
         fault::ExponentialGenerator ga(p, 1.0 / units::years(5.0),
                                        Rng(seed ^ 0xFA17ULL));
-        const extensions::OnlineResult a =
-            extensions::run_online(pack, resilience, p, releases, ga, full);
+        const extensions::OnlineResult a = sim.run(ga, replan);
 
-        // Delta repair, over a shared warm workspace (the campaign
-        // runner's setup): both axes must be invisible in the results.
+        // run_online's replan, over a shared warm workspace (the campaign
+        // runner's setup) and over its own fresh one: neither the replan
+        // nor the workspace may show in the results.
         core::Engine engine(pack, resilience, p, {});
         {
           fault::ExponentialGenerator warm(p, 1.0 / units::years(5.0),
@@ -514,6 +527,10 @@ TEST(OnlineDeltaEquivalence, RepairMatchesFullReplanAcrossArrivalLaws) {
             pack, resilience, p, releases, gb, engine.model(),
             engine.evaluator());
         expect_identical_online(a, b);
+        fault::ExponentialGenerator gc(p, 1.0 / units::years(5.0),
+                                       Rng(seed ^ 0xFA17ULL));
+        expect_identical_online(
+            a, extensions::run_online(pack, resilience, p, releases, gc));
       }
     }
   }

@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <gtest/gtest.h>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +17,7 @@
 
 #include "complexity/moldable.hpp"
 #include "core/optimal_schedule.hpp"
+#include "reference_schedule.hpp"
 #include "speedup/synthetic.hpp"
 #include "util/units.hpp"
 
@@ -119,34 +122,6 @@ TEST(OptimalSchedule, PaperScaleSmoke) {
   EXPECT_GT(total, 200);  // far beyond one pair each on this workload
 }
 
-/// Algorithm 1 as printed: pop the longest task and grant it a pair while
-/// its line-9 lookahead tr(current) > tr(pmax) holds, with every clamped
-/// value taken straight from the O(j) Eq. 6 scan (no evaluator, no
-/// short-circuit).
-std::vector<int> reference_schedule(const ExpectedTimeModel& model,
-                                    int processors) {
-  const int n = model.pack().size();
-  std::vector<int> sigma(static_cast<std::size_t>(n), 2);
-  int available = processors - 2 * n;
-  std::vector<std::pair<double, int>> heap;
-  for (int i = 0; i < n; ++i) heap.emplace_back(model.expected_time(i, 2, 1.0), i);
-  std::make_heap(heap.begin(), heap.end());
-  while (available >= 2) {
-    std::pop_heap(heap.begin(), heap.end());
-    const int i = heap.back().second;
-    int& current = sigma[static_cast<std::size_t>(i)];
-    const int pmax = current + available - available % 2;
-    if (!(model.expected_time(i, current, 1.0) >
-          model.expected_time(i, pmax, 1.0)))
-      break;
-    current += 2;
-    available -= 2;
-    heap.back() = {model.expected_time(i, current, 1.0), i};
-    std::push_heap(heap.begin(), heap.end());
-  }
-  return sigma;
-}
-
 TEST(OptimalSchedule, ColumnsStopOneEntryPastTheAllocation) {
   // The line-9 lookahead reads tr(current + 2) first: a strict drop
   // proves tr(current) > tr(pmax) on the prefix-min column, so at the
@@ -219,9 +194,18 @@ TEST(OptimalSchedule, PlateauStillTakesTheDeepProbe) {
 
 TEST(OptimalSchedule, MatchesThePrintedAlgorithmAcrossRegimes) {
   // Short-circuited or not, every grant and the stopping point are the
-  // printed algorithm's, from pools that run dry to plateaus.
+  // printed algorithm's, from pools that run dry to plateaus. The loop
+  // the online schedulers call, grant_pairs, matches it too over random
+  // ascending task subsets at remaining fractions in (0, 1]: uncapped,
+  // with caps that bind before the first grant, and with caps that bind
+  // mid-run; twin tasks (same size, same fraction) tie, and a tie goes to
+  // the larger position.
+  constexpr int kNoCap = std::numeric_limits<int>::max();
+  constexpr int kind[] = {0, 1, 0, 2, 1, 0};  // twins share a kind
   Rng rng(7);
-  for (const double mtbf : {100.0, 10.0, 2.0, 0.5}) {
+  Rng draws(11);  // subsets, fractions, pools and caps; rng keeps its packs
+  int dry = 0, stuck = 0, capped_first = 0, capped_mid = 0, ties = 0;
+  for (const double mtbf : {100.0, 10.0, 2.0, 0.5, 0.2}) {
     for (const int p : {24, 90, 300}) {
       const Pack pack = Pack::uniform_random(
           6, 1.5e6, 2.5e6, std::make_shared<speedup::SyntheticModel>(0.08),
@@ -230,8 +214,73 @@ TEST(OptimalSchedule, MatchesThePrintedAlgorithmAcrossRegimes) {
       const ExpectedTimeModel model(pack, resilience);
       EXPECT_EQ(optimal_schedule(model, p), reference_schedule(model, p))
           << "mtbf=" << mtbf << " p=" << p;
+
+      const double a = draws.uniform(1.5e6, 2.5e6);
+      const double b = draws.uniform(1.5e6, 2.5e6);
+      const Pack twins =
+          make_pack({a, b, a, draws.uniform(1.5e6, 2.5e6), b, a});
+      const ExpectedTimeModel twin_model(twins, resilience);
+      for (const ExpectedTimeModel* m : {&model, &twin_model}) {
+        TrEvaluator evaluator(*m, p);
+        for (int draw = 0; draw < 12; ++draw) {
+          std::vector<int> tasks;
+          for (int i = 0; i < 6; ++i)
+            if (draws.uniform01() < 0.6) tasks.push_back(i);
+          if (tasks.empty()) tasks.push_back(static_cast<int>(draw % 6));
+          const auto count = tasks.size();
+          // Fractions from a small set, so twins often share one.
+          const double set[] = {1.0, 0.5, 1.0 - draws.uniform01()};
+          std::vector<double> alphas;
+          for (std::size_t k = 0; k < count; ++k)
+            alphas.push_back(set[draws.uniform_int(0, 2)]);
+          const int available = static_cast<int>(draws.uniform_int(
+              0, static_cast<std::uint64_t>(p - 2 * static_cast<int>(count))));
+          const std::vector<int> free =
+              reference_schedule(*m, tasks, alphas, available, {});
+          std::vector<int> caps;
+          if (draw % 3 == 1)  // some tasks may never grow
+            for (std::size_t k = 0; k < count; ++k)
+              caps.push_back(draws.uniform01() < 0.5 ? 2 : kNoCap);
+          if (draw % 3 == 2)  // caps at or below the uncapped allocation
+            for (std::size_t k = 0; k < count; ++k)
+              caps.push_back(2 + 2 * static_cast<int>(draws.uniform01() *
+                                                      (free[k] / 2)));
+          std::vector<int> sigma;
+          grant_pairs(evaluator, tasks, alphas, available, caps, sigma);
+          const std::vector<int> want =
+              reference_schedule(*m, tasks, alphas, available, caps);
+          EXPECT_EQ(sigma, want) << "mtbf=" << mtbf << " p=" << p
+                                 << " twins=" << (m == &twin_model)
+                                 << " draw=" << draw;
+
+          // Which regimes the draw reached, by the reference's outcome.
+          int left = available;
+          bool growable = false;
+          for (std::size_t k = 0; k < count; ++k) {
+            const int cap = caps.empty() ? kNoCap : caps[k];
+            left -= want[k] - 2;
+            growable = growable || want[k] + 2 <= cap;
+            if (want[k] == cap && free[k] > cap)
+              ++(cap == 2 ? capped_first : capped_mid);
+            for (std::size_t l = 0; l < k; ++l) {
+              const bool twin =
+                  m == &twin_model && kind[tasks[k]] == kind[tasks[l]] &&
+                  alphas[k] == alphas[l] &&
+                  (caps.empty() || caps[k] == caps[l]);
+              ties += twin && want[k] != want[l] ? 1 : 0;
+            }
+          }
+          dry += left < 2 ? 1 : 0;
+          stuck += left >= 2 && growable ? 1 : 0;
+        }
+      }
     }
   }
+  EXPECT_GT(dry, 0) << "no pool ran dry";
+  EXPECT_GT(stuck, 0) << "no pass stopped on a stuck task";
+  EXPECT_GT(capped_first, 0) << "no cap bound before the first grant";
+  EXPECT_GT(capped_mid, 0) << "no cap bound mid-run";
+  EXPECT_GT(ties, 0) << "no twin pair was split by a tie";
 }
 
 /// Theorem 1 certification: the greedy result equals an exhaustive search

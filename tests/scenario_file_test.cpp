@@ -13,6 +13,7 @@
 
 #include "exp/scenario_file.hpp"
 #include "util/rng.hpp"
+#include "util/units.hpp"
 
 namespace coredis::exp {
 namespace {
@@ -197,8 +198,22 @@ void expect_exact_round_trip(const Scenario& original) {
   EXPECT_EQ(r.seed, original.seed) << text;
 }
 
+/// lambda_j tau at m_sup of a faulty scenario, from the period rule's
+/// closed form in x = c m_sup / mu (Young: sqrt(2x) + x; Daly: 1 + x from
+/// x >= 2 on, where the period is mu_j + C_j).
+double exposure_at_m_sup(const Scenario& s) {
+  const double x =
+      s.checkpoint_unit_cost * s.m_sup / units::years(s.mtbf_years);
+  if (s.period_rule == checkpoint::PeriodRule::Young)
+    return std::sqrt(2.0 * x) + x;
+  if (x >= 2.0) return 1.0 + x;
+  return std::sqrt(2.0 * x) * (1.0 + std::sqrt(x / 2.0) / 3.0 + x / 18.0) +
+         x;
+}
+
 TEST(ScenarioFile, RoundTripPropertyOverRandomizedScenarios) {
   Rng rng(20260726);
+  int refused = 0;
   const auto log_uniform = [&rng](double lo, double hi) {
     return std::exp(rng.uniform(std::log(lo), std::log(hi)));
   };
@@ -230,8 +245,22 @@ TEST(ScenarioFile, RoundTripPropertyOverRandomizedScenarios) {
     s.bulk_phases = 1 + static_cast<int>(rng.uniform_int(0, 19));
     s.runs = 1 + static_cast<int>(rng.uniform_int(0, 99));
     s.seed = rng();  // the full 64-bit range, beyond double precision
+    // A faulty draw whose checkpoint periods almost never complete is
+    // refused by the three keys that set its exposure.
+    if (s.mtbf_years > 0.0 && exposure_at_m_sup(s) > 10.0 * std::log(2.0)) {
+      ++refused;
+      const std::string error = parse_error_of(format_scenario(s));
+      for (const char* key :
+           {"'mtbf_years'", "'checkpoint_unit_cost'", "'m_sup'"})
+        EXPECT_NE(error.find(key), std::string::npos)
+            << "iteration " << iteration << ": " << error;
+      continue;
+    }
     expect_exact_round_trip(s);
   }
+  // 35 of the 160 faulty draws sit past the bound; the other 125 and the
+  // 40 fault-free ones round-trip.
+  EXPECT_EQ(refused, 35);
 }
 
 TEST(ScenarioFile, RoundTripSurvivesExtremeValues) {
@@ -414,6 +443,14 @@ TEST(ScenarioFile, OutOfDomainValuesAreRejectedByKey) {
       {"m_inf = 1e300\nm_sup = 1e300\n", "'m_sup'"},
       {"m_inf = 1e100\nm_sup = 1e100\n", "'checkpoint_unit_cost'"},
       {"m_inf = 1e100\nm_sup = 1e100\n", "'mtbf_years'"},
+      // Periods that almost never complete: at c = 1 and MTBF 100 y, x =
+      // c m / mu is about 3,200 (m = 1e13) or 6 (m = 1.893456e10), past
+      // the Young exposure sqrt(2x) + x <= 10 ln 2 (x <= 4.08). The runs
+      // would crawl for hours, not abort.
+      {"m_inf = 1e13\nm_sup = 1e13\n", "'m_sup'"},
+      {"m_inf = 1e13\nm_sup = 1e13\n", "'checkpoint_unit_cost'"},
+      {"m_inf = 1e13\nm_sup = 1e13\n", "'mtbf_years'"},
+      {"m_sup = 1.893456e10\n", "'m_sup'"},
   };
   for (const auto& row : rows) {
     const std::string error = parse_error_of(row.text);
@@ -432,6 +469,9 @@ TEST(ScenarioFile, OutOfDomainValuesAreRejectedByKey) {
   EXPECT_EQ(parse_scenario("c = 1e-95\nm_inf = 1e100\nm_sup = 1e100\n")
                 .m_sup,
             1e100);
+  // Just inside the exposure bound (x about 3.96) still runs.
+  EXPECT_EQ(parse_scenario("m_inf = 1.25e10\nm_sup = 1.25e10\n").m_sup,
+            1.25e10);
   // The domains' edges are in, and 0 stays the fault-free spelling.
   const Scenario edges =
       parse_scenario("mtbf_years = 0\nf = 0\nd = 0\nc = 1e-9\n");

@@ -326,12 +326,11 @@ int run_online_single(const exp::Scenario& scenario,
   return 0;
 }
 
-/// --policy: evaluate an explicit selector (registry policy strings
-/// and/or preset names) over --runs repetitions, like --compare but for
-/// a caller-chosen configuration set.
-int run_policy(const exp::Scenario& scenario, const std::string& selector) {
-  const std::vector<exp::ConfigSpec> configs = exp::parse_config_set(selector);
-  const exp::PointResult point = exp::run_point(scenario, configs);
+/// Run `configs` over the scenario's repetitions and print the results
+/// table, one row per configuration (--policy and --compare).
+exp::PointResult print_point(const exp::Scenario& scenario,
+                             const std::vector<exp::ConfigSpec>& configs) {
+  exp::PointResult point = exp::run_point(scenario, configs);
   TextTable table({"configuration", "normalized", "ci95", "makespan (days)",
                    "redistributions"});
   for (const exp::ConfigOutcome& config : point.configs) {
@@ -341,38 +340,25 @@ int run_policy(const exp::Scenario& scenario, const std::string& selector) {
                    format_double(config.redistributions.mean(), 1)});
   }
   std::cout << table.to_string() << '\n';
+  return point;
+}
+
+/// --policy: evaluate an explicit selector (registry policy strings
+/// and/or preset names) over --runs repetitions, like --compare but for
+/// a caller-chosen configuration set.
+int run_policy(const exp::Scenario& scenario, const std::string& selector) {
+  (void)print_point(scenario, exp::parse_config_set(selector));
   return 0;
 }
 
 int run_compare(const exp::Scenario& scenario) {
   // An online workload compares the three arrival-driven schedulers; the
-  // static pack compares the paper's section 6.2 matrix.
-  if (scenario.arrival_law != extensions::ArrivalLaw::None) {
-    const auto configs = exp::online_curves();
-    const exp::PointResult point = exp::run_point(scenario, configs);
-    TextTable table({"configuration", "normalized", "ci95",
-                     "makespan (days)", "redistributions"});
-    for (const exp::ConfigOutcome& config : point.configs) {
-      table.add_row({config.name, format_double(config.normalized.mean(), 4),
-                     format_double(config.normalized.ci95_halfwidth(), 4),
-                     format_double(units::to_days(config.makespan.mean()), 1),
-                     format_double(config.redistributions.mean(), 1)});
-    }
-    std::cout << table.to_string() << '\n';
-    return 0;
-  }
-  const auto configs = exp::paper_curves();
-  const exp::PointResult point = exp::run_point(scenario, configs);
-
-  TextTable table({"configuration", "normalized", "ci95", "makespan (days)",
-                   "redistributions"});
-  for (const exp::ConfigOutcome& config : point.configs) {
-    table.add_row({config.name, format_double(config.normalized.mean(), 4),
-                   format_double(config.normalized.ci95_halfwidth(), 4),
-                   format_double(units::to_days(config.makespan.mean()), 1),
-                   format_double(config.redistributions.mean(), 1)});
-  }
-  std::cout << table.to_string() << '\n';
+  // static pack compares the paper's section 6.2 matrix and tests its
+  // best heuristic against the baseline.
+  const bool online = scenario.arrival_law != extensions::ArrivalLaw::None;
+  const exp::PointResult point = print_point(
+      scenario, online ? exp::online_curves() : exp::paper_curves());
+  if (online) return 0;
 
   // Significance of the best heuristic against the baseline.
   std::size_t best = 1;
