@@ -314,9 +314,8 @@ RunResult Engine::run(fault::Generator& faults) {
     // The heuristics' commit share was accumulated inside scan time;
     // carve it out so probe scans and commits read as disjoint phases.
     profile.scan_seconds -= profile.commit_seconds;
-    // Evaluator fills this run paid for, beside EndLocal's widening
-    // probes (already counted, they bypass the evaluator).
-    profile.column_fills +=
+    // Evaluator fills this run paid for.
+    profile.column_fills =
         static_cast<long long>(evaluator.fills() - fills_before);
     profile.eq4_fills =
         static_cast<long long>(model.eq4_fills() - eq4_fills_before);

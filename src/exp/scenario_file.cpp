@@ -251,6 +251,9 @@ void validate_scenario(const Scenario& scenario) {
   // bounded by what a run can hold; the largest pinned scenario uses
   // 12,000.
   require(scenario.p <= (1 << 20), "'p'", "<= 2^20 = 1048576", scenario.p);
+  // Allocations are buddy pairs: every simulator runs on an even platform.
+  require(scenario.p % 2 == 0, "'p'", "even (processors pair as buddies)",
+          scenario.p);
   require(std::isfinite(scenario.m_inf), "'m_inf'", "finite", scenario.m_inf);
   require(std::isfinite(scenario.m_sup), "'m_sup'", "finite", scenario.m_sup);
   require(scenario.m_inf > 1.0, "'m_inf'", "> 1", scenario.m_inf);

@@ -1,36 +1,18 @@
 #include "extensions/batch.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
-#include <numeric>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "core/expected_time.hpp"
+#include "extensions/online.hpp"
 #include "fault/exponential.hpp"
 #include "util/contracts.hpp"
 
 namespace coredis::extensions {
-
-namespace {
-
-/// Runtime state of one batch job.
-struct Job {
-  int request = 0;       ///< rigid allocation
-  bool started = false;
-  bool done = false;
-  double alpha = 1.0;    ///< remaining work fraction
-  double baseline = 0.0; ///< start of the current checkpoint pattern
-  double proj_end = 0.0; ///< expected completion (fault-free from now)
-  double start_time = 0.0;
-};
-
-}  // namespace
 
 int best_useful_allocation(core::TrEvaluator& evaluator, int task,
                            int processors) {
@@ -57,188 +39,89 @@ BatchResult run_batch(const core::Pack& pack,
                       const BatchConfig& config, fault::Generator& faults,
                       const core::ExpectedTimeModel& model,
                       core::TrEvaluator& evaluator) {
-  COREDIS_EXPECTS(processors >= 2);
   COREDIS_EXPECTS(&model.pack() == &pack);
   COREDIS_EXPECTS(&model.resilience() == &resilience);
-  const int n = pack.size();
-  COREDIS_EXPECTS(static_cast<int>(release_times.size()) == n);
-  const double infinity = std::numeric_limits<double>::infinity();
-
-  std::vector<Job> jobs(static_cast<std::size_t>(n));
+  OnlineSim sim(model, processors, release_times);
+  const int p = sim.processors();
+  const int n = sim.size();
+  std::vector<int> request(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    Job& job = jobs[static_cast<std::size_t>(i)];
-    job.request = config.rule == RequestRule::BestUseful
-                      ? best_useful_allocation(evaluator, i, processors)
-                      : std::min(processors, 2 * config.fixed_pairs);
-    COREDIS_ASSERT(job.request >= 2 && job.request % 2 == 0);
+    int& r = request[static_cast<std::size_t>(i)];
+    r = config.rule == RequestRule::BestUseful
+            ? best_useful_allocation(evaluator, i, p)
+            : std::min(p, 2 * config.fixed_pairs);
+    COREDIS_ASSERT(r >= 2 && r % 2 == 0);
   }
 
-  // Jobs queue in release order (ties by index); `waiting` holds the
-  // released-but-not-started jobs in that order, `arrivals` the ones not
-  // yet released.
-  std::vector<int> arrivals(static_cast<std::size_t>(n));
-  std::iota(arrivals.begin(), arrivals.end(), 0);
-  std::stable_sort(arrivals.begin(), arrivals.end(), [&](int a, int b) {
-    return release_times[static_cast<std::size_t>(a)] <
-           release_times[static_cast<std::size_t>(b)];
-  });
-  std::size_t next_arrival = 0;
-  std::vector<int> waiting;
-
+  // The jobs leave OnlineSim's queue for `waiting` (release order, ties
+  // by index) at every event, so a blackout exit never wakes this
+  // scheduler: it runs at releases and completions only.
   BatchResult result;
-  result.start_times.assign(static_cast<std::size_t>(n), 0.0);
-  result.completion_times.assign(static_cast<std::size_t>(n), 0.0);
-  result.allocations.resize(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i)
-    result.allocations[static_cast<std::size_t>(i)] =
-        jobs[static_cast<std::size_t>(i)].request;
+  std::vector<int> waiting;
+  std::vector<std::pair<double, int>> running_ends;
+  const auto schedule = [&](double t) {
+    sim.take_released(waiting);
+    int free = p;
+    for (int i = 0; i < n; ++i)
+      if (sim.job(i).admitted && !sim.job(i).done) free -= sim.job(i).sigma;
+    const auto start = [&](int i) {
+      const int r = request[static_cast<std::size_t>(i)];
+      COREDIS_ASSERT(r <= free);
+      sim.start(i, r, t);
+      free -= r;
+    };
 
-  int free = processors;
-
-  auto start_job = [&](int i, double t) {
-    Job& job = jobs[static_cast<std::size_t>(i)];
-    COREDIS_ASSERT(!job.started && job.request <= free);
-    job.started = true;
-    job.start_time = t;
-    job.baseline = t;
-    job.proj_end = t + model.simulated_duration(i, job.request, job.alpha);
-    free -= job.request;
-    result.start_times[static_cast<std::size_t>(i)] = t;
-  };
-
-  // Scheduling pass at time t: FCFS starts, then EASY backfilling.
-  auto schedule = [&](double t) {
     // Start from the head while it fits.
-    while (!waiting.empty()) {
-      const int head = waiting.front();
-      if (jobs[static_cast<std::size_t>(head)].request > free) break;
-      start_job(head, t);
-      waiting.erase(waiting.begin());
-    }
+    std::size_t started = 0;
+    while (started < waiting.size() &&
+           request[static_cast<std::size_t>(waiting[started])] <= free)
+      start(waiting[started++]);
+    waiting.erase(waiting.begin(),
+                  waiting.begin() + static_cast<std::ptrdiff_t>(started));
     if (!config.backfilling || waiting.empty()) return;
 
     // EASY reservation for the head: walk expected completions until
     // enough processors accumulate.
-    const int head = waiting.front();
-    const int head_request = jobs[static_cast<std::size_t>(head)].request;
-    std::vector<std::pair<double, int>> running_ends;
+    const int head_request = request[static_cast<std::size_t>(waiting[0])];
+    running_ends.clear();
     for (int i = 0; i < n; ++i) {
-      const Job& job = jobs[static_cast<std::size_t>(i)];
-      if (job.started && !job.done)
-        running_ends.emplace_back(job.proj_end, job.request);
+      const OnlineSim::Job& job = sim.job(i);
+      if (job.admitted && !job.done)
+        running_ends.emplace_back(job.proj_end, job.sigma);
     }
     std::sort(running_ends.begin(), running_ends.end());
     int available = free;
     double shadow = t;
-    int extra_at_shadow = 0;
-    for (const auto& [end, request] : running_ends) {
+    for (const auto& [end, sigma] : running_ends) {
       if (available >= head_request) break;
-      available += request;
+      available += sigma;
       shadow = end;
     }
-    extra_at_shadow = available - head_request;
     COREDIS_ASSERT(available >= head_request);
+    int extra_at_shadow = available - head_request;
 
     // Backfill later jobs under the EASY rule.
     for (std::size_t q = 1; q < waiting.size();) {
       const int candidate = waiting[q];
-      Job& job = jobs[static_cast<std::size_t>(candidate)];
-      if (job.request > free) {
+      const int r = request[static_cast<std::size_t>(candidate)];
+      if (r > free) {
         ++q;
         continue;
       }
-      const double expected_end =
-          t + model.simulated_duration(candidate, job.request, job.alpha);
-      const bool fits_before_shadow = expected_end <= shadow;
-      const bool fits_beside_head = job.request <= extra_at_shadow;
+      const bool fits_before_shadow =
+          t + model.simulated_duration(candidate, r, 1.0) <= shadow;
+      const bool fits_beside_head = r <= extra_at_shadow;
       if (!fits_before_shadow && !fits_beside_head) {
         ++q;
         continue;
       }
-      start_job(candidate, t);
-      if (!fits_before_shadow) extra_at_shadow -= job.request;
+      start(candidate);
+      if (!fits_before_shadow) extra_at_shadow -= r;
       waiting.erase(waiting.begin() + static_cast<std::ptrdiff_t>(q));
       ++result.backfilled_jobs;
     }
   };
-
-  std::optional<fault::Fault> next_fault = faults.next();
-  int live = n;
-  // Processor ownership for fault attribution: jobs own abstract slots;
-  // map each fault to a running job with probability request / p by
-  // walking the running set (the merged stream draws processors
-  // uniformly, so picking the owner by slot index is equivalent).
-  while (live > 0) {
-    const double t_release =
-        next_arrival < static_cast<std::size_t>(n)
-            ? release_times[static_cast<std::size_t>(arrivals[next_arrival])]
-            : infinity;
-    double end_time = infinity;
-    int ending = -1;
-    for (int i = 0; i < n; ++i) {
-      const Job& job = jobs[static_cast<std::size_t>(i)];
-      if (job.started && !job.done && job.proj_end < end_time) {
-        end_time = job.proj_end;
-        ending = i;
-      }
-    }
-    const double t_next = std::min(t_release, end_time);
-    COREDIS_ASSERT(std::isfinite(t_next));
-
-    if (next_fault && next_fault->time < t_next) {
-      const fault::Fault fault = *next_fault;
-      next_fault = faults.next();
-      // Attribute the fault: processor indices [0, p) are laid out over
-      // the running jobs in start order, idle slots last.
-      int cursor = 0;
-      int owner = -1;
-      for (int i = 0; i < n; ++i) {
-        const Job& job = jobs[static_cast<std::size_t>(i)];
-        if (!job.started || job.done) continue;
-        if (fault.processor < cursor + job.request) {
-          owner = i;
-          break;
-        }
-        cursor += job.request;
-      }
-      if (owner < 0) continue;  // idle slot
-      Job& job = jobs[static_cast<std::size_t>(owner)];
-      if (fault.time <= job.baseline) continue;  // blackout window
-      ++result.faults_effective;
-      // Rollback to the last checkpoint (the engine's rule).
-      const core::ExpectedTimeModel::Rollback back = model.rollback(
-          owner, job.request, job.alpha, job.baseline, fault.time);
-      job.alpha = back.alpha;
-      job.baseline = back.restart;
-      job.proj_end =
-          job.baseline + model.simulated_duration(owner, job.request, job.alpha);
-      continue;
-    }
-
-    // Release event: queue every job released by t_release, then run a
-    // scheduling pass (the head may start right away, or later jobs may
-    // backfill around it).
-    if (t_release <= end_time) {
-      while (next_arrival < static_cast<std::size_t>(n) &&
-             release_times[static_cast<std::size_t>(arrivals[next_arrival])] <=
-                 t_release) {
-        waiting.push_back(arrivals[next_arrival]);
-        ++next_arrival;
-      }
-      schedule(t_release);
-      continue;
-    }
-
-    Job& job = jobs[static_cast<std::size_t>(ending)];
-    job.done = true;
-    result.completion_times[static_cast<std::size_t>(ending)] = end_time;
-    result.busy_processor_seconds +=
-        static_cast<double>(job.request) * (end_time - job.start_time);
-    free += job.request;
-    --live;
-    result.makespan = std::max(result.makespan, end_time);
-    if (live > 0) schedule(end_time);
-  }
+  static_cast<OnlineResult&>(result) = sim.run(faults, schedule);
   return result;
 }
 

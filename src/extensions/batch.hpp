@@ -14,10 +14,11 @@
 /// order (ties by index), optionally backfilling later jobs into idle
 /// processors under the classic EASY rule: a backfilled job must either
 /// finish before the queue head's reservation (the "shadow time") or
-/// only use processors the head will not need. Running jobs checkpoint
-/// and roll back on faults exactly like the co-scheduled tasks, but
-/// their allocations never change — which is precisely what the
-/// malleable schedulers (the engine's redistribution, and
+/// only use processors the head will not need. The scheduler is a
+/// callback on extensions::OnlineSim, the event loop of the malleable
+/// schedulers: running jobs checkpoint and roll back on faults exactly
+/// like theirs, but their allocations never change — which is precisely
+/// what the malleable schedulers (the engine's redistribution, and
 /// extensions::run_online for this arrival setting) add.
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "checkpoint/model.hpp"
 #include "core/expected_time.hpp"
 #include "core/pack.hpp"
+#include "extensions/online.hpp"
 #include "fault/generator.hpp"
 
 namespace coredis::extensions {
@@ -54,21 +56,18 @@ struct BatchConfig {
   bool backfilling = true;  ///< EASY backfilling vs plain FCFS
 };
 
-struct BatchResult {
-  double makespan = 0.0;
-  std::vector<double> start_times;       ///< per task
-  std::vector<double> completion_times;  ///< per task
-  std::vector<int> allocations;          ///< rigid request per task
-  int faults_effective = 0;
-  int backfilled_jobs = 0;               ///< jobs started out of order
-  double busy_processor_seconds = 0.0;   ///< for energy accounting
+/// An online result (each final_allocation is the job's rigid request;
+/// no redistributions) plus the backfill count.
+struct BatchResult : OnlineResult {
+  int backfilled_jobs = 0;  ///< jobs started out of order
 };
 
 /// Simulate the batch execution with per-job release dates (one per pack
 /// task, non-negative; all zero is the paper's static setting). Faults
 /// come from `faults`; the scheduler re-runs its FCFS + backfilling pass
-/// at every release and completion event. Deterministic in
-/// (pack, release_times, fault stream).
+/// at every release and completion event. `processors` is rounded down
+/// to even, as in OnlineSim. Deterministic in (pack, release_times,
+/// fault stream).
 [[nodiscard]] BatchResult run_batch(const core::Pack& pack,
                                     const checkpoint::Model& resilience,
                                     int processors,

@@ -248,6 +248,22 @@ int OnlineSim::admit_live(double t, std::vector<int>& live,
   return available;
 }
 
+void OnlineSim::take_released(std::vector<int>& queue) {
+  queue.insert(queue.end(),
+               waiting_.begin() + static_cast<std::ptrdiff_t>(waiting_head_),
+               waiting_.end());
+  waiting_.clear();
+  waiting_head_ = 0;
+}
+
+void OnlineSim::start(int i, int sigma, double t) {
+  Job& job = jobs_[static_cast<std::size_t>(i)];
+  COREDIS_ASSERT(!job.admitted);
+  job.admitted = true;
+  result_.start_times[static_cast<std::size_t>(i)] = t;
+  place(i, sigma, t);
+}
+
 void OnlineSim::place(int i, int sigma, double t) {
   Job& job = jobs_[static_cast<std::size_t>(i)];
   job.sigma = sigma;

@@ -14,18 +14,16 @@
 /// admission may shrink running jobs to make room, and a completion grows
 /// them back — each change paying the section 3.3 redistribution cost
 /// plus an initial checkpoint, exactly like the engine's redistributions.
-/// The rigid baselines (EASY backfilling / plain FCFS) run the same
-/// workload through extensions::run_batch, which accepts the same release
-/// dates.
 ///
 /// Faults roll the struck job back to its last checkpoint with the
 /// engine's arithmetic, but never trigger a redistribution here: the
 /// online scheduler re-plans at arrivals and completions only. Every
-/// online scheduler — run_online and the adaptive policies
-/// (policy/adaptive.hpp) — runs on the one event loop of OnlineSim,
-/// replans through core::grant_pairs, the engine's Algorithm 1 grant loop
-/// (core/optimal_schedule.hpp), and differs only in its replanning
-/// callback.
+/// arrival-driven scheduler runs on the one event loop of OnlineSim and
+/// differs only in its replanning callback: run_online and the adaptive
+/// policies (policy/adaptive.hpp) replan through core::grant_pairs, the
+/// engine's Algorithm 1 grant loop (core/optimal_schedule.hpp), and the
+/// rigid baselines (EASY backfilling / plain FCFS, extensions/batch.hpp)
+/// start jobs on fixed requests from their own FCFS queue.
 
 #include <cstddef>
 #include <cstdint>
@@ -99,7 +97,8 @@ struct OnlineResult {
 /// The one online event loop (DESIGN.md section 8.2) and the job
 /// lifecycle the online schedulers share. A scheduler is the
 /// `reschedule` callback it hands to run(), built from admit_live,
-/// tentative_alpha, core::grant_pairs and place/resize/commit. Per
+/// tentative_alpha, core::grant_pairs and place/resize/commit, or, for
+/// the rigid batch schedulers, from take_released and start. Per
 /// iteration the loop resolves, in this order:
 ///
 ///  * a fault strictly before every other event: processor indices are
@@ -107,11 +106,12 @@ struct OnlineResult {
 ///    fault on an idle slot or inside a blackout window is dropped, any
 ///    other rolls its job back (ExpectedTimeModel::rollback) and calls
 ///    `on_fault`. Faults never replan;
-///  * a release, or the end of a blackout window while jobs wait: the
-///    released jobs queue in arrival order (release date, ties by index)
-///    and the loop replans. A release wins a tie with a completion (the
-///    admission pass sees the completing job as still running,
-///    harmlessly); a blackout exit tying a completion defers to it;
+///  * a release, or the end of a blackout window while jobs wait in
+///    OnlineSim's queue: the released jobs queue in arrival order
+///    (release date, ties by index) and the loop replans. A release wins
+///    a tie with a completion (the admission pass sees the completing
+///    job as still running, harmlessly); a blackout exit tying a
+///    completion defers to it;
 ///  * the earliest completion (ties to the smallest index), which
 ///    replans while jobs remain.
 class OnlineSim {
@@ -163,6 +163,14 @@ class OnlineSim {
     const Job& job = jobs_[static_cast<std::size_t>(i)];
     return model_.remaining_after(i, job.sigma, job.alpha, t - job.baseline);
   }
+
+  /// Move the released, unadmitted jobs, in arrival order, to the back
+  /// of `queue`: a scheduler that keeps its own queue (the rigid batch
+  /// schedulers) drains OnlineSim's, so no blackout exit wakes it.
+  void take_released(std::vector<int>& queue);
+
+  /// Admit job i at t and place it on `sigma` processors.
+  void start(int i, int sigma, double t);
 
   /// First placement at t: no data to move, the pattern starts here.
   void place(int i, int sigma, double t);

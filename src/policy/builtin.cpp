@@ -94,15 +94,9 @@ class BatchPolicy final : public Policy {
  public:
   explicit BatchPolicy(extensions::BatchConfig config) : config_(config) {}
   core::RunResult run(const CellContext& ctx) const override {
-    extensions::BatchResult r = extensions::run_batch(
+    return extensions::to_run_result(extensions::run_batch(
         ctx.pack, ctx.resilience, ctx.processors, ctx.release_times(),
-        config_, ctx.faults, ctx.model, ctx.evaluator);
-    core::RunResult out;
-    out.makespan = r.makespan;
-    out.faults_effective = r.faults_effective;
-    out.completion_times = std::move(r.completion_times);
-    out.final_allocation = std::move(r.allocations);
-    return out;
+        config_, ctx.faults, ctx.model, ctx.evaluator));
   }
 
  private:

@@ -15,6 +15,7 @@
 #include "extensions/batch.hpp"
 #include "extensions/dedicated.hpp"
 #include "fault/exponential.hpp"
+#include "fault/trace.hpp"
 #include "speedup/synthetic.hpp"
 #include "speedup/table_profile.hpp"
 #include "util/stats.hpp"
@@ -138,7 +139,7 @@ TEST(Batch, PlainFcfsRespectsSubmissionOrder) {
   config.backfilling = false;
   const auto result =
       extensions::run_batch(pack, resilience, 4, config, 1, 0.0);
-  EXPECT_EQ(result.allocations, (std::vector<int>{2, 4, 2}));
+  EXPECT_EQ(result.final_allocation, (std::vector<int>{2, 4, 2}));
   // job0 at 0-60; job1 waits for the full platform: 60-170 (110 s on 4
   // processors); job2: 170-200.
   EXPECT_DOUBLE_EQ(result.start_times[0], 0.0);
@@ -161,6 +162,46 @@ TEST(Batch, EasyBackfillingFillsTheHole) {
   EXPECT_DOUBLE_EQ(result.start_times[1], 60.0);  // head not delayed
   EXPECT_DOUBLE_EQ(result.makespan, 170.0);
   EXPECT_EQ(result.backfilled_jobs, 1);
+}
+
+TEST(Batch, NoSchedulingPassAtABlackoutExit) {
+  // The head (job1) needs the whole platform. Released at 2 s, job2 would
+  // end at 61 s, past the shadow (job0's end at 60 s), so EASY keeps it
+  // queued. A fault at 30 s rolls job0 back: its recovery blackout ends
+  // at 95 s and it now ends at 155 s. That blackout exit is no event of a
+  // rigid scheduler: an EASY pass there would backfill job2 at 95 s (it
+  // ends at 154 s, before the new shadow) and the makespan would be 265 s.
+  std::vector<core::TaskSpec> tasks;
+  tasks.push_back({1000.0, std::make_shared<speedup::TableModel>(
+                               1000.0,
+                               std::vector<std::pair<int, double>>{
+                                   {1, 100.0}, {2, 60.0}})});
+  tasks.push_back({1000.0, std::make_shared<speedup::TableModel>(
+                               1000.0,
+                               std::vector<std::pair<int, double>>{
+                                   {1, 400.0}, {2, 220.0}, {4, 110.0}})});
+  tasks.push_back({1000.0, std::make_shared<speedup::TableModel>(
+                               1000.0,
+                               std::vector<std::pair<int, double>>{
+                                   {1, 100.0}, {2, 59.0}})});
+  const core::Pack pack(std::move(tasks),
+                        std::make_shared<speedup::SyntheticModel>(0.08));
+  const checkpoint::Model resilience({units::years(1.0), 60.0, 0.01,
+                                      checkpoint::PeriodRule::Young, 0.0});
+  const std::vector<double> releases{0.0, 1.0, 2.0};
+  for (const bool backfilling : {true, false}) {
+    SCOPED_TRACE(backfilling ? "easy" : "fcfs");
+    extensions::BatchConfig config;
+    config.backfilling = backfilling;
+    fault::TraceGenerator faults(4, {{30.0, 0}});
+    const auto result = extensions::run_batch(pack, resilience, 4, releases,
+                                              config, faults);
+    EXPECT_EQ(result.start_times, (std::vector<double>{0.0, 155.0, 265.0}));
+    EXPECT_EQ(result.makespan, 324.0);
+    EXPECT_EQ(result.faults_effective, 1);
+    EXPECT_EQ(result.backfilled_jobs, 0);
+    EXPECT_EQ(result.busy_processor_seconds, 868.0);
+  }
 }
 
 TEST(Batch, BackfillNeverDelaysTheHeadOnCraftedInstance) {
@@ -198,7 +239,7 @@ TEST(Batch, FixedPairsRuleRequestsUniformAllocations) {
   config.fixed_pairs = 1;
   const auto result =
       extensions::run_batch(pack, resilience, 4, config, 1, 0.0);
-  EXPECT_EQ(result.allocations, (std::vector<int>{2, 2, 2}));
+  EXPECT_EQ(result.final_allocation, (std::vector<int>{2, 2, 2}));
   // Two jobs run side by side from the start on the 4 processors.
   EXPECT_DOUBLE_EQ(result.start_times[0], 0.0);
   EXPECT_DOUBLE_EQ(result.start_times[1], 0.0);

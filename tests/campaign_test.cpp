@@ -222,6 +222,16 @@ TEST(CampaignFile, ValidatesEveryGridPoint) {
     EXPECT_NE(what.find("n=40"), std::string::npos) << what;
     EXPECT_NE(what.find("p >= 2n"), std::string::npos) << what;
   }
+  // An odd p is refused at parse, naming the key and the point, before
+  // any cell could run.
+  try {
+    (void)parse_campaign("n = 4\np = 18, 19\nconfigs = baseline, easy\n");
+    FAIL() << "must throw";
+  } catch (const std::runtime_error& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("p=19"), std::string::npos) << what;
+    EXPECT_NE(what.find("key 'p' must be even"), std::string::npos) << what;
+  }
 }
 
 TEST(CampaignGrid, PointLabelFallsBackToBase) {

@@ -214,6 +214,7 @@ double exposure_at_m_sup(const Scenario& s) {
 TEST(ScenarioFile, RoundTripPropertyOverRandomizedScenarios) {
   Rng rng(20260726);
   int refused = 0;
+  int odd = 0;
   const auto log_uniform = [&rng](double lo, double hi) {
     return std::exp(rng.uniform(std::log(lo), std::log(hi)));
   };
@@ -245,6 +246,15 @@ TEST(ScenarioFile, RoundTripPropertyOverRandomizedScenarios) {
     s.bulk_phases = 1 + static_cast<int>(rng.uniform_int(0, 19));
     s.runs = 1 + static_cast<int>(rng.uniform_int(0, 99));
     s.seed = rng();  // the full 64-bit range, beyond double precision
+    // An odd platform is refused by 'p' before the exposure keys; its
+    // even twin p + 1 takes the branches below.
+    if (s.p % 2 != 0) {
+      ++odd;
+      const std::string error = parse_error_of(format_scenario(s));
+      EXPECT_NE(error.find("key 'p' must be even"), std::string::npos)
+          << "iteration " << iteration << ": " << error;
+      ++s.p;
+    }
     // A faulty draw whose checkpoint periods almost never complete is
     // refused by the three keys that set its exposure.
     if (s.mtbf_years > 0.0 && exposure_at_m_sup(s) > 10.0 * std::log(2.0)) {
@@ -259,8 +269,10 @@ TEST(ScenarioFile, RoundTripPropertyOverRandomizedScenarios) {
     expect_exact_round_trip(s);
   }
   // 35 of the 160 faulty draws sit past the bound; the other 125 and the
-  // 40 fault-free ones round-trip.
+  // 40 fault-free ones round-trip. 103 draws have an odd p, 17 of them
+  // also past the bound.
   EXPECT_EQ(refused, 35);
+  EXPECT_EQ(odd, 103);
 }
 
 TEST(ScenarioFile, RoundTripSurvivesExtremeValues) {
@@ -451,6 +463,9 @@ TEST(ScenarioFile, OutOfDomainValuesAreRejectedByKey) {
       {"m_inf = 1e13\nm_sup = 1e13\n", "'checkpoint_unit_cost'"},
       {"m_inf = 1e13\nm_sup = 1e13\n", "'mtbf_years'"},
       {"m_sup = 1.893456e10\n", "'m_sup'"},
+      // Allocations are buddy pairs: the engine refuses an odd platform
+      // and the online simulators round it down.
+      {"n = 5\np = 19\n", "'p'"},
   };
   for (const auto& row : rows) {
     const std::string error = parse_error_of(row.text);
@@ -461,6 +476,9 @@ TEST(ScenarioFile, OutOfDomainValuesAreRejectedByKey) {
             "scenario: key 'm_sup' must be >= m_inf = 10, got 5");
   EXPECT_EQ(parse_error_of("load_factor = -1\n"),
             "scenario: key 'load_factor' (alias 'load') must be > 0, got -1");
+  EXPECT_EQ(parse_error_of("p = 1001\n"),
+            "scenario: key 'p' must be even (processors pair as buddies), "
+            "got 1001");
   // The same m_sup runs fault-free, and a faulty model runs it where the
   // checkpoints shrink with it.
   EXPECT_EQ(parse_scenario("mtbf_years = 0\nm_inf = 1e100\nm_sup = 1e100\n")

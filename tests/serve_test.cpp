@@ -607,7 +607,8 @@ TEST(Server, OutOfDomainScenarioIsAnErrorLineNotAnAbort) {
 TEST(Server, OversizedPlatformIsAnErrorLineNotAnAllocation) {
   // p = 2^21 passes p >= 2n, yet the platform ledger alone would take
   // three ints per processor before a single event ran. The what_if gets
-  // an ok:false line naming 'p', and the connection keeps answering.
+  // an ok:false line naming 'p', and the connection keeps answering; so
+  // does an odd p.
   ServerOptions options;
   options.socket_path = unique_socket_path() + ".platform";
   options.pool_capacity = 2;
@@ -625,6 +626,15 @@ TEST(Server, OversizedPlatformIsAnErrorLineNotAnAllocation) {
   EXPECT_NE(refused.find("'p'"), std::string::npos) << refused;
   EXPECT_EQ(request_reply(fd, R"({"id":31,"op":"ping"})"),
             R"({"id":31,"ok":true,"op":"ping"})");
+  // An odd platform would reach the workspace's Engine, which refuses it
+  // without naming a key.
+  const std::string odd = request_reply(
+      fd, R"({"id":34,"op":"what_if","scenario":"n = 6; p = 25",)"
+          R"("configs":"baseline"})");
+  EXPECT_NE(odd.find("\"id\":34,\"ok\":false"), std::string::npos) << odd;
+  EXPECT_NE(odd.find("key 'p' must be even"), std::string::npos) << odd;
+  EXPECT_EQ(request_reply(fd, R"({"id":35,"op":"ping"})"),
+            R"({"id":35,"ok":true,"op":"ping"})");
   const std::string answered = request_reply(
       fd, R"({"id":32,"op":"what_if","scenario":"n = 6; p = 24",)"
           R"("configs":"baseline"})");
